@@ -8,14 +8,10 @@
 use jem_apps::workload_by_name;
 use jem_bench::obs::ObsArgs;
 use jem_core::{run_scenario_traced, Profile, ResilienceConfig, Strategy};
-use jem_obs::{check, query, CheckConfig, LabGroupBy, LabQuery, LabSelector, Timeline};
+use jem_obs::{
+    check, query, scratch_path, CheckConfig, LabGroupBy, LabQuery, LabSelector, Timeline,
+};
 use jem_sim::{Scenario, Situation};
-
-fn scratch(name: &str) -> String {
-    let dir = std::env::temp_dir().join(format!("jem-bench-archive-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    dir.join(name).to_str().unwrap().to_string()
-}
 
 fn obs_args(jtb: &str, jts: &str, archive: Option<String>) -> ObsArgs {
     ObsArgs {
@@ -36,8 +32,8 @@ fn obs_args(jtb: &str, jts: &str, archive: Option<String>) -> ObsArgs {
 /// Run the faulty fe scenario through a full BenchSink stack, ingest
 /// into `archive` when given, and return the (`.jtb`, `.jts`) bytes.
 fn run_stack(tag: &str, archive: Option<String>) -> (Vec<u8>, Vec<u8>) {
-    let jtb = scratch(&format!("{tag}.jtb"));
-    let jts = scratch(&format!("{tag}.jts"));
+    let jtb = scratch_path(&format!("{tag}.jtb"));
+    let jts = scratch_path(&format!("{tag}.jts"));
     let obs = obs_args(&jtb, &jts, archive);
 
     let w = workload_by_name("fe").expect("known workload");
@@ -73,7 +69,7 @@ fn run_stack(tag: &str, archive: Option<String>) -> (Vec<u8>, Vec<u8>) {
 fn archiving_is_a_pure_observer() {
     let (bare_jtb, bare_jts) = run_stack("bare", None);
 
-    let root = scratch("archive");
+    let root = scratch_path("archive");
     std::fs::remove_dir_all(&root).ok();
     let (arch_jtb, arch_jts) = run_stack("archived", Some(root.clone()));
 

@@ -14,14 +14,8 @@ use jem_apps::workload_by_name;
 use jem_bench::obs::ObsArgs;
 use jem_core::{run_scenario_traced, Profile, ResilienceConfig, Strategy};
 use jem_obs::wire::load_jtb_bytes;
-use jem_obs::{LiveServer, LiveState, Timeline};
+use jem_obs::{scratch_path, LiveServer, LiveState, Timeline};
 use jem_sim::{Scenario, Situation};
-
-fn scratch(name: &str) -> String {
-    let dir = std::env::temp_dir().join(format!("jem-bench-live-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    dir.join(name).to_str().unwrap().to_string()
-}
 
 fn obs_args(jtb: &str, jts: &str, live: Option<Arc<LiveState>>) -> ObsArgs {
     ObsArgs {
@@ -46,8 +40,8 @@ fn run_stack(
     live: Option<Arc<LiveState>>,
     flush_every_ms: Option<f64>,
 ) -> (Vec<u8>, Vec<u8>) {
-    let jtb = scratch(&format!("{tag}.jtb"));
-    let jts = scratch(&format!("{tag}.jts"));
+    let jtb = scratch_path(&format!("{tag}.jtb"));
+    let jts = scratch_path(&format!("{tag}.jts"));
     let mut obs = obs_args(&jtb, &jts, live);
     obs.flush_every_ms = flush_every_ms;
 

@@ -27,7 +27,9 @@ use jem_energy::Component;
 use jem_jvm::dsl::*;
 use jem_jvm::{Heap, MethodAttrs, MethodId, Program, Value};
 use jem_obs::monitor::{Monitor, MonitorConfig};
-use jem_obs::{validate_jts, NullSink, RingSink, Timeline, TimelineSink, TraceEvent, TraceSink};
+use jem_obs::{
+    scratch_path, validate_jts, NullSink, RingSink, Timeline, TimelineSink, TraceEvent, TraceSink,
+};
 use jem_sim::{Scenario, Situation};
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
@@ -117,13 +119,6 @@ fn degraded_scenario(seed: u64, runs: usize, loss_bad: f64) -> Scenario {
     .with_runs(runs)
 }
 
-/// A per-test scratch path under the system temp dir.
-fn jts_path(name: &str) -> String {
-    let dir = std::env::temp_dir().join("jem-core-timeline-tests");
-    std::fs::create_dir_all(&dir).unwrap();
-    dir.join(name).to_str().unwrap().to_string()
-}
-
 /// 1 sim-ms — the default bench cadence.
 const EVERY_NS: f64 = 1e6;
 
@@ -173,7 +168,7 @@ proptest! {
 
         let plain = run_with_sink(&scenario, Strategy::AdaptiveAdaptive, &mut NullSink);
 
-        let path = jts_path(&format!("onoff-{seed}-{loss_idx}.jts"));
+        let path = scratch_path(&format!("onoff-{seed}-{loss_idx}.jts"));
         let mut tl_sink = TimelineSink::create(&path, EVERY_NS).unwrap();
         let timed = run_with_sink(&scenario, Strategy::AdaptiveAdaptive, &mut tl_sink);
         tl_sink.finish().unwrap();
@@ -226,7 +221,7 @@ proptest! {
         run_with_sink(&scenario, Strategy::AdaptiveAdaptive, &mut ring);
         let events = ring.into_events();
 
-        let path = jts_path(&format!("window-{seed}-{loss_idx}.jts"));
+        let path = scratch_path(&format!("window-{seed}-{loss_idx}.jts"));
         let mut sink = TimelineSink::create(&path, EVERY_NS).unwrap();
         drive(&mut sink, &events);
         sink.finish().unwrap();
@@ -277,14 +272,14 @@ fn resumed_timeline_is_byte_identical() {
     let events = ring.into_events();
     assert!(events.len() > 100, "need a meaningful stream");
 
-    let golden_path = jts_path("resume-golden.jts");
+    let golden_path = scratch_path("resume-golden.jts");
     let mut golden = TimelineSink::create(&golden_path, EVERY_NS).unwrap();
     drive(&mut golden, &events);
     golden.finish().unwrap();
     let golden_bytes = std::fs::read(&golden_path).unwrap();
 
     for cut in [1, events.len() / 3, events.len() / 2, events.len() - 1] {
-        let path = jts_path(&format!("resume-cut{cut}.jts"));
+        let path = scratch_path(&format!("resume-cut{cut}.jts"));
         let mut sink = TimelineSink::create(&path, EVERY_NS).unwrap();
         let mut ledger = jem_energy::EnergyBreakdown::new();
         for ev in &events[..cut] {

@@ -79,6 +79,9 @@ pub struct CacheSim {
     stats: CacheStats,
     line_shift: u32,
     index_mask: u64,
+    /// Index width in bits: a line address shifted right by this is
+    /// its tag.
+    tag_shift: u32,
 }
 
 const INVALID: u64 = u64::MAX;
@@ -109,6 +112,7 @@ impl CacheSim {
             stats: CacheStats::default(),
             line_shift: config.line_bytes.trailing_zeros(),
             index_mask: (lines - 1) as u64,
+            tag_shift: lines.trailing_zeros(),
         }
     }
 
@@ -123,7 +127,7 @@ impl CacheSim {
     pub fn access(&mut self, addr: u64) -> bool {
         let line_addr = addr >> self.line_shift;
         let index = (line_addr & self.index_mask) as usize;
-        let tag = line_addr >> self.index_mask.count_ones();
+        let tag = line_addr >> self.tag_shift;
         // Tags never legitimately equal INVALID for realistic address
         // spaces (< 2^58 bytes), so a plain compare suffices.
         if self.tags[index] == tag {

@@ -26,6 +26,7 @@ use crate::itable::{EnergyTable, InstrClass, InstrMix};
 use crate::meter::{Component, EnergyBreakdown};
 use crate::units::{Energy, Power, SimTime};
 use serde::{Deserialize, Serialize};
+use std::cell::Cell;
 
 /// Data-memory behaviour of one instruction event.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -209,13 +210,13 @@ impl Machine {
     /// machine.charge_mix(&mix_n);
     /// ```
     ///
-    /// and is **bit-exact** with that sequence: the per-component
-    /// energy accumulators receive the identical `f64` additions in
-    /// the identical order (the plan stores each `energy(class) * n`
-    /// product individually rather than pre-summing them, because f64
-    /// addition is not associative), the I-cache sees the same access,
-    /// and the integer cycle/mix bookkeeping — which *is* associative
-    /// — is folded into single additions.
+    /// and is **bit-exact** with that sequence: the plan stores each
+    /// `energy(class) * n` product individually, in order, and the
+    /// Core accumulator ends on the same bits as adding them one at a
+    /// time (see [`CoreFold`] for how the adds are folded exactly); the
+    /// I-cache sees the same access, and the integer cycle/mix
+    /// bookkeeping — which *is* associative — is folded into single
+    /// additions.
     #[inline]
     pub fn step_planned(&mut self, plan: &ChargePlan) {
         debug_assert_eq!(self.state, PowerState::Active, "step while powered down");
@@ -228,9 +229,7 @@ impl Machine {
                 self.mix.mem_accesses += 1;
             }
         }
-        for e in &plan.core[..plan.ncore as usize] {
-            self.breakdown.charge(Component::Core, *e);
-        }
+        self.charge_core(&plan.core[..plan.ncore as usize], &plan.fold);
         for &(class, n) in &plan.classes[..plan.nclasses as usize] {
             self.mix.record(class, n);
         }
@@ -242,14 +241,15 @@ impl Machine {
     ///
     /// Bit-exact with calling [`Machine::step_planned`] once per
     /// folded plan, in order: the I-cache sees the same fetches in the
-    /// same order; the Core accumulator receives the identical `f64`
-    /// additions in the identical order (each folded plan's products,
-    /// concatenated); the Dram accumulator adds the same
-    /// `table.main_memory` constant once per miss, and moving those
-    /// additions ahead of the core additions cannot change either
-    /// accumulator — they are *different* accumulators, and only the
-    /// per-accumulator addition order matters for f64 bit-equality;
-    /// the integer cycle/mix bookkeeping is associative and folded.
+    /// same order; the Core accumulator ends on the same bits as the
+    /// per-plan additions in order (each folded plan's products,
+    /// concatenated, folded by [`CoreFold`]); the Dram accumulator
+    /// adds the same `table.main_memory` constant once per miss, and
+    /// moving those additions ahead of the core additions cannot
+    /// change either accumulator — they are *different* accumulators,
+    /// and only the per-accumulator addition order matters for f64
+    /// bit-equality; the integer cycle/mix bookkeeping is associative
+    /// and folded.
     #[inline]
     pub fn step_charge_seq(&mut self, seq: &ChargeSeq) {
         debug_assert_eq!(self.state, PowerState::Active, "step while powered down");
@@ -264,9 +264,7 @@ impl Machine {
                 }
             }
         }
-        for e in seq.core.iter() {
-            self.breakdown.charge(Component::Core, *e);
-        }
+        self.charge_core(&seq.core, &seq.fold);
         for &(class, n) in seq.classes.iter() {
             self.mix.record(class, n);
         }
@@ -292,8 +290,9 @@ impl Machine {
     ///   offset` for spills, `heap_addr` for the sequence's heap
     ///   access), because heap locality is dynamic.
     /// * **Core energy** — the per-micro `energy(class)` additions are
-    ///   replayed individually in order (f64 addition is not
-    ///   associative, so they cannot be pre-summed).
+    ///   folded into one exact add whenever that gives the same bits as
+    ///   adding them individually in order, and replayed one by one
+    ///   otherwise (see [`CoreFold`]).
     /// * **DRAM energy** — every miss charges the same
     ///   `table.main_memory` constant, so reordering the D-cache
     ///   misses after the I-cache misses leaves the DRAM accumulator
@@ -356,13 +355,30 @@ impl Machine {
                 }
             }
         }
-        for e in plan.core.iter() {
-            self.breakdown.charge(Component::Core, *e);
-        }
+        self.charge_core(&plan.core, &plan.fold);
         for &(class, n) in plan.classes.iter() {
             self.mix.record(class, n);
         }
         self.cycles += cycles;
+    }
+
+    /// Add the ordered `core` energies to the Core accumulator, ending
+    /// on exactly the bits of adding them one at a time: one exact add
+    /// when `fold` proves that possible at the accumulator's current
+    /// binade, the literal serial loop otherwise.
+    #[inline]
+    fn charge_core(&mut self, core: &[Energy], fold: &CoreFold) {
+        let acc = self.breakdown[Component::Core].nanojoules().to_bits();
+        let ulps = fold.ulps(acc >> 52, core);
+        if ulps < (1u64 << 52) - (acc & MANTISSA) {
+            // acc + ulps·u, exact: the sum stays in acc's binade, so
+            // adding to the significand field cannot carry.
+            self.breakdown[Component::Core] = Energy::from_nanojoules(f64::from_bits(acc + ulps));
+        } else {
+            for e in core {
+                self.breakdown.charge(Component::Core, *e);
+            }
+        }
     }
 
     /// Bulk-charge an instruction mix without cache simulation — used
@@ -554,6 +570,107 @@ pub struct MachineCheckpoint {
     breakdown: EnergyBreakdown,
 }
 
+/// Significand field of an `f64`'s bits.
+const MANTISSA: u64 = (1 << 52) - 1;
+
+/// [`CoreFold`] sentinel: the addends cannot be folded at this binade.
+const NO_FOLD: u64 = u64::MAX;
+
+/// Exact fold of a batched plan's ordered Core additions into one add.
+///
+/// Let the accumulator `acc` be positive, normal and in the binade
+/// `[2^E, 2^(E+1))`, where every `f64` is a multiple of `u = 2^(E-52)`.
+/// For an addend `e ≥ 0`, `q = e/u` is exact (`u` is a power of two),
+/// and if `q` is not a half-integer then `fl(acc + e) = acc + round(q)·u`
+/// for every such `acc`, provided the sum stays in the binade. So the
+/// ordered adds `acc + e_1 + … + e_n` end on exactly
+/// `acc + (Σ round(e_i/u))·u` whenever that stays below `2^(E+1)`: the
+/// partial sums only grow, so each of them stays in the binade too.
+///
+/// The memo holds `(acc_bits >> 52, Σ round(e_i/u))` for the binade
+/// last seen. It depends only on the binade and the plan's addends, is
+/// recomputed when the accumulator changes binade, and is never
+/// serialized, so a cold memo (a fresh plan after resume) behaves
+/// identically. The fold is refused — [`NO_FOLD`], and the caller
+/// replays the serial adds — when `acc` is zero, subnormal, negative
+/// or not finite, when an addend is negative or not finite, when some
+/// `e_i/u` is a half-integer (ties-to-even then depends on the
+/// running significand's parity), or when some `e_i/u ≥ 2^53`; the
+/// caller also replays when the folded sum would leave the binade.
+#[derive(Debug, Clone)]
+struct CoreFold(Cell<(u64, u64)>);
+
+impl CoreFold {
+    /// An empty memo. Its binade key, 0, is that of zero and the
+    /// subnormals, which never fold.
+    fn new() -> Self {
+        CoreFold(Cell::new((0, NO_FOLD)))
+    }
+
+    /// `Σ round(e_i/u)` over `core` at the binade whose bits-`>> 52`
+    /// key is `key`, or [`NO_FOLD`].
+    #[inline]
+    fn ulps(&self, key: u64, core: &[Energy]) -> u64 {
+        let (memo_key, ulps) = self.0.get();
+        if memo_key == key {
+            return ulps;
+        }
+        let ulps = fold_ulps(key, core);
+        self.0.set((key, ulps));
+        ulps
+    }
+}
+
+/// `Σ round(e_i/u)` over `core`, where `u` is the ulp of the positive
+/// normal binade with biased exponent `key`; [`NO_FOLD`] if any term is
+/// not exactly foldable (see [`CoreFold`]) or the sum reaches `2^52`,
+/// beyond which no accumulator in the binade could take it.
+#[cold]
+#[inline(never)]
+fn fold_ulps(key: u64, core: &[Energy]) -> u64 {
+    // Sign bit set (negative) lands at key >= 0x800, above inf/NaN.
+    if key == 0 || key >= 0x7ff {
+        return NO_FOLD;
+    }
+    let mut sum = 0u64;
+    for e in core {
+        let bits = e.nanojoules().to_bits();
+        let exp = bits >> 52;
+        if exp >= 0x7ff {
+            return NO_FOLD;
+        }
+        // e = m·2^(max(exp, 1) - 1075) and u = 2^(key - 1075).
+        let m = if exp == 0 {
+            bits & MANTISSA
+        } else {
+            (bits & MANTISSA) | (1 << 52)
+        };
+        let shift = exp.max(1) as i64 - key as i64;
+        let q = if shift >= 0 {
+            if shift >= 53 || m >= 1 << (53 - shift) {
+                return NO_FOLD;
+            }
+            m << shift
+        } else if shift <= -54 {
+            // m < 2^53, so e/u < 1/2: the add leaves acc unchanged.
+            0
+        } else {
+            let t = (-shift) as u32;
+            let half = 1u64 << (t - 1);
+            let rem = m & ((1u64 << t) - 1);
+            if rem == half {
+                return NO_FOLD;
+            }
+            (m >> t) + u64::from(rem > half)
+        };
+        sum += q;
+        if sum >= 1 << 52 {
+            return NO_FOLD;
+        }
+    }
+    sum
+}
+
 /// Maximum number of distinct core-energy additions one plan can hold
 /// (one lead instruction plus each nonzero class of each folded mix).
 pub const CHARGE_PLAN_SLOTS: usize = 12;
@@ -566,13 +683,13 @@ pub const CHARGE_PLAN_SLOTS: usize = 12;
 /// core energies of one or more fixed [`InstrMix`]es (dispatch
 /// overhead + per-op operand traffic). The core charges are stored as
 /// the *individual* `energy(class) * count` products, in the exact
-/// order `charge_mix` would issue them, so replaying a plan is
-/// bit-identical to the unbatched call sequence — see
-/// [`Machine::step_planned`].
+/// order `charge_mix` would issue them, and folded exactly on replay,
+/// so replaying a plan is bit-identical to the unbatched call sequence
+/// — see [`Machine::step_planned`].
 ///
 /// Plans depend only on an [`EnergyTable`], so they can be built once
 /// per machine configuration and reused for the whole run.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone)]
 pub struct ChargePlan {
     /// Simulated fetch address (drives the I-cache).
     fetch_pc: u64,
@@ -588,6 +705,8 @@ pub struct ChargePlan {
     nclasses: u8,
     /// Folded cycle delta (miss penalties are added dynamically).
     cycles: u64,
+    /// Derived fold of `core` at the last Core binade seen.
+    fold: CoreFold,
 }
 
 impl ChargePlan {
@@ -643,6 +762,7 @@ impl ChargePlan {
             classes,
             nclasses: nclasses as u8,
             cycles,
+            fold: CoreFold::new(),
         }
     }
 
@@ -659,8 +779,9 @@ impl ChargePlan {
 ///
 /// Merging is purely structural: the fetch addresses are kept
 /// individually (cache outcomes stay dynamic) and the core-energy
-/// products are concatenated in plan order, so replay is bit-exact
-/// with the unmerged sequence — see [`Machine::step_charge_seq`].
+/// products are concatenated in plan order, then folded exactly on
+/// replay, so replay is bit-exact with the unmerged sequence — see
+/// [`Machine::step_charge_seq`].
 #[derive(Debug, Clone)]
 pub struct ChargeSeq {
     /// Fetch addresses of the folded plans, in order.
@@ -672,6 +793,8 @@ pub struct ChargeSeq {
     classes: Box<[(InstrClass, u64)]>,
     /// Folded base cycles (miss penalties are added dynamically).
     cycles: u64,
+    /// Derived fold of `core` at the last Core binade seen.
+    fold: CoreFold,
 }
 
 impl ChargeSeq {
@@ -701,6 +824,7 @@ impl ChargeSeq {
             core: core.into_boxed_slice(),
             classes: classes.into_boxed_slice(),
             cycles,
+            fold: CoreFold::new(),
         }
     }
 
@@ -742,9 +866,9 @@ pub enum SeqDataRef {
 /// practice when native code is installed into a VM — and replayed on
 /// every execution of the sequence. The plan pre-resolves everything
 /// static about the accounting (line grouping of the consecutive
-/// fetches, per-micro core-energy products, folded instruction
-/// histogram and base cycles) while keeping everything dynamic (cache
-/// hit/miss outcomes, data addresses) live. Replay is bit-exact with
+/// fetches, per-micro core-energy products and their exact fold,
+/// folded instruction histogram and base cycles) while keeping
+/// everything dynamic (cache hit/miss outcomes, data addresses) live. Replay is bit-exact with
 /// the equivalent per-micro [`Machine::step`] loop — see
 /// [`Machine::step_seq`] for the argument.
 #[derive(Debug, Clone)]
@@ -767,6 +891,8 @@ pub struct SeqPlan {
     has_heap: bool,
     /// I-cache line size the line grouping assumes.
     line_bytes: u32,
+    /// Derived fold of `core` at the last Core binade seen.
+    fold: CoreFold,
 }
 
 impl SeqPlan {
@@ -859,6 +985,7 @@ impl SeqPlan {
             n: micros.len() as u64,
             has_heap,
             line_bytes,
+            fold: CoreFold::new(),
         }
     }
 
@@ -1129,6 +1256,72 @@ mod tests {
             slow.energy().nanojoules().to_bits(),
             fast.energy().nanojoules().to_bits()
         );
+    }
+
+    /// The bits-`>> 52` key of the binade holding `x`.
+    fn key(x: f64) -> u64 {
+        x.to_bits() >> 52
+    }
+
+    fn nj(v: &[f64]) -> Vec<Energy> {
+        v.iter().map(|&x| Energy::from_nanojoules(x)).collect()
+    }
+
+    #[test]
+    fn fold_ulps_rounds_each_addend_to_the_binade_ulp() {
+        // Binade [1, 2): u = 2^-52.
+        let u = f64::EPSILON;
+        assert_eq!(fold_ulps(key(1.0), &nj(&[u, 3.0 * u, 0.0])), 4);
+        // Binade [2^52, 2^53): u = 1. 0.25 rounds down, 0.75 up, and
+        // 2^-60 vanishes.
+        let k = key(2f64.powi(52));
+        assert_eq!(fold_ulps(k, &nj(&[3.0, 0.25, 0.75, 2f64.powi(-60)])), 4);
+        // Subnormal addends scale like any other.
+        assert_eq!(fold_ulps(1, &nj(&[f64::from_bits(5)])), 5);
+    }
+
+    #[test]
+    fn fold_ulps_refuses_what_it_cannot_fold_exactly() {
+        let k = key(2f64.powi(52));
+        // A half-ulp tie: ties-to-even depends on the running parity.
+        assert_eq!(fold_ulps(k, &nj(&[1.0, 2.5])), NO_FOLD);
+        // An addend of 2^53 ulps or more.
+        assert_eq!(fold_ulps(key(1.0), &nj(&[2.0])), NO_FOLD);
+        // A sum no accumulator of the binade can take.
+        assert_eq!(fold_ulps(k, &nj(&[2f64.powi(51), 2f64.powi(51)])), NO_FOLD);
+        // Negative or non-finite addends.
+        assert_eq!(fold_ulps(k, &nj(&[-1.0])), NO_FOLD);
+        assert_eq!(fold_ulps(k, &nj(&[f64::NAN])), NO_FOLD);
+        // Zero/subnormal, non-finite and negative accumulators.
+        for acc in [0.0, f64::from_bits(3), f64::INFINITY, -1.0] {
+            assert_eq!(fold_ulps(key(acc), &nj(&[1.0])), NO_FOLD);
+        }
+    }
+
+    #[test]
+    fn core_fold_memo_follows_the_binade() {
+        let core = nj(&[4.0]);
+        let fold = CoreFold::new();
+        assert_eq!(fold.ulps(0, &core), NO_FOLD);
+        assert_eq!(fold.ulps(key(1.5), &core), NO_FOLD);
+        assert_eq!(fold.ulps(key(2f64.powi(52)), &core), 4);
+        assert_eq!(fold.0.get(), (key(2f64.powi(52)), 4));
+        assert_eq!(fold.ulps(key(2f64.powi(53)), &core), 2);
+    }
+
+    #[test]
+    fn charge_core_folds_with_the_serial_adds_bits() {
+        let core = nj(&[2.846, 4.814, 4.814, 2.868]);
+        let fold = CoreFold::new();
+        let mut m = client();
+        for _ in 0..100_000 {
+            let mut serial = m.breakdown();
+            for e in &core {
+                serial.charge(Component::Core, *e);
+            }
+            m.charge_core(&core, &fold);
+            assert_eq!(m.breakdown(), serial);
+        }
     }
 
     #[test]

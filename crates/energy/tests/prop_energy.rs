@@ -1,11 +1,57 @@
 //! Property tests for the energy substrate: cache accounting
-//! invariants and machine-ledger consistency.
+//! invariants, machine-ledger consistency, and bit-exactness of the
+//! batched charge replays against per-micro charging.
 
 use jem_energy::{
-    CacheConfig, CacheSim, EnergyTable, InstrClass, InstrMix, Machine, MachineConfig, MemOp,
-    SimTime,
+    CacheConfig, CacheSim, ChargePlan, ChargeSeq, Component, Energy, EnergyTable, InstrClass,
+    InstrMix, Machine, MachineConfig, MemOp, SeqDataRef, SeqPlan, SimTime,
 };
 use proptest::prelude::*;
+
+/// Energy tables for the replay tests:
+/// * 0 — the paper's Fig 1 values;
+/// * 1 — dyadic values (3.0, 1.5, 0.5, … nJ): at a Core accumulator in
+///   `[2^52, 2^53)` nJ the ulp is 1 nJ, so 0.5 nJ is a half-ulp tie;
+/// * 2 — the same values scaled by 2^-10: the 0.5·2^-10 nJ entry is a
+///   half-ulp tie for accumulators in `[2^42, 2^43)` nJ and rounds
+///   away entirely above that;
+/// * 3 — arbitrary non-dyadic values.
+fn table(which: u8) -> EnergyTable {
+    let nj = |v: [f64; 6], mem: f64| {
+        EnergyTable::custom(v.map(Energy::from_nanojoules), Energy::from_nanojoules(mem))
+    };
+    match which {
+        0 => EnergyTable::microsparc_iiep(),
+        1 => nj([3.0, 1.5, 0.5, 2.0, 0.75, 0.25], 4.0),
+        2 => nj(
+            [3.0, 1.5, 0.5, 2.0, 0.75, 0.25].map(|v| v / 1024.0),
+            4.0 / 1024.0,
+        ),
+        _ => nj([7.3, 0.013, 1.0 / 3.0, 2.2e-7, 5.5, 0.1], 9.7),
+    }
+}
+
+/// A Core accumulator value across the binades 2^-10 … 2^45 nJ, plus
+/// the edge cases the fold must refuse or handle at a binade's ends:
+/// zero, subnormals, exact powers of two and values a few ulps below
+/// one. For the dyadic tables, the tie binades `[2^42, 2^43)` and
+/// `[2^52, 2^53)` and the few ulps below their tops, where a plan's
+/// sum can land exactly on, or a few ulps past, the binade's end.
+fn any_acc() -> impl Strategy<Value = f64> {
+    (0u8..8, -10i64..=45, 0u64..1 << 52, 1u64..64).prop_map(|(kind, k, frac, j)| {
+        let pow2 = |k: i64| f64::from_bits(((k + 1023) as u64) << 52);
+        let tie = if k % 2 == 0 { 42 } else { 52 };
+        match kind {
+            0 => 0.0,
+            1 => f64::from_bits(frac.max(1)),
+            2 => pow2(k),
+            3 => f64::from_bits(pow2(k).to_bits() - j),
+            4 => f64::from_bits(pow2(tie + 1).to_bits() - j),
+            5 => f64::from_bits(pow2(tie).to_bits() | frac),
+            _ => f64::from_bits(pow2(k).to_bits() | frac),
+        }
+    })
+}
 
 fn any_class() -> impl Strategy<Value = InstrClass> {
     prop_oneof![
@@ -16,6 +62,174 @@ fn any_class() -> impl Strategy<Value = InstrClass> {
         Just(InstrClass::AluComplex),
         Just(InstrClass::Nop),
     ]
+}
+
+/// A mix of at most three nonzero classes, so three of them plus a
+/// lead instruction fit in one [`ChargePlan`].
+fn any_mix() -> impl Strategy<Value = InstrMix> {
+    prop::collection::vec((any_class(), 0u64..40), 0..=3).prop_map(|pairs| {
+        pairs
+            .into_iter()
+            .fold(InstrMix::new(), |mix, (class, n)| mix.with(class, n))
+    })
+}
+
+/// A [`ChargePlan`]'s fetch pc, lead class and mixes.
+type PlanSpec = (u64, InstrClass, Vec<InstrMix>);
+
+fn any_plan() -> impl Strategy<Value = PlanSpec> {
+    (
+        0u64..1 << 16,
+        any_class(),
+        prop::collection::vec(any_mix(), 0..=3),
+    )
+}
+
+/// A fresh client machine on `table` whose Core accumulator holds
+/// `core` nJ, seeded through the checkpoint-restore path.
+fn seeded(table: &EnergyTable, core: f64) -> Machine {
+    let mut m = Machine::new(MachineConfig {
+        table: table.clone(),
+        ..MachineConfig::mobile_client()
+    });
+    let mut state = m.export_state();
+    state.breakdown[Component::Core] = Energy::from_nanojoules(core);
+    m.import_state(&state);
+    m
+}
+
+/// Every component's energy bits agree, and so does the rest of the
+/// machine state: cycles, mix, cache stats and residency.
+fn assert_same(slow: &Machine, fast: &Machine) -> Result<(), TestCaseError> {
+    for c in Component::ALL {
+        prop_assert_eq!(
+            slow.breakdown()[c].nanojoules().to_bits(),
+            fast.breakdown()[c].nanojoules().to_bits(),
+            "{} diverged",
+            c.name()
+        );
+    }
+    prop_assert_eq!(slow.export_state(), fast.export_state());
+    Ok(())
+}
+
+/// Charge both machines the same unrelated instruction, so the caches
+/// churn and the accumulators drift between replays.
+fn churn(slow: &mut Machine, fast: &mut Machine, rep: u64) {
+    let pc = rep.wrapping_mul(0x2_0a40);
+    let op = MemOp::Read(rep.wrapping_mul(0x1_1e8));
+    slow.step(pc, InstrClass::Load, op);
+    fast.step(pc, InstrClass::Load, op);
+}
+
+/// The literal per-micro equivalent of one [`ChargePlan`].
+fn step_plan_slow(m: &mut Machine, (pc, lead, mixes): &PlanSpec) {
+    m.step(*pc, *lead, MemOp::None);
+    for mix in mixes {
+        m.charge_mix(mix);
+    }
+}
+
+fn compile_plan(table: &EnergyTable, (pc, lead, mixes): &PlanSpec) -> ChargePlan {
+    ChargePlan::compile(table, *pc, *lead, mixes)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 256 })]
+
+    /// Replaying a [`ChargePlan`] from any seeded accumulator ends on
+    /// the same bits as the `step` + `charge_mix` sequence it compiles.
+    #[test]
+    fn charge_plan_replay_is_bit_exact(
+        which in 0u8..4,
+        acc in any_acc(),
+        spec in any_plan(),
+        reps in 1u64..40,
+    ) {
+        let table = table(which);
+        let plan = compile_plan(&table, &spec);
+        let (mut slow, mut fast) = (seeded(&table, acc), seeded(&table, acc));
+        for rep in 0..reps {
+            step_plan_slow(&mut slow, &spec);
+            fast.step_planned(&plan);
+            assert_same(&slow, &fast)?;
+            if rep % 3 == 2 {
+                churn(&mut slow, &mut fast, rep);
+            }
+        }
+    }
+
+    /// Replaying a merged [`ChargeSeq`] ends on the same bits as the
+    /// per-plan `step` + `charge_mix` sequences it merges.
+    #[test]
+    fn charge_seq_replay_is_bit_exact(
+        which in 0u8..4,
+        acc in any_acc(),
+        specs in prop::collection::vec(any_plan(), 1..=4),
+        reps in 1u64..40,
+    ) {
+        let table = table(which);
+        let plans: Vec<ChargePlan> = specs.iter().map(|s| compile_plan(&table, s)).collect();
+        let seq = ChargeSeq::merge(&plans.iter().collect::<Vec<_>>());
+        let (mut slow, mut fast) = (seeded(&table, acc), seeded(&table, acc));
+        for rep in 0..reps {
+            for spec in &specs {
+                step_plan_slow(&mut slow, spec);
+            }
+            fast.step_charge_seq(&seq);
+            assert_same(&slow, &fast)?;
+            if rep % 3 == 2 {
+                churn(&mut slow, &mut fast, rep);
+            }
+        }
+    }
+
+    /// Replaying a [`SeqPlan`] ends on the same bits as one `step` per
+    /// micro at consecutive fetch addresses.
+    #[test]
+    fn seq_plan_replay_is_bit_exact(
+        which in 0u8..4,
+        acc in any_acc(),
+        start in 0u64..64,
+        micros in prop::collection::vec((any_class(), 0u8..4, 0u64..256), 0..60),
+        reps in 1u64..20,
+    ) {
+        let table = table(which);
+        let micros: Vec<(InstrClass, SeqDataRef)> = micros
+            .into_iter()
+            .map(|(class, kind, off)| {
+                let mem = match kind {
+                    0 | 1 => SeqDataRef::None,
+                    2 => SeqDataRef::Frame { store: off % 2 == 0, offset: off * 4 },
+                    _ => SeqDataRef::Heap { store: off % 2 == 1 },
+                };
+                (class, mem)
+            })
+            .collect();
+        let plan = SeqPlan::compile(&table, start * 4, 4, 32, &micros);
+        let (code_base, frame_base) = (0x3000_0040u64, 0x5000_2000u64);
+        let (mut slow, mut fast) = (seeded(&table, acc), seeded(&table, acc));
+        for rep in 0..reps {
+            let heap = (rep % 4 != 3).then_some(0x8000 + rep * 24);
+            let mut pc = code_base + start * 4;
+            for &(class, mem) in &micros {
+                let op = match (mem, heap) {
+                    (SeqDataRef::Frame { store: true, offset }, _) => MemOp::Write(frame_base + offset),
+                    (SeqDataRef::Frame { offset, .. }, _) => MemOp::Read(frame_base + offset),
+                    (SeqDataRef::Heap { store: true }, Some(a)) => MemOp::Write(a),
+                    (SeqDataRef::Heap { .. }, Some(a)) => MemOp::Read(a),
+                    _ => MemOp::None,
+                };
+                slow.step(pc, class, op);
+                pc += 4;
+            }
+            fast.step_seq(&plan, code_base, frame_base, heap);
+            assert_same(&slow, &fast)?;
+            if rep % 3 == 2 {
+                churn(&mut slow, &mut fast, rep);
+            }
+        }
+    }
 }
 
 proptest! {
@@ -108,5 +322,102 @@ proptest! {
         idle.active_idle(t);
         let ratio = down.energy().nanojoules() / idle.energy().nanojoules();
         prop_assert!((ratio - 0.10).abs() < 1e-9, "{ratio}");
+    }
+}
+
+/// Replay `spec`'s plan eight times on a machine seeded at `acc`,
+/// checking it against the literal sequence after every replay, and
+/// return the final Core accumulator.
+fn plan_matches_at(table: &EnergyTable, acc: f64, spec: &PlanSpec) -> f64 {
+    let plan = compile_plan(table, spec);
+    let (mut slow, mut fast) = (seeded(table, acc), seeded(table, acc));
+    for _ in 0..8 {
+        step_plan_slow(&mut slow, spec);
+        fast.step_planned(&plan);
+        assert_same(&slow, &fast).unwrap();
+    }
+    fast.breakdown()[Component::Core].nanojoules()
+}
+
+/// The ulp of a positive normal `x`.
+fn ulp(x: f64) -> f64 {
+    f64::from_bits(x.to_bits() + 1) - x
+}
+
+/// A 0.5 nJ addend is exactly half an ulp of an accumulator in
+/// `[2^52, 2^53)` nJ, where ties-to-even decides by the running
+/// significand's parity: the fold must replay serially there, for an
+/// odd and an even starting significand alike.
+#[test]
+fn half_ulp_ties_replay_exactly() {
+    let dyadic = table(1);
+    let spec = (
+        0x40,
+        InstrClass::Branch,
+        vec![InstrMix::new().with(InstrClass::Nop, 2)],
+    );
+    for acc in [4503599627370496.0, 4503599627370497.0, 6755399441055745.0] {
+        assert_eq!(ulp(acc), 1.0);
+        assert_eq!(
+            dyadic.energy(InstrClass::Branch).nanojoules(),
+            0.5 * ulp(acc)
+        );
+        plan_matches_at(&dyadic, acc, &spec);
+    }
+    let tiny = table(2);
+    let acc = 2f64.powi(42) + 3.0 * 2f64.powi(-10);
+    assert_eq!(tiny.energy(InstrClass::Branch).nanojoules(), 0.5 * ulp(acc));
+    plan_matches_at(&tiny, acc, &spec);
+}
+
+/// An accumulator a few ulps below a power of two crosses into the
+/// next binade, whose ulp is twice as large, part-way through a plan:
+/// the fold must replay serially across the boundary and fold again
+/// in the new binade.
+#[test]
+fn binade_exits_replay_exactly() {
+    let spec = (
+        0x80,
+        InstrClass::Load,
+        vec![InstrMix::new()
+            .with(InstrClass::AluSimple, 3)
+            .with(InstrClass::Store, 1)],
+    );
+    for which in 0..4 {
+        let table = table(which);
+        for k in [-10, 0, 1, 20, 33, 45, 52] {
+            let top = 2f64.powi(k);
+            for j in 1u64..=32 {
+                let acc = f64::from_bits(top.to_bits() - j);
+                let end = plan_matches_at(&table, acc, &spec);
+                // The 2^-10-scaled table's addends round away near 2^52.
+                assert!(
+                    end >= top || which == 2,
+                    "table {which} never left 2^{k}'s binade"
+                );
+            }
+        }
+    }
+}
+
+/// Zero, subnormal, negative and non-finite accumulators never fold.
+#[test]
+fn degenerate_accumulators_replay_exactly() {
+    let spec = (
+        0,
+        InstrClass::Nop,
+        vec![InstrMix::new().with(InstrClass::Load, 5)],
+    );
+    for which in 0..4 {
+        let table = table(which);
+        for acc in [
+            0.0,
+            f64::from_bits(1),
+            f64::from_bits(0x000f_ffff_ffff_ffff),
+            -3.5,
+            f64::INFINITY,
+        ] {
+            plan_matches_at(&table, acc, &spec);
+        }
     }
 }

@@ -23,9 +23,9 @@
 //!
 //! The fast path is *observationally identical* to the reference
 //! interpreter: the simulated machine receives the same I-cache
-//! accesses at the same addresses, the same per-component energy
-//! additions in the same order (f64 addition is not associative, so
-//! plans store individual products — see
+//! accesses at the same addresses, per-component energy accumulators
+//! that end on the same bits (plans store the individual products in
+//! order, and the machine folds them only where that is exact — see
 //! [`Machine::step_planned`](jem_energy::Machine::step_planned)), the
 //! same step-budget increments at the same points, and errors surface
 //! at the same execution points with the same machine state. Fused

@@ -20,7 +20,12 @@
 //!    full length, both engines stop at the same instruction with the
 //!    same error and the same machine state — batching must never
 //!    over- or under-charge at the boundary.
+//! 4. **Pre-charged machines**: obligations 1 and 3 again with the
+//!    client's Core accumulator already holding a realistic 1e6–1e10 nJ,
+//!    where batched charges fold into one exact add per replay instead
+//!    of starting from zero.
 
+use jem_energy::{Component, Energy};
 use jem_jvm::class::{MethodAttrs, MethodSig, ProgramBuilder};
 use jem_jvm::dsl::*;
 use jem_jvm::verify::verify_program;
@@ -76,7 +81,23 @@ fn run_engine(
     slow: bool,
     budget: u64,
 ) -> (Result<Option<Value>, VmError>, Fingerprint) {
+    run_engine_from(program, id, args, slow, budget, 0.0)
+}
+
+/// [`run_engine`] on a client whose Core accumulator starts at
+/// `core_nj`, restored through the checkpoint path.
+fn run_engine_from(
+    program: &Program,
+    id: MethodId,
+    args: &[Value],
+    slow: bool,
+    budget: u64,
+    core_nj: f64,
+) -> (Result<Option<Value>, VmError>, Fingerprint) {
     let mut vm = Vm::client(program);
+    let mut state = vm.machine.export_state();
+    state.breakdown[Component::Core] = Energy::from_nanojoules(core_nj);
+    vm.machine.import_state(&state);
     vm.options.slow_interp = slow;
     vm.options.step_budget = budget;
     let got = vm.invoke(id, args.to_vec());
@@ -508,6 +529,12 @@ fn rogue_inconsistent_virtual_matches_reference() {
 /// budget, so each cutoff lands inside per-op execution.
 #[test]
 fn step_budget_cutoffs_match_reference() {
+    assert_cutoffs_match_reference(0.0);
+}
+
+/// Both engines agree at every step budget on a client whose Core
+/// accumulator starts at `core_nj`.
+fn assert_cutoffs_match_reference(core_nj: f64) {
     let mut m = ModuleBuilder::new();
     m.func(
         "g",
@@ -546,14 +573,14 @@ fn step_budget_cutoffs_match_reference() {
     let args = [Value::Int(9)];
 
     // Full length first, to know where "past the end" is.
-    let (full_res, full_fp) = run_engine(&p, id, &args, true, u64::MAX);
+    let (full_res, full_fp) = run_engine_from(&p, id, &args, true, u64::MAX, core_nj);
     assert!(full_res.is_ok(), "reference run succeeds: {full_res:?}");
     let total = full_fp.steps;
     assert!(total > 40, "program long enough to slice ({total} steps)");
 
     for budget in 0..=total + 2 {
-        let (slow_res, slow_fp) = run_engine(&p, id, &args, true, budget);
-        let (fast_res, fast_fp) = run_engine(&p, id, &args, false, budget);
+        let (slow_res, slow_fp) = run_engine_from(&p, id, &args, true, budget, core_nj);
+        let (fast_res, fast_fp) = run_engine_from(&p, id, &args, false, budget, core_nj);
         assert_eq!(fast_res, slow_res, "result diverged at budget {budget}");
         assert_eq!(
             fast_fp, slow_fp,
@@ -566,5 +593,43 @@ fn step_budget_cutoffs_match_reference() {
                 "budget {budget} should cut the run short"
             );
         }
+    }
+}
+
+// ---------------------------------------------------------------
+// 4. Pre-charged machines
+// ---------------------------------------------------------------
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 10 })]
+
+    /// Obligation 1 on a client that has already spent 1e6–1e10 nJ.
+    #[test]
+    fn fast_path_matches_reference_precharged(
+        stmts in prop::collection::vec(stmt_strategy(), 1..5),
+        a in -1000i32..1000,
+        b in -1000i32..1000,
+        c in -1000i32..1000,
+        log_nj in 6.0f64..10.0,
+    ) {
+        let (program, id) = build(&stmts);
+        verify_program(&program).expect("generated programs verify");
+        let args = vec![Value::Int(a), Value::Int(b), Value::Int(c)];
+        let core_nj = 10f64.powf(log_nj);
+
+        let (slow_res, slow_fp) = run_engine_from(&program, id, &args, true, 50_000_000, core_nj);
+        let (fast_res, fast_fp) = run_engine_from(&program, id, &args, false, 50_000_000, core_nj);
+        prop_assert_eq!(&fast_res, &slow_res, "result diverged (stmts: {:?})", stmts);
+        prop_assert_eq!(&fast_fp, &slow_fp, "machine state diverged at {} nJ (stmts: {:?})", core_nj, stmts);
+    }
+}
+
+/// Obligation 3 at realistic magnitudes, and a few ulps below a power
+/// of two so the accumulator changes binade part-way through the run.
+#[test]
+fn step_budget_cutoffs_match_reference_precharged() {
+    let below = |k: i32, ulps: u64| f64::from_bits(2f64.powi(k).to_bits() - ulps);
+    for core_nj in [1.0e6, 3.7e8, 9.99e9, below(23, 5), below(33, 40)] {
+        assert_cutoffs_match_reference(core_nj);
     }
 }

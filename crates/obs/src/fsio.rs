@@ -10,7 +10,8 @@
 //! [`crate::wire::salvage_jtb`].)
 
 use std::io::Write;
-use std::path::Path;
+use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Atomically replace `path` with `bytes`: temp file in the same
 /// directory, `fsync`, rename, then a best-effort fsync of the parent
@@ -40,14 +41,54 @@ pub fn write_atomic(path: &str, bytes: &[u8]) -> std::io::Result<()> {
     Ok(())
 }
 
+/// A new, empty directory under the system temp dir, named after the
+/// calling thread (the test name, under the test harness), the process
+/// id and a per-process call counter. Tests running concurrently, in
+/// one process or several, never share one.
+///
+/// # Panics
+/// If the directory cannot be created.
+pub fn scratch_dir() -> PathBuf {
+    static CALLS: AtomicU64 = AtomicU64::new(0);
+    let n = CALLS.fetch_add(1, Ordering::Relaxed);
+    let thread = std::thread::current();
+    let name: String = thread
+        .name()
+        .unwrap_or("anon")
+        .chars()
+        .map(|c| if c.is_ascii_alphanumeric() { c } else { '_' })
+        .collect();
+    let dir = std::env::temp_dir().join(format!("jem-{name}-{}-{n}", std::process::id()));
+    // A directory left behind by an earlier process with the same id.
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir)
+        .unwrap_or_else(|e| panic!("create scratch dir {}: {e}", dir.display()));
+    dir
+}
+
+/// The path of `file` inside a fresh [`scratch_dir`].
+pub fn scratch_path(file: &str) -> String {
+    scratch_dir().join(file).to_string_lossy().into_owned()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
+    fn scratch_dirs_are_fresh_and_distinct() {
+        let (a, b) = (scratch_dir(), scratch_dir());
+        assert_ne!(a, b);
+        let name = a.file_name().unwrap().to_string_lossy().into_owned();
+        assert!(name.contains(&std::process::id().to_string()), "{name}");
+        assert_eq!(std::fs::read_dir(&b).unwrap().count(), 0);
+        std::fs::remove_dir_all(&a).unwrap();
+        std::fs::remove_dir_all(&b).unwrap();
+    }
+
+    #[test]
     fn writes_and_replaces() {
-        let dir = std::env::temp_dir().join(format!("jem-fsio-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = scratch_dir();
         let path = dir.join("artifact.json");
         let path = path.to_str().unwrap();
         write_atomic(path, b"first").unwrap();

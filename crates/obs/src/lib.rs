@@ -78,7 +78,7 @@ pub mod wire;
 
 pub use accuracy::AccuracyTracker;
 pub use diff::{combine_batch, DiffEntry, DiffKind, DiffPolicy, DiffReport};
-pub use fsio::write_atomic;
+pub use fsio::{scratch_dir, scratch_path, write_atomic};
 pub use json::{Json, JsonError};
 pub use lab::{
     check, html_report, identity_args, query, sha256, sha256_hex, Archive, ArtifactRef,

@@ -1654,8 +1654,7 @@ mod tests {
 
     #[test]
     fn round_trip_is_bit_exact() {
-        let dir = std::env::temp_dir().join("jts-roundtrip-test");
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = crate::fsio::scratch_dir();
         let path = dir.join("t.jts");
         let path = path.to_str().unwrap();
         let events = synthetic_events(40);
@@ -1707,8 +1706,7 @@ mod tests {
 
     #[test]
     fn rate_integral_telescopes_to_final_ledger() {
-        let dir = std::env::temp_dir().join("jts-integral-test");
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = crate::fsio::scratch_dir();
         let path = dir.join("t.jts");
         let path = path.to_str().unwrap();
         let events = synthetic_events(25);
@@ -1734,8 +1732,7 @@ mod tests {
 
     #[test]
     fn seq_restart_opens_new_segment() {
-        let dir = std::env::temp_dir().join("jts-segment-test");
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = crate::fsio::scratch_dir();
         let path = dir.join("t.jts");
         let path = path.to_str().unwrap();
         let events = synthetic_events(6);
@@ -1759,8 +1756,7 @@ mod tests {
 
     #[test]
     fn ckpt_resume_is_byte_identical() {
-        let dir = std::env::temp_dir().join("jts-ckpt-test");
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = crate::fsio::scratch_dir();
         let golden_path = dir.join("golden.jts");
         let golden_path = golden_path.to_str().unwrap();
         let resumed_path = dir.join("resumed.jts");
@@ -1812,8 +1808,7 @@ mod tests {
 
     #[test]
     fn windowed_prefix_matches_sequential_trace_sum() {
-        let dir = std::env::temp_dir().join("jts-window-test");
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = crate::fsio::scratch_dir();
         let path = dir.join("t.jts");
         let path = path.to_str().unwrap();
         let events = synthetic_events(30);
@@ -1843,8 +1838,7 @@ mod tests {
 
     #[test]
     fn validation_rejects_corruption() {
-        let dir = std::env::temp_dir().join("jts-corrupt-test");
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = crate::fsio::scratch_dir();
         let path = dir.join("t.jts");
         let path = path.to_str().unwrap();
         let events = synthetic_events(10);
@@ -1870,8 +1864,7 @@ mod tests {
 
     #[test]
     fn label_series_round_trip() {
-        let dir = std::env::temp_dir().join("jts-label-test");
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = crate::fsio::scratch_dir();
         let path = dir.join("t.jts");
         let path = path.to_str().unwrap();
         let events = synthetic_events(5);

@@ -9,16 +9,11 @@
 use jem_energy::{Component, Energy, EnergyBreakdown, SimTime};
 use jem_obs::timeline::N_SERIES;
 use jem_obs::wire::{jtb_bytes, load_jtb_bytes, FollowStatus, JtbStream};
-use jem_obs::{JtsReader, Timeline, TimelineSink, TraceEvent, TraceEventKind, TraceShard};
+use jem_obs::{
+    scratch_path, JtsReader, Timeline, TimelineSink, TraceEvent, TraceEventKind, TraceShard,
+};
 use proptest::prelude::*;
 use std::io::Write as _;
-
-/// A per-test scratch path under the system temp dir.
-fn scratch(name: &str) -> String {
-    let dir = std::env::temp_dir().join(format!("jem-obs-follow-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    dir.join(name).to_str().unwrap().to_string()
-}
 
 fn ev(seq: u64, invocation: u64, ordinal: u64, at: f64, kind: TraceEventKind) -> TraceEvent {
     let mut delta = EnergyBreakdown::new();
@@ -112,7 +107,7 @@ proptest! {
             .collect();
 
         let cut = ((full.len() as f64) * cut_frac) as usize;
-        let path = scratch(&format!("prefix-{n}-{seed}-{cut}.jtb"));
+        let path = scratch_path(&format!("prefix-{n}-{seed}-{cut}.jtb"));
         std::fs::write(&path, &full[..cut]).unwrap();
 
         let mut follower = JtbStream::follow(&path).expect("open");
@@ -154,7 +149,7 @@ proptest! {
             .flat_map(|(si, s)| s.events.iter().cloned().map(move |e| (si, e)))
             .collect();
 
-        let path = scratch(&format!("chunk-{n}-{seed}-{chunk}.jtb"));
+        let path = scratch_path(&format!("chunk-{n}-{seed}-{chunk}.jtb"));
         std::fs::write(&path, [] as [u8; 0]).unwrap();
         let mut follower = JtbStream::follow(&path).expect("open");
         let mut seen = Vec::new();
@@ -183,7 +178,7 @@ proptest! {
         cut_frac in 0.0f64..=1.0,
     ) {
         let events = make_events(n, seed);
-        let path = scratch(&format!("tl-{n}-{seed}.jts"));
+        let path = scratch_path(&format!("tl-{n}-{seed}.jts"));
         let mut sink = TimelineSink::create(&path, 1e6).expect("create");
         for e in &events {
             sink.observe(e, None);
@@ -207,7 +202,7 @@ proptest! {
             .collect();
 
         let cut = ((full.len() as f64) * cut_frac) as usize;
-        let follow_path = scratch(&format!("tl-{n}-{seed}-{cut}.follow.jts"));
+        let follow_path = scratch_path(&format!("tl-{n}-{seed}-{cut}.follow.jts"));
         std::fs::write(&follow_path, &full[..cut]).unwrap();
         let mut follower = JtsReader::follow(&follow_path).expect("open");
         let mut seen: Vec<(usize, f64, [f64; N_SERIES])> = Vec::new();

@@ -6,17 +6,10 @@
 //! engine, and the self-contained HTML report.
 
 use jem_obs::{
-    check, html_report, query, sha256_hex, Archive, CheckConfig, Json, LabGroupBy, LabQuery,
-    LabSelector, RunMeta,
+    check, html_report, query, scratch_dir, scratch_path, sha256_hex, Archive, CheckConfig, Json,
+    LabGroupBy, LabQuery, LabSelector, RunMeta,
 };
 use jem_sim::Summary;
-
-fn scratch(name: &str) -> String {
-    let dir = std::env::temp_dir().join(format!("jem-lab-test-{}-{name}", std::process::id()));
-    std::fs::remove_dir_all(&dir).ok();
-    std::fs::create_dir_all(&dir).unwrap();
-    dir.to_str().unwrap().to_string()
-}
 
 fn meta_for(bin: &str, seed: u64) -> RunMeta {
     RunMeta::from_argv(&[
@@ -108,7 +101,7 @@ fn health_doc(alerts: u64) -> Vec<u8> {
 
 #[test]
 fn round_trip_is_bit_identical_and_blobs_dedup() {
-    let root = scratch("roundtrip");
+    let root = scratch_path("roundtrip");
     let archive = Archive::open_or_create(&root).unwrap();
     let meta = meta_for("bench-faults", 1234);
     let bytes = bench_doc(1234, 1.0);
@@ -173,13 +166,13 @@ fn walkdir(dir: &std::path::Path) -> Vec<std::path::PathBuf> {
 
 #[test]
 fn open_refuses_unmarked_nonempty_dir() {
-    let root = scratch("unmarked");
+    let root = scratch_dir().to_string_lossy().into_owned();
     std::fs::write(format!("{root}/stray.txt"), b"not an archive").unwrap();
     let err = Archive::open_or_create(&root).unwrap_err();
     assert!(err.contains("refusing"), "got: {err}");
 
     // A marked archive reopens fine.
-    let root2 = scratch("marked");
+    let root2 = scratch_path("marked");
     Archive::open_or_create(&root2).unwrap();
     Archive::open_or_create(&root2).unwrap();
 }
@@ -190,7 +183,7 @@ fn open_refuses_unmarked_nonempty_dir() {
 
 #[test]
 fn tampered_manifest_metadata_is_rejected() {
-    let root = scratch("tamper");
+    let root = scratch_path("tamper");
     let archive = Archive::open_or_create(&root).unwrap();
     let meta = meta_for("bench-faults", 7);
     let rec = archive
@@ -220,7 +213,7 @@ fn tampered_manifest_metadata_is_rejected() {
 
 #[test]
 fn manifest_filed_under_wrong_line_is_rejected() {
-    let root = scratch("misfiled");
+    let root = scratch_path("misfiled");
     let archive = Archive::open_or_create(&root).unwrap();
     let meta = meta_for("bench-faults", 7);
     let rec = archive
@@ -259,7 +252,7 @@ fn identical_generations_raise_zero_flags_across_seeds() {
     // different toolchain string, which reruns legitimately have —
     // never raises a flag, and the detector output is a pure function
     // of archive contents.
-    let root = scratch("zeroflags");
+    let root = scratch_path("zeroflags");
     let archive = Archive::open_or_create(&root).unwrap();
     let seeds = [1u64, 7, 42, 1234, 99991];
     for &seed in &seeds {
@@ -315,7 +308,7 @@ fn identical_generations_raise_zero_flags_across_seeds() {
 
 #[test]
 fn energy_change_between_generations_is_flagged() {
-    let root = scratch("energyflag");
+    let root = scratch_path("energyflag");
     let archive = Archive::open_or_create(&root).unwrap();
     let meta = meta_for("bench-faults", 42);
     for scale in [1.0, 1.01] {
@@ -340,7 +333,7 @@ fn energy_change_between_generations_is_flagged() {
 
 #[test]
 fn throughput_collapse_is_flagged_by_threshold_and_changepoint() {
-    let root = scratch("tpflag");
+    let root = scratch_path("tpflag");
     let archive = Archive::open_or_create(&root).unwrap();
     let meta = meta_for("bench-fig6", 9);
     for ips in [1.0e8, 1.01e8, 0.99e8, 4.0e7] {
@@ -366,7 +359,7 @@ fn throughput_collapse_is_flagged_by_threshold_and_changepoint() {
 
 #[test]
 fn new_health_alerts_are_flagged() {
-    let root = scratch("healthflag");
+    let root = scratch_path("healthflag");
     let archive = Archive::open_or_create(&root).unwrap();
     let meta = meta_for("bench-faults", 3);
     for alerts in [0u64, 2] {
@@ -393,7 +386,7 @@ fn new_health_alerts_are_flagged() {
 
 #[test]
 fn column_query_merges_per_run_summaries_exactly() {
-    let root = scratch("query");
+    let root = scratch_path("query");
     let archive = Archive::open_or_create(&root).unwrap();
     let meta = meta_for("bench-faults", 11);
     let mut all = Vec::new();
@@ -434,7 +427,7 @@ fn column_query_merges_per_run_summaries_exactly() {
 
 #[test]
 fn query_with_no_match_is_an_error() {
-    let root = scratch("nomatch");
+    let root = scratch_path("nomatch");
     let archive = Archive::open_or_create(&root).unwrap();
     let meta = meta_for("bench-faults", 5);
     archive
@@ -465,7 +458,7 @@ fn query_with_no_match_is_an_error() {
 
 #[test]
 fn html_report_is_self_contained() {
-    let root = scratch("html");
+    let root = scratch_path("html");
     let archive = Archive::open_or_create(&root).unwrap();
     let meta = meta_for("bench-faults", 21);
     for scale in [1.0, 1.0, 1.5] {
