@@ -9,7 +9,7 @@
 //! 4. **Helper-method overhead** — the decision cost the adaptive
 //!    strategies carry per invocation.
 //!
-//! Usage: `ablation [--runs N] [--trace out.json]
+//! Usage: `ablation [--runs N] [--trace out.jtb]
 //! [--timeline out.jts [--sample-every SIM_MS]]
 //! [--serve ADDR] [--flush-every SIM_MS]
 //! [--json-out BENCH_ablation.json] [--ckpt out.jck] [--resume

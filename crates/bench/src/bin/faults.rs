@@ -16,7 +16,7 @@
 //! Everything derives from one seed, so the table is reproducible
 //! bit-for-bit; rerun with `--seed N` to vary it.
 //!
-//! Usage: `faults [--runs N] [--seed N] [--trace out.json]
+//! Usage: `faults [--runs N] [--seed N] [--trace out.jtb]
 //! [--timeline out.jts [--sample-every SIM_MS]]
 //! [--metrics-out out.prom] [--json-out BENCH_faults.json]
 //! [--serve ADDR] [--flush-every SIM_MS]

@@ -14,7 +14,7 @@
 //! pays nothing up front, and remote execution is shown per channel
 //! class.
 //!
-//! Usage: `fig6 [--full] [--trace out.json] [--metrics-out out.prom]
+//! Usage: `fig6 [--full] [--trace out.jtb] [--metrics-out out.prom]
 //! [--timeline out.jts [--sample-every SIM_MS]]
 //! [--json-out BENCH_fig6.json] [--serve ADDR] [--flush-every SIM_MS]
 //! [--ckpt out.jck] [--resume out.jck]

@@ -15,15 +15,15 @@
 //! static strategy in all three situations (the paper reports 25%,
 //! 10% and 22% savings vs the best static), and AA saves more than AL.
 //!
-//! Usage: `fig7 [--runs N] [--trace out.json] [--metrics-out out.prom]
+//! Usage: `fig7 [--runs N] [--trace out.jtb] [--metrics-out out.prom]
 //! [--timeline out.jts [--sample-every SIM_MS]]
 //! [--serve ADDR] [--flush-every SIM_MS]
 //! [--json-out BENCH_fig7.json]` (default 300 runs, the paper's
 //! count). `--timeline` replays the collected shards through the
 //! `.jts` sampler at export time (delta-sum mode; see DESIGN.md §14). `--trace` records the AA strategy of *every* grid cell:
 //! each parallel cell collects into its own `RingSink` shard, and the
-//! shards are merged in deterministic cell order into one multi-track
-//! Chrome trace (`chrome_trace_sharded`), so the traced sweep is
+//! shards are merged in deterministic cell order into one multi-shard
+//! `.jtb` trace (`jtb_bytes`), so the traced sweep is
 //! byte-identical run-to-run even with the grid running on all cores.
 
 use jem_apps::all_workloads;

@@ -17,9 +17,9 @@
 //! read-only, and every finished artifact is written atomically.
 //!
 //! Incompatible combinations are rejected up front rather than
-//! silently degraded: JSON ring traces and the monitor tee both carry
-//! state that only materializes at exit, so `--ckpt` requires a
-//! `.jtb` trace (or none) and no `--monitor`/`--health-out`.
+//! silently degraded: the monitor tee carries state that only
+//! materializes at exit, so `--ckpt` requires no
+//! `--monitor`/`--health-out`.
 
 use crate::obs::{BenchSink, ObsArgs};
 use jem_core::ckpt::{
@@ -77,14 +77,6 @@ impl CkptArgs {
                 "--ckpt cannot resume monitor state; drop --monitor/--health-out \
                  or run without checkpointing",
             );
-        }
-        if let Some(trace) = &obs.trace {
-            if !trace.ends_with(".jtb") {
-                fail(
-                    "--ckpt requires a .jtb trace (JSON ring traces only materialize \
-                     at exit and cannot be resumed)",
-                );
-            }
         }
         if self.every == 0 {
             fail("--ckpt-every must be at least 1");

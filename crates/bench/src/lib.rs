@@ -16,7 +16,7 @@
 //!
 //! This library holds the shared plumbing: table rendering, parallel
 //! profile construction, and the observability output options every
-//! bin accepts (`--trace out.json`, `--metrics-out out.prom`,
+//! bin accepts (`--trace out.jtb`, `--metrics-out out.prom`,
 //! `--json-out BENCH_x.json`) — see [`obs`].
 
 #![warn(missing_docs)]

@@ -2,10 +2,10 @@
 //!
 //! Every bin accepts these optional flags:
 //!
-//! * `--trace out.jtb|out.json` — export a trace of the scenario runs;
-//!   a `.jtb` extension selects the compact binary format, streamed to
-//!   disk in bounded memory, anything else the Chrome `trace_event`
-//!   JSON document (open in Perfetto / `chrome://tracing`);
+//! * `--trace out.jtb` — stream a `.jtb` trace of the scenario runs to
+//!   disk in bounded memory. Any other extension exits 2: Chrome
+//!   `trace_event` JSON for Perfetto / `chrome://tracing` is a one-way
+//!   export, `tracecheck out.jtb --chrome out.json`;
 //! * `--timeline out.jts` — stream the sim-time-series sidecar: the
 //!   deterministic `.jts` timeline of derived run state (cumulative
 //!   energy, predictor estimates, channel/breaker state, counters)
@@ -48,16 +48,15 @@ use jem_energy::EnergyBreakdown;
 use jem_obs::serve::DEFAULT_LIVE_CADENCE_NS;
 use jem_obs::wire::{jtb_bytes, FileSink};
 use jem_obs::{
-    chrome_trace_sharded, chrome_trace_truncated, AccuracyTracker, HealthReport, Json, LiveServer,
-    LiveState, MetricsRegistry, MonitorConfig, MonitorTee, NullSink, RingSink, TimelineSink,
-    TraceEvent, TraceShard, TraceSink,
+    AccuracyTracker, HealthReport, Json, LiveServer, LiveState, MetricsRegistry, MonitorConfig,
+    MonitorTee, NullSink, RingSink, TimelineSink, TraceEvent, TraceShard, TraceSink,
 };
 use std::sync::Arc;
 
 /// Where a bin should write its optional observability outputs.
 #[derive(Debug, Clone, Default)]
 pub struct ObsArgs {
-    /// `--trace` path (`.jtb` binary or Chrome trace JSON).
+    /// `--trace` path (a `.jtb` trace).
     pub trace: Option<String>,
     /// `--monitor`: run the online invariant monitors.
     pub monitor: bool,
@@ -85,21 +84,13 @@ pub struct ObsArgs {
     pub archive: Option<String>,
 }
 
-/// Where collected events go before export.
-enum SinkKind {
-    /// Bounded in-memory ring, exported as Chrome JSON at the end.
-    Ring(RingSink),
-    /// Streaming `.jtb` file writer (bounded memory regardless of
-    /// trace length).
-    File(Box<FileSink>),
-    /// No trace output — events exist only for the monitors.
-    Null(NullSink),
-}
-
 /// The sink handed to traced bench runs: a destination plus an
 /// optional monitor tee in front of it.
 pub struct BenchSink {
-    inner: SinkKind,
+    /// The `--trace` stream (bounded memory regardless of trace
+    /// length); `None` when the events only feed the monitors, the
+    /// timeline or the live server.
+    file: Option<FileSink>,
     tee: Option<MonitorTee>,
     /// `.jts` sidecar writer. A side observer, not part of the sink
     /// chain: it sees the raw (pre-monitor) stream with the tracer's
@@ -113,28 +104,13 @@ pub struct BenchSink {
 }
 
 impl BenchSink {
-    fn inner_sink(&mut self) -> &mut dyn TraceSink {
-        match &mut self.inner {
-            SinkKind::Ring(r) => r,
-            SinkKind::File(f) => f.as_mut(),
-            SinkKind::Null(n) => n,
-        }
-    }
-}
-
-impl BenchSink {
-    /// Forward one event down the (tee ->) inner chain.
+    /// Forward one event down the (tee ->) file chain.
     fn forward(&mut self, event: TraceEvent) {
-        match &mut self.tee {
-            Some(tee) => {
-                let inner: &mut dyn TraceSink = match &mut self.inner {
-                    SinkKind::Ring(r) => r,
-                    SinkKind::File(f) => f.as_mut(),
-                    SinkKind::Null(n) => n,
-                };
-                tee.process(event, inner);
-            }
-            None => self.inner_sink().record(event),
+        match (&mut self.tee, &mut self.file) {
+            (Some(tee), Some(file)) => tee.process(event, file),
+            (Some(tee), None) => tee.process(event, &mut NullSink),
+            (None, Some(file)) => file.record(event),
+            (None, None) => {}
         }
     }
 }
@@ -143,10 +119,7 @@ impl TraceSink for BenchSink {
     fn enabled(&self) -> bool {
         // Monitoring, the timeline, and the live server need the event
         // stream even when no trace is persisted.
-        self.tee.is_some()
-            || self.timeline.is_some()
-            || self.live.is_some()
-            || !matches!(self.inner, SinkKind::Null(_))
+        self.tee.is_some() || self.timeline.is_some() || self.live.is_some() || self.file.is_some()
     }
     fn record(&mut self, event: TraceEvent) {
         if let Some(live) = self.live.as_deref() {
@@ -167,20 +140,16 @@ impl TraceSink for BenchSink {
         self.forward(event);
     }
     fn ckpt_state(&mut self) -> Option<Vec<u8>> {
-        // Monitor tees carry unserialized window state, and ring sinks
-        // only materialize at exit — neither can resume mid-stream.
-        // (The checkpoint flags reject both combinations up front.)
+        // Monitor tees carry unserialized window state and cannot
+        // resume mid-stream (the checkpoint flags reject them up front).
         if self.tee.is_some() {
             return None;
         }
-        let jtb = match &mut self.inner {
-            SinkKind::File(f) => match TraceSink::ckpt_state(f.as_mut()) {
-                Some(s) => Some(s),
-                // A file sink that cannot checkpoint poisons the whole
-                // state — resuming without it would desync the trace.
-                None => return None,
-            },
-            SinkKind::Ring(_) | SinkKind::Null(_) => None,
+        let jtb = match &mut self.file {
+            // A file sink that cannot checkpoint poisons the whole
+            // state — resuming without it would desync the trace.
+            Some(f) => Some(TraceSink::ckpt_state(f)?),
+            None => None,
         };
         match self.timeline.as_mut() {
             None => jtb,
@@ -255,6 +224,14 @@ fn split_composite_state(state: &[u8]) -> SplitState<'_> {
 impl ObsArgs {
     /// Parse the output flags from argv.
     pub fn parse(args: &[String]) -> ObsArgs {
+        let trace = crate::arg_str(args, "--trace");
+        if let Some(path) = trace.as_deref().filter(|p| !p.ends_with(".jtb")) {
+            eprintln!(
+                "error: --trace writes a .jtb trace, not {path}; export Chrome/Perfetto JSON \
+                 from it with `tracecheck <trace.jtb> --chrome <out.json>`"
+            );
+            std::process::exit(2);
+        }
         let sample_every_ms = match crate::arg_str(args, "--sample-every") {
             None => 1.0,
             Some(raw) => match raw.parse::<f64>() {
@@ -298,7 +275,7 @@ impl ObsArgs {
             }
         });
         ObsArgs {
-            trace: crate::arg_str(args, "--trace"),
+            trace,
             monitor: crate::arg_flag(args, "--monitor"),
             health_out: crate::arg_str(args, "--health-out"),
             metrics_out: crate::arg_str(args, "--metrics-out"),
@@ -328,16 +305,8 @@ impl ObsArgs {
         self.sample_every_ms * 1e6
     }
 
-    /// Whether `--trace` selects the binary format.
-    fn wants_jtb(&self) -> bool {
-        self.trace.as_ref().is_some_and(|p| p.ends_with(".jtb"))
-    }
-
-    /// The sink for trace collection, if `--trace` / `--monitor` /
-    /// `--health-out` was given. `.jtb` destinations stream to disk;
-    /// JSON destinations collect into a ring bounded at one million
-    /// events — far above any bench run, while still a hard cap
-    /// against runaway memory.
+    /// The sink for trace collection, if [`ObsArgs::wants_events`]. A
+    /// `--trace` destination streams to disk.
     pub fn trace_sink(&self) -> Option<BenchSink> {
         self.trace_sink_resumed(None)
     }
@@ -352,32 +321,28 @@ impl ObsArgs {
             Some(state) => split_composite_state(state),
             None => (None, None),
         };
-        let inner = match &self.trace {
-            Some(path) if self.wants_jtb() => {
-                let sink = match jtb_state {
-                    Some(state) => FileSink::resume(path, state)
-                        .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e)),
-                    None => FileSink::create(path),
-                };
-                match sink {
-                    Ok(mut f) => {
-                        if let Some(ms) = self.flush_every_ms {
-                            f.set_flush_every(ms * 1e6);
-                        }
-                        SinkKind::File(Box::new(f))
+        if !self.wants_events() {
+            return None;
+        }
+        let file = self.trace.as_ref().map(|path| {
+            let sink = match jtb_state {
+                Some(state) => FileSink::resume(path, state)
+                    .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e)),
+                None => FileSink::create(path),
+            };
+            match sink {
+                Ok(mut f) => {
+                    if let Some(ms) = self.flush_every_ms {
+                        f.set_flush_every(ms * 1e6);
                     }
-                    Err(err) => {
-                        eprintln!("error: cannot create {path}: {err}");
-                        std::process::exit(1);
-                    }
+                    f
+                }
+                Err(err) => {
+                    eprintln!("error: cannot create {path}: {err}");
+                    std::process::exit(1);
                 }
             }
-            Some(_) => SinkKind::Ring(RingSink::new(1_000_000)),
-            None if self.monitoring() || self.timeline.is_some() || self.live.is_some() => {
-                SinkKind::Null(NullSink)
-            }
-            None => return None,
-        };
+        });
         let timeline = self.timeline.as_ref().map(|path| {
             let sink = match jts_state {
                 Some(state) => TimelineSink::resume(path, state)
@@ -398,7 +363,7 @@ impl ObsArgs {
             }
         });
         Some(BenchSink {
-            inner,
+            file,
             tee: self
                 .monitoring()
                 .then(|| MonitorTee::new(MonitorConfig::default())),
@@ -407,9 +372,9 @@ impl ObsArgs {
         })
     }
 
-    /// Export whatever the sink collected: the trace file (either
-    /// format, with any ring truncation declared) and the health
-    /// report (printed, and written when `--health-out` was given).
+    /// Finish whatever the sink collected: the trace and timeline
+    /// files and the health report (printed, and written when
+    /// `--health-out` was given).
     pub fn finish_trace(&self, sink: Option<BenchSink>) {
         let Some(sink) = sink else {
             self.finish_serve();
@@ -428,25 +393,15 @@ impl ObsArgs {
                 }
             }
         }
-        match sink.inner {
-            SinkKind::Ring(ring) => {
-                if let Some(path) = &self.trace {
-                    let dropped = ring.dropped();
-                    let doc = chrome_trace_truncated(&ring.into_events(), dropped);
-                    write_file(path, &format!("{}\n", doc.render()));
+        if let Some(f) = sink.file {
+            let path = f.path().to_string();
+            match f.finish() {
+                Ok(()) => eprintln!("wrote {path}"),
+                Err(err) => {
+                    eprintln!("error: cannot write {path}: {err}");
+                    std::process::exit(1);
                 }
             }
-            SinkKind::File(f) => {
-                let path = f.path().to_string();
-                match f.finish() {
-                    Ok(()) => eprintln!("wrote {path}"),
-                    Err(err) => {
-                        eprintln!("error: cannot write {path}: {err}");
-                        std::process::exit(1);
-                    }
-                }
-            }
-            SinkKind::Null(_) => {}
         }
         self.finish_serve();
     }
@@ -522,20 +477,7 @@ impl ObsArgs {
             shards
         };
         if let Some(path) = &self.trace {
-            if self.wants_jtb() {
-                match jem_obs::write_atomic(path, &jtb_bytes(shards)) {
-                    Ok(()) => eprintln!("wrote {path}"),
-                    Err(err) => {
-                        eprintln!("error: cannot write {path}: {err}");
-                        std::process::exit(1);
-                    }
-                }
-            } else {
-                write_file(
-                    path,
-                    &format!("{}\n", chrome_trace_sharded(shards).render()),
-                );
-            }
+            write_file(path, &jtb_bytes(shards));
         }
     }
 
@@ -543,7 +485,10 @@ impl ObsArgs {
         println!();
         println!("{}", report.render_text());
         if let Some(path) = &self.health_out {
-            write_file(path, &format!("{}\n", report.to_json().render_pretty()));
+            write_file(
+                path,
+                format!("{}\n", report.to_json().render_pretty()).as_bytes(),
+            );
         }
     }
 
@@ -561,14 +506,14 @@ impl ObsArgs {
     pub fn write_metrics(&self, registry: &MetricsRegistry) {
         self.publish_metrics(registry);
         if let Some(path) = &self.metrics_out {
-            write_file(path, &registry.render_prometheus());
+            write_file(path, registry.render_prometheus().as_bytes());
         }
     }
 
     /// Write the results document (no-op without `--json-out`).
     pub fn write_json(&self, doc: &Json) {
         if let Some(path) = &self.json_out {
-            write_file(path, &format!("{}\n", doc.render_pretty()));
+            write_file(path, format!("{}\n", doc.render_pretty()).as_bytes());
         }
     }
 
@@ -622,8 +567,8 @@ impl ObsArgs {
     }
 }
 
-fn write_file(path: &str, content: &str) {
-    match jem_obs::write_atomic(path, content.as_bytes()) {
+fn write_file(path: &str, content: &[u8]) {
+    match jem_obs::write_atomic(path, content) {
         Ok(()) => eprintln!("wrote {path}"),
         Err(err) => {
             eprintln!("error: cannot write {path}: {err}");

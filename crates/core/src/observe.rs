@@ -1,7 +1,9 @@
 //! Runtime-side observability glue: post-hoc oracles, predictor
-//! accuracy, run metrics, and hand-rolled JSON codecs for the report
+//! accuracy, run metrics, and hand-rolled JSON encoders for the report
 //! types (the vendored serde stubs are no-ops, so `BENCH_*.json`
-//! emission goes through [`jem_obs::Json`] instead).
+//! emission goes through [`jem_obs::Json`] instead). Nothing reads
+//! these documents back; checkpoints use the binary
+//! [`crate::encode_result`] / [`crate::decode_result`].
 //!
 //! The oracle answers "what would the cheapest mode have cost, knowing
 //! the true size and channel class?" in steady state — compile costs
@@ -13,7 +15,7 @@ use crate::estimate::Profile;
 use crate::experiment::ScenarioResult;
 use crate::runtime::{InvocationReport, RunStats};
 use crate::strategy::Mode;
-use jem_energy::{Energy, SimTime};
+use jem_energy::Energy;
 use jem_jvm::OptLevel;
 use jem_obs::{AccuracyTracker, Buckets, Json, MetricsRegistry};
 use jem_radio::ChannelClass;
@@ -149,39 +151,10 @@ fn class_label(class: ChannelClass) -> String {
     format!("{class:?}")
 }
 
-fn class_from_label(label: &str) -> Result<ChannelClass, String> {
-    ChannelClass::ALL
-        .into_iter()
-        .find(|c| format!("{c:?}") == label)
-        .ok_or_else(|| format!("unknown channel class '{label}'"))
-}
-
-fn level_from_label(label: &str) -> Result<OptLevel, String> {
-    OptLevel::ALL
-        .into_iter()
-        .find(|l| l.name() == label)
-        .ok_or_else(|| format!("unknown opt level '{label}'"))
-}
-
 /// Render a [`Mode`] as its stable label ("interpret", "remote",
 /// "local/Local1"…).
 pub fn mode_label(mode: Mode) -> String {
     mode.to_string()
-}
-
-/// Parse a [`Mode`] back from [`mode_label`]'s output.
-///
-/// # Errors
-/// A description of the unrecognized label.
-pub fn mode_from_label(label: &str) -> Result<Mode, String> {
-    match label {
-        "interpret" => Ok(Mode::Interpret),
-        "remote" => Ok(Mode::Remote),
-        other => match other.strip_prefix("local/") {
-            Some(level) => Ok(Mode::Local(level_from_label(level)?)),
-            None => Err(format!("unknown mode '{label}'")),
-        },
-    }
 }
 
 /// Encode one [`InvocationReport`] as JSON.
@@ -212,58 +185,6 @@ pub fn report_to_json(report: &InvocationReport) -> Json {
         )
 }
 
-/// Decode an [`InvocationReport`] from [`report_to_json`]'s output.
-///
-/// # Errors
-/// A description of the first missing or malformed field.
-pub fn report_from_json(doc: &Json) -> Result<InvocationReport, String> {
-    let num = |key: &str| -> Result<f64, String> {
-        doc.get(key)
-            .and_then(Json::as_f64)
-            .ok_or_else(|| format!("missing number '{key}'"))
-    };
-    let text = |key: &str| -> Result<&str, String> {
-        doc.get(key)
-            .and_then(Json::as_str)
-            .ok_or_else(|| format!("missing string '{key}'"))
-    };
-    let flag = |key: &str| -> Result<bool, String> {
-        doc.get(key)
-            .and_then(Json::as_bool)
-            .ok_or_else(|| format!("missing bool '{key}'"))
-    };
-    let opt_level = |key: &str| -> Result<Option<OptLevel>, String> {
-        match doc.get(key) {
-            None | Some(Json::Null) => Ok(None),
-            Some(v) => {
-                let label = v.as_str().ok_or_else(|| format!("bad level '{key}'"))?;
-                level_from_label(label).map(Some)
-            }
-        }
-    };
-    Ok(InvocationReport {
-        size: num("size")? as u32,
-        true_class: class_from_label(text("true_class")?)?,
-        chosen_class: class_from_label(text("chosen_class")?)?,
-        mode: mode_from_label(text("mode")?)?,
-        energy: Energy::from_nanojoules(num("energy_nj")?),
-        time: SimTime::from_nanos(num("time_ns")?),
-        compiled_locally: opt_level("compiled_locally")?,
-        compiled_remotely: opt_level("compiled_remotely")?,
-        fell_back: flag("fell_back")?,
-        retries: num("retries")? as u32,
-        wasted_energy: Energy::from_nanojoules(num("wasted_energy_nj")?),
-        degraded: flag("degraded")?,
-        predicted_energy: match doc.get("predicted_energy_nj") {
-            None | Some(Json::Null) => None,
-            Some(v) => Some(Energy::from_nanojoules(
-                v.as_f64()
-                    .ok_or_else(|| "bad predicted_energy_nj".to_string())?,
-            )),
-        },
-    })
-}
-
 /// Encode [`RunStats`] as JSON.
 pub fn stats_to_json(stats: &RunStats) -> Json {
     Json::object()
@@ -284,53 +205,6 @@ pub fn stats_to_json(stats: &RunStats) -> Json {
         .with("outages", stats.outages)
         .with("corrupt_responses", stats.corrupt_responses)
         .with("rcomp_fallbacks", stats.rcomp_fallbacks)
-}
-
-/// Decode [`RunStats`] from [`stats_to_json`]'s output.
-///
-/// # Errors
-/// A description of the first missing or malformed field.
-pub fn stats_from_json(doc: &Json) -> Result<RunStats, String> {
-    let u = |key: &str| -> Result<u64, String> {
-        doc.get(key)
-            .and_then(Json::as_u64)
-            .ok_or_else(|| format!("missing integer '{key}'"))
-    };
-    let n = |key: &str| -> Result<f64, String> {
-        doc.get(key)
-            .and_then(Json::as_f64)
-            .ok_or_else(|| format!("missing number '{key}'"))
-    };
-    let local_arr = doc
-        .get("local")
-        .and_then(Json::as_array)
-        .ok_or_else(|| "missing array 'local'".to_string())?;
-    if local_arr.len() != 3 {
-        return Err(format!("'local' has {} entries, want 3", local_arr.len()));
-    }
-    let mut local = [0u64; 3];
-    for (slot, v) in local.iter_mut().zip(local_arr) {
-        *slot = v.as_u64().ok_or_else(|| "bad 'local' entry".to_string())?;
-    }
-    Ok(RunStats {
-        remote: u("remote")?,
-        interpreted: u("interpreted")?,
-        local,
-        local_compiles: u("local_compiles")?,
-        remote_compiles: u("remote_compiles")?,
-        fallbacks: u("fallbacks")?,
-        early_wakes: u("early_wakes")?,
-        retries: u("retries")?,
-        breaker_trips: u("breaker_trips")?,
-        breaker_recoveries: u("breaker_recoveries")?,
-        degraded: u("degraded")?,
-        degraded_time: SimTime::from_nanos(n("degraded_time_ns")?),
-        wasted_energy: Energy::from_nanojoules(n("wasted_energy_nj")?),
-        losses: u("losses")?,
-        outages: u("outages")?,
-        corrupt_responses: u("corrupt_responses")?,
-        rcomp_fallbacks: u("rcomp_fallbacks")?,
-    })
 }
 
 /// Encode a finished [`ScenarioResult`] for `BENCH_*.json`. With
@@ -363,85 +237,7 @@ pub fn scenario_result_to_json(result: &ScenarioResult, include_reports: bool) -
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn mode_labels_round_trip() {
-        let modes = [
-            Mode::Interpret,
-            Mode::Remote,
-            Mode::Local(OptLevel::L1),
-            Mode::Local(OptLevel::L3),
-        ];
-        for mode in modes {
-            assert_eq!(mode_from_label(&mode_label(mode)).unwrap(), mode);
-        }
-        assert!(mode_from_label("local/Local9").is_err());
-        assert!(mode_from_label("nonsense").is_err());
-    }
-
-    #[test]
-    fn class_labels_round_trip() {
-        for class in ChannelClass::ALL {
-            assert_eq!(class_from_label(&class_label(class)).unwrap(), class);
-        }
-        assert!(class_from_label("C9").is_err());
-    }
-
-    #[test]
-    fn report_round_trips_through_json() {
-        let report = InvocationReport {
-            size: 48,
-            true_class: ChannelClass::C2,
-            chosen_class: ChannelClass::C3,
-            mode: Mode::Local(OptLevel::L2),
-            energy: Energy::from_nanojoules(1234.5),
-            time: SimTime::from_nanos(987654.0),
-            compiled_locally: Some(OptLevel::L2),
-            compiled_remotely: None,
-            fell_back: false,
-            retries: 2,
-            wasted_energy: Energy::from_nanojoules(55.25),
-            degraded: true,
-            predicted_energy: Some(Energy::from_nanojoules(1200.0)),
-        };
-        let doc = report_to_json(&report);
-        let back = report_from_json(&doc).unwrap();
-        assert_eq!(report_to_json(&back).render(), doc.render());
-        assert_eq!(back.mode, report.mode);
-        assert_eq!(back.predicted_energy, report.predicted_energy);
-        // And through a text round trip too.
-        let reparsed = Json::parse(&doc.render()).unwrap();
-        assert_eq!(
-            report_to_json(&report_from_json(&reparsed).unwrap()).render(),
-            doc.render()
-        );
-    }
-
-    #[test]
-    fn stats_round_trip_through_json() {
-        let stats = RunStats {
-            remote: 10,
-            interpreted: 3,
-            local: [1, 2, 3],
-            local_compiles: 2,
-            remote_compiles: 1,
-            fallbacks: 4,
-            early_wakes: 5,
-            retries: 6,
-            breaker_trips: 1,
-            breaker_recoveries: 1,
-            degraded: 2,
-            degraded_time: SimTime::from_nanos(42_000.0),
-            wasted_energy: Energy::from_nanojoules(9000.5),
-            losses: 3,
-            outages: 1,
-            corrupt_responses: 2,
-            rcomp_fallbacks: 1,
-        };
-        let doc = stats_to_json(&stats);
-        let back = stats_from_json(&Json::parse(&doc.render()).unwrap()).unwrap();
-        assert_eq!(stats_to_json(&back).render(), doc.render());
-    }
+    use jem_energy::SimTime;
 
     #[test]
     fn merged_stats_equal_concatenated_counters() {

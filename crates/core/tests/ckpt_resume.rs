@@ -5,7 +5,6 @@
 //! stream) the same trace bytes. Exercised over seeds × fault
 //! severities × checkpoint cadences × strategies.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
 
 use jem_core::ckpt::{run_scenario_ckpt, RunSnapshot};
@@ -96,12 +95,7 @@ fn profile() -> &'static Profile {
 
 /// A fresh collision-free temp path per traced case.
 fn temp_path(tag: &str) -> String {
-    static N: AtomicUsize = AtomicUsize::new(0);
-    let n = N.fetch_add(1, Ordering::Relaxed);
-    std::env::temp_dir()
-        .join(format!("jem-ckpt-{}-{tag}-{n}.jtb", std::process::id()))
-        .display()
-        .to_string()
+    jem_obs::scratch_path(&format!("{tag}.jtb"))
 }
 
 proptest! {

@@ -20,7 +20,7 @@ use jem_core::{
 use jem_energy::EnergyBreakdown;
 use jem_jvm::dsl::*;
 use jem_jvm::{Heap, MethodAttrs, MethodId, Program, Value};
-use jem_obs::{chrome_trace, events_from_chrome_trace, Json, RingSink, TraceEvent};
+use jem_obs::{RingSink, TraceEvent};
 use jem_sim::{Scenario, Situation};
 use rand::rngs::SmallRng;
 
@@ -228,15 +228,4 @@ fn tracing_is_bit_identical_to_untraced() {
             }
         }
     }
-}
-
-#[test]
-fn real_trace_survives_chrome_export_round_trip() {
-    let scenario = degraded_scenario(5, 20);
-    let (_, events) = run_traced(&scenario, Strategy::AdaptiveAdaptive);
-    let doc = chrome_trace(&events);
-    let text = doc.render_pretty();
-    let back = events_from_chrome_trace(&Json::parse(&text).expect("valid JSON"))
-        .expect("well-formed trace");
-    assert_eq!(back, events);
 }

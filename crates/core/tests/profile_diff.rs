@@ -138,7 +138,7 @@ fn profile_reconciles_with_run_breakdown() {
         let (result, events) = run_traced(&scenario, strategy);
         let p = TraceProfile::fold(&events);
         // Column sums equal the run's breakdown (the acceptance
-        // criterion; 1e-9 tolerates only summation-order rounding).
+        // condition; 1e-9 tolerates only summation-order rounding).
         p.reconcile(&result.breakdown, 1e-9)
             .unwrap_or_else(|e| panic!("{strategy:?}: {e}"));
         assert_eq!(p.invocations() as usize, scenario.runs);

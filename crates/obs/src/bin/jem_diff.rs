@@ -2,7 +2,7 @@
 //! whole batch of candidates.
 //!
 //! ```text
-//! jem-diff <a.json> <b.json> [options]
+//! jem-diff <a.jtb|a.json> <b.jtb|b.json> [options]
 //! jem-diff --batch <baseline> <candidate>... [options]
 //!   --rel-tol <x>        relative tolerance for strict numbers (default 0)
 //!   --noisy-rel-tol <x>  tolerance for noisy keys before failing (default 0.5)
@@ -11,13 +11,14 @@
 //!   --json-out <path>    write the machine-readable diff report
 //! ```
 //!
-//! Inputs must be artifacts from this workspace: trace files — binary
-//! `.jtb` (sniffed by magic) or Chrome-trace JSON (detected by its
-//! `traceEvents` member), compared semantically in either format and
-//! across formats (per-method × per-mode energy deltas, adaptive
-//! decision flips with the recorded candidate energies, event-kind
-//! count deltas) — or any other JSON document (`--json-out` results,
-//! metrics, profiles — compared structurally).
+//! Inputs must be artifacts from this workspace: `.jtb` traces
+//! (sniffed by magic), compared semantically (per-method × per-mode
+//! energy deltas, adaptive decision flips with the recorded candidate
+//! energies, event-kind count deltas), or any other JSON document
+//! (`--json-out` results, metrics, profiles — compared structurally).
+//! A Chrome-trace export (a document with `traceEvents`) is rejected
+//! with exit 2: it is a one-way viewer format, so diff the `.jtb`
+//! traces it was exported from.
 //!
 //! `--batch` compares the baseline against each candidate in turn and
 //! emits one combined `jem-diff/v1` report with a `batch` table
@@ -33,11 +34,11 @@
 
 use jem_obs::diff::{combine_batch, diff_json, diff_traces, DiffPolicy, DiffReport};
 use jem_obs::json::Json;
-use jem_obs::trace::{events_from_chrome_trace, TraceEvent};
+use jem_obs::trace::TraceEvent;
 use jem_obs::wire::{is_jtb, load_jtb_bytes};
 use std::process::ExitCode;
 
-/// One parsed input: a trace (either format, reduced to events) or an
+/// One parsed input: a `.jtb` trace (reduced to events) or an
 /// arbitrary JSON artifact.
 enum Input {
     Trace(Vec<TraceEvent>),
@@ -48,23 +49,29 @@ const USAGE: &str = "usage: jem-diff <a.json> <b.json> [--rel-tol <x>] [--noisy-
                      [--noisy <marker>]... [--ignore <marker>]... [--json-out <path>]\n\
                      \u{20}      jem-diff --batch <baseline> <candidate>... [same options]";
 
-fn load_input(path: &str) -> Result<Input, String> {
-    let bytes = std::fs::read(path).map_err(|e| format!("cannot read {path}: {e}"))?;
+/// Load one input; the error carries the exit status (1 for an
+/// unreadable or corrupt input, 2 for one jem-diff does not accept).
+fn load_input(path: &str) -> Result<Input, (u8, String)> {
+    let fail = |e: String| (1, format!("{path}: {e}"));
+    let bytes = std::fs::read(path).map_err(|e| (1, format!("cannot read {path}: {e}")))?;
     if is_jtb(&bytes) {
         return load_jtb_bytes(&bytes)
             .map(|l| Input::Trace(l.events()))
-            .map_err(|e| format!("{path}: {e}"));
+            .map_err(fail);
     }
     let text = String::from_utf8(bytes)
-        .map_err(|_| format!("{path}: input is neither .jtb (bad magic) nor UTF-8 JSON"))?;
-    let doc = Json::parse(&text).map_err(|e| format!("{path}: {e}"))?;
+        .map_err(|_| fail("input is neither .jtb (bad magic) nor UTF-8 JSON".into()))?;
+    let doc = Json::parse(&text).map_err(|e| fail(e.to_string()))?;
     if doc.get("traceEvents").is_some() {
-        events_from_chrome_trace(&doc)
-            .map(Input::Trace)
-            .map_err(|e| format!("{path}: {e}"))
-    } else {
-        Ok(Input::Doc(doc))
+        return Err((
+            2,
+            format!(
+                "{path}: Chrome trace JSON is an export-only viewer format; \
+                 diff the .jtb traces instead"
+            ),
+        ));
     }
+    Ok(Input::Doc(doc))
 }
 
 fn compare(a: &Input, b: &Input, policy: &DiffPolicy) -> Result<DiffReport, String> {
@@ -157,9 +164,9 @@ fn main() -> ExitCode {
         }
         let baseline = match load_input(&paths[0]) {
             Ok(input) => input,
-            Err(e) => {
+            Err((code, e)) => {
                 eprintln!("jem-diff: {e}");
-                return ExitCode::FAILURE;
+                return ExitCode::from(code);
             }
         };
         let mut parts = Vec::with_capacity(paths.len() - 1);
@@ -167,9 +174,9 @@ fn main() -> ExitCode {
         for path in &paths[1..] {
             let candidate = match load_input(path) {
                 Ok(input) => input,
-                Err(e) => {
+                Err((code, e)) => {
                     eprintln!("jem-diff: {e}");
-                    return ExitCode::FAILURE;
+                    return ExitCode::from(code);
                 }
             };
             let report = match compare(&baseline, &candidate, &policy) {
@@ -213,9 +220,9 @@ fn main() -> ExitCode {
     }
     let (a_input, b_input) = match (load_input(&paths[0]), load_input(&paths[1])) {
         (Ok(a), Ok(b)) => (a, b),
-        (Err(e), _) | (_, Err(e)) => {
+        (Err((code, e)), _) | (_, Err((code, e))) => {
             eprintln!("jem-diff: {e}");
-            return ExitCode::FAILURE;
+            return ExitCode::from(code);
         }
     };
     let report = match compare(&a_input, &b_input, &policy) {

@@ -1,7 +1,7 @@
 //! Fold an exported trace into an energy/time profile.
 //!
 //! ```text
-//! jem-profile <trace.jtb | trace.json | -> [options]
+//! jem-profile <trace.jtb | -> [options]
 //!   --collapsed <out.folded>    write energy-weighted collapsed stacks
 //!   --collapsed-time <out>      write time-weighted collapsed stacks
 //!   --json-out <out.json>       write the machine-readable profile
@@ -9,13 +9,11 @@
 //!   --no-reconcile              skip the conservation check
 //! ```
 //!
-//! The input is either the compact binary `.jtb` trace (sniffed by
-//! magic, regardless of extension) or the Chrome-trace document the
-//! bench bins emit with `--trace` (`-` reads stdin). The profiler
-//! attributes every event's energy delta to a `[method, mode, phase…]`
-//! stack; by construction the profile's column sums telescope to the
-//! trace's declared total energy (`otherData.total_energy` for JSON,
-//! the block-index partial sums for `.jtb`), and the run fails
+//! The input is the `.jtb` trace the bench bins write with `--trace`
+//! (`-` reads stdin). The profiler attributes every event's energy
+//! delta to a `[method, mode, phase…]` stack; by construction the
+//! profile's column sums telescope to the total the trace footer
+//! declares (its block-index partial sums), and the run fails
 //! (exit 1) if they do not — a profile that cannot reconcile is a bug,
 //! not a report. A truncated trace (dropped events) can never
 //! reconcile, so it fails the same way unless `--no-reconcile` opts
@@ -27,12 +25,12 @@
 //! (or nanoseconds for `--collapsed-time`).
 
 use jem_obs::profile::{CollapseWeight, TraceProfile};
-use jem_obs::wire::{is_jtb, load_trace_bytes, JtbIndex};
+use jem_obs::wire::{load_jtb_bytes, JtbIndex};
 use jem_obs::write_atomic;
 use std::io::Read;
 use std::process::ExitCode;
 
-const USAGE: &str = "usage: jem-profile <trace.jtb | trace.json | -> [--collapsed <out>] \
+const USAGE: &str = "usage: jem-profile <trace.jtb | -> [--collapsed <out>] \
                      [--collapsed-time <out>] [--json-out <out>] [--top <n>] [--no-reconcile]";
 
 fn main() -> ExitCode {
@@ -110,7 +108,7 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let loaded = match load_trace_bytes(&bytes) {
+    let loaded = match load_jtb_bytes(&bytes) {
         Ok(l) => l,
         Err(e) => {
             eprintln!("jem-profile: {trace_path}: {e}");
@@ -138,31 +136,16 @@ fn main() -> ExitCode {
             );
             return ExitCode::FAILURE;
         }
-        let declared = if is_jtb(&bytes) {
-            match JtbIndex::read(&bytes) {
-                Ok(ix) => Some(ix.total_energy()),
-                Err(e) => {
-                    eprintln!("jem-profile: {trace_path}: {e}");
-                    return ExitCode::FAILURE;
-                }
-            }
-        } else {
-            loaded.declared_total
-        };
-        match declared {
-            Some(expected) => {
-                if let Err(e) = profile.reconcile(&expected, 1e-6) {
-                    eprintln!("jem-profile: {trace_path}: {e}");
-                    return ExitCode::FAILURE;
-                }
-            }
-            None => {
-                eprintln!(
-                    "jem-profile: {trace_path}: missing otherData.total_energy \
-                     (use --no-reconcile for partial traces)"
-                );
+        let declared = match JtbIndex::read(&bytes) {
+            Ok(index) => index.total_energy(),
+            Err(e) => {
+                eprintln!("jem-profile: {trace_path}: {e}");
                 return ExitCode::FAILURE;
             }
+        };
+        if let Err(e) = profile.reconcile(&declared, 1e-6) {
+            eprintln!("jem-profile: {trace_path}: {e}");
+            return ExitCode::FAILURE;
         }
     }
 

@@ -1,7 +1,7 @@
 //! Query a trace without materializing the run.
 //!
 //! ```text
-//! jem-query <trace.jtb | trace.json | -> [options]
+//! jem-query <trace.jtb | -> [options]
 //!   --kind <name>         keep only this event kind (repeatable)
 //!   --method <substr>     keep invocations whose method contains this
 //!   --mode <substr>       keep invocations whose resolved mode contains this
@@ -32,9 +32,8 @@
 //! trace over the same window — both are the identical sequence of
 //! f64 additions.
 //!
-//! Accepts both trace formats — the compact binary `.jtb` (sniffed by
-//! magic and processed block-by-block in O(block) memory) and the
-//! Chrome-trace JSON document (`-` reads stdin). Method and mode
+//! The trace is a `.jtb` file (`-` reads stdin), streamed
+//! block-by-block in O(block) memory. Method and mode
 //! predicates apply to the *resolved* invocation context: a `tx-window`
 //! event matches `--mode remote` because its enclosing invocation
 //! executed remotely, exactly as the profiler attributes it. With
@@ -48,12 +47,12 @@ use jem_obs::json::Json;
 use jem_obs::profile::ProfileFolder;
 use jem_obs::query::{GroupKey, Query, QueryEngine};
 use jem_obs::timeline::series_is_label;
-use jem_obs::wire::{is_jtb, load_trace_bytes, FollowStatus, JtbStream};
+use jem_obs::wire::{FollowStatus, JtbStream};
 use jem_obs::Timeline;
-use std::io::{BufReader, Read};
+use std::io::Read;
 use std::process::ExitCode;
 
-const USAGE: &str = "usage: jem-query <trace.jtb | timeline.jts | trace.json | -> \
+const USAGE: &str = "usage: jem-query <trace.jtb | timeline.jts | -> \
                      [--kind <name>]... \
                      [--method <s>] [--mode <s>] [--shard <s>] [--since <ns>] [--until <ns>] \
                      [--group-by <k,k,…>] [--hist] [--top <n>] [--series <name>] \
@@ -208,71 +207,36 @@ fn main() -> ExitCode {
 
     let mut engine = QueryEngine::new(query);
 
-    // A .jtb *file* streams block-by-block in O(block) memory; stdin
-    // and JSON inputs are read whole (JSON has no streaming decode).
-    if trace_path != "-" && sniff_file_is_jtb(&trace_path) {
-        let file = match std::fs::File::open(&trace_path) {
-            Ok(f) => f,
-            Err(e) => {
-                eprintln!("jem-query: cannot read {trace_path}: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        let mut stream = match JtbStream::new(BufReader::new(file)) {
-            Ok(s) => s,
-            Err(e) => {
-                eprintln!("jem-query: {trace_path}: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        loop {
-            match stream.next_event() {
-                Ok(Some((shard_idx, ev))) => {
-                    if let Some(name) = stream.shard_names().get(shard_idx) {
-                        let name = name.clone();
-                        engine.name_shard(shard_idx, &name);
-                    }
-                    engine.push(ev);
+    let mut stream = match open_stream(&trace_path) {
+        Ok(s) => s,
+        Err(e) => {
+            eprintln!("jem-query: {trace_path}: {e}");
+            return ExitCode::FAILURE;
+        }
+    };
+    loop {
+        match stream.next_event() {
+            Ok(Some((shard_idx, ev))) => {
+                if let Some(name) = stream.shard_names().get(shard_idx) {
+                    let name = name.clone();
+                    engine.name_shard(shard_idx, &name);
                 }
-                Ok(None) => break,
-                Err(e) => {
-                    eprintln!("jem-query: {trace_path}: {e}");
-                    return ExitCode::FAILURE;
-                }
-            }
-        }
-        engine.note_dropped(stream.dropped());
-        if let Some(note) = stream.recovered() {
-            eprintln!(
-                "jem-query: {trace_path}: crash-recovered trace (salvage cut {} bytes / \
-                 {} events); queries run over the invocation-aligned prefix",
-                note.dropped_bytes, note.dropped_events
-            );
-        }
-    } else {
-        let loaded = match read_input(&trace_path).and_then(|b| load_trace_bytes(&b)) {
-            Ok(l) => l,
-            Err(e) => {
-                eprintln!("jem-query: {trace_path}: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        if let Some(note) = loaded.recovered {
-            eprintln!(
-                "jem-query: {trace_path}: crash-recovered trace (salvage cut {} bytes / \
-                 {} events); queries run over the invocation-aligned prefix",
-                note.dropped_bytes, note.dropped_events
-            );
-        }
-        for (idx, shard) in loaded.shards.iter().enumerate() {
-            engine.name_shard(idx, &shard.name);
-        }
-        engine.note_dropped(loaded.dropped);
-        for shard in loaded.shards {
-            for ev in shard.events {
                 engine.push(ev);
             }
+            Ok(None) => break,
+            Err(e) => {
+                eprintln!("jem-query: {trace_path}: {e}");
+                return ExitCode::FAILURE;
+            }
         }
+    }
+    engine.note_dropped(stream.dropped());
+    if let Some(note) = stream.recovered() {
+        eprintln!(
+            "jem-query: {trace_path}: crash-recovered trace (salvage cut {} bytes / \
+             {} events); queries run over the invocation-aligned prefix",
+            note.dropped_bytes, note.dropped_events
+        );
     }
 
     let result = engine.finish();
@@ -477,20 +441,20 @@ fn series_window(
 /// hottest frames (self/total energy), like `jem-profile` but without
 /// the reconcile gate.
 fn hot_frames(trace_path: &str, top: usize) -> ExitCode {
-    let loaded = match read_input(trace_path).and_then(|b| load_trace_bytes(&b)) {
-        Ok(l) => l,
+    let mut folder = ProfileFolder::new();
+    let streamed = open_stream(trace_path).and_then(|mut stream| {
+        while let Some((_, ev)) = stream.next_event()? {
+            folder.push(ev);
+        }
+        Ok(stream.dropped())
+    });
+    let dropped = match streamed {
+        Ok(d) => d,
         Err(e) => {
             eprintln!("jem-query: {trace_path}: {e}");
             return ExitCode::FAILURE;
         }
     };
-    let dropped = loaded.dropped;
-    let mut folder = ProfileFolder::new();
-    for shard in loaded.shards {
-        for ev in shard.events {
-            folder.push(ev);
-        }
-    }
     let profile = folder.finish();
     println!("Hot frames (self/total):");
     println!("{}", profile.render_hot_frames(top));
@@ -500,17 +464,14 @@ fn hot_frames(trace_path: &str, top: usize) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-/// Whether the file starts with the `.jtb` magic (without reading the
-/// rest — the streaming path re-opens it).
-fn sniff_file_is_jtb(path: &str) -> bool {
-    let Ok(mut f) = std::fs::File::open(path) else {
-        return false;
+/// Open the `.jtb` trace at `path` (`-` = stdin) as a stream.
+fn open_stream(path: &str) -> Result<JtbStream<Box<dyn Read>>, String> {
+    let input: Box<dyn Read> = if path == "-" {
+        Box::new(std::io::stdin())
+    } else {
+        Box::new(std::fs::File::open(path).map_err(|e| e.to_string())?)
     };
-    let mut head = [0u8; 4];
-    if f.read_exact(&mut head).is_err() {
-        return false;
-    }
-    is_jtb(&head)
+    JtbStream::new(input)
 }
 
 /// Read the trace bytes from a file, or stdin when the path is `-`.

@@ -1,40 +1,37 @@
-//! Validate an exported trace file.
+//! Validate a stored trace or timeline, and export a trace for viewers.
 //!
 //! ```text
-//! tracecheck <trace.jtb | trace.json | -> [--schema schemas/trace.schema.json] [--summary]
+//! tracecheck <trace.jtb | timeline.jts | -> [--summary]
+//!            [--chrome <out.json>] [--schema schemas/trace.schema.json]
+//!            [--salvage <out.jtb>] [--follow]
 //! ```
 //!
-//! Accepts all three exported formats, sniffed by magic regardless of
-//! extension: the compact binary `.jtb` trace, the `.jts` sim-time
-//! timeline sidecar, and the Chrome `trace_event` JSON document. `-`
-//! reads from stdin (for piping straight out of a bench bin).
+//! Accepts the two stored formats, sniffed by magic regardless of
+//! extension: the binary `.jtb` trace and the `.jts` sim-time timeline
+//! sidecar. `-` reads from stdin (for piping straight out of a bench
+//! bin).
 //!
 //! A `.jts` input is fully decoded and checked for monotone sim-time,
 //! samples within segment bounds, monotone counter series, and the
 //! bit-exact rate-integral-vs-footer reconciliation; the other flags
-//! do not apply to timelines. Trace inputs check, in order:
-//! 1. the input decodes — JSON parse for Chrome traces; header, block,
-//!    footer and trailer integrity for `.jtb`;
-//! 2. (with `--schema`, JSON inputs only) it validates against the
-//!    given JSON Schema;
-//! 3. its events decode back into `TraceEvent` records;
-//! 4. the energy-conservation ledger holds: the per-event
-//!    `EnergyBreakdown` deltas sum to the declared total
-//!    (`otherData.total_energy` for JSON, the block-index partial sums
-//!    for `.jtb`). A truncated trace (dropped events) cannot balance,
+//! do not apply to timelines. A `.jtb` input checks, in order:
+//! 1. header, block, footer and trailer integrity, with every event
+//!    decoding back into a `TraceEvent` record;
+//! 2. the energy-conservation ledger: the per-event `EnergyBreakdown`
+//!    deltas sum to the total declared by the footer's block-index
+//!    partial sums. A truncated trace (dropped events) cannot balance,
 //!    so the check is skipped there and the truncation reported
-//!    instead.
+//!    instead;
+//! 3. (with `--schema`) the Chrome-trace export of the trace validates
+//!    against the given JSON Schema.
 //!
 //! With `--summary`, prints recorded/dropped event counts, per-kind
 //! counts and the per-component delta totals after the checks, so CI
 //! logs show *what* was validated, not just that something was.
 //!
-//! With `--reencode <out>`, re-exports the validated trace in the
-//! format the output extension selects (`.jtb` binary, anything else
-//! Chrome JSON). Both loaders normalize into the same shard structure,
-//! so re-encoding a `.jtb` and the equivalent JSON export of the same
-//! run yields byte-identical files — CI uses this as the
-//! JSON↔binary round-trip equivalence check.
+//! With `--chrome <out.json>`, exports the validated trace as a Chrome
+//! `trace_event` JSON document (one track per run) for Perfetto and
+//! `chrome://tracing`. The export is one-way: nothing reads it back.
 //!
 //! With `--salvage <out.jtb>`, a crash-torn `.jtb` (no footer/trailer
 //! — the writer was SIGKILLed mid-stream) is cut back to its last
@@ -59,24 +56,20 @@ use jem_energy::EnergyBreakdown;
 use jem_obs::json::Json;
 use jem_obs::schema::validate;
 use jem_obs::timeline::is_jts;
-use jem_obs::wire::{
-    is_jtb, jtb_bytes, load_chrome_doc, load_jtb_bytes, salvage_jtb, FollowStatus, JtbIndex,
-    JtbStream,
-};
+use jem_obs::wire::{is_jtb, load_jtb_bytes, salvage_jtb, FollowStatus, JtbIndex, JtbStream};
 use jem_obs::{chrome_trace_sharded, write_atomic, JtsReader, TraceShard};
 use std::collections::BTreeMap;
 use std::io::Read;
 use std::process::ExitCode;
 
-const USAGE: &str = "usage: tracecheck <trace.jtb | timeline.jts | trace.json | -> \
-     [--schema <schema.json>] [--summary] [--reencode <out.jtb|out.json>] \
-     [--salvage <out.jtb>] [--follow]";
+const USAGE: &str = "usage: tracecheck <trace.jtb | timeline.jts | -> [--summary] \
+     [--chrome <out.json>] [--schema <schema.json>] [--salvage <out.jtb>] [--follow]";
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut trace_path = None;
     let mut schema_path = None;
-    let mut reencode_path = None;
+    let mut chrome_path = None;
     let mut salvage_path = None;
     let mut summary = false;
     let mut follow = false;
@@ -99,12 +92,12 @@ fn main() -> ExitCode {
                 schema_path = Some(args[i + 1].clone());
                 i += 2;
             }
-            "--reencode" => {
+            "--chrome" => {
                 if i + 1 >= args.len() {
-                    eprintln!("tracecheck: --reencode needs a path");
+                    eprintln!("tracecheck: --chrome needs a path");
                     return ExitCode::from(2);
                 }
-                reencode_path = Some(args[i + 1].clone());
+                chrome_path = Some(args[i + 1].clone());
                 i += 2;
             }
             "--summary" => {
@@ -135,8 +128,8 @@ fn main() -> ExitCode {
     };
 
     if follow {
-        if schema_path.is_some() || reencode_path.is_some() || salvage_path.is_some() {
-            eprintln!("tracecheck: --follow cannot be combined with --schema/--reencode/--salvage");
+        if schema_path.is_some() || chrome_path.is_some() || salvage_path.is_some() {
+            eprintln!("tracecheck: --follow cannot be combined with --schema/--chrome/--salvage");
             return ExitCode::from(2);
         }
         if trace_path == "-" {
@@ -155,8 +148,8 @@ fn main() -> ExitCode {
     };
 
     if is_jts(&bytes) {
-        if schema_path.is_some() || reencode_path.is_some() || salvage_path.is_some() {
-            eprintln!("tracecheck: --schema/--reencode/--salvage do not apply to .jts timelines");
+        if schema_path.is_some() || chrome_path.is_some() || salvage_path.is_some() {
+            eprintln!("tracecheck: --schema/--chrome/--salvage do not apply to .jts timelines");
             return ExitCode::from(2);
         }
         return match jem_obs::validate_jts(&bytes) {
@@ -211,80 +204,19 @@ fn main() -> ExitCode {
         bytes = salvaged;
     }
 
-    let (loaded, declared, format) = if is_jtb(&bytes) {
-        if schema_path.is_some() {
-            // The JSON Schema describes the Chrome-trace document; the
-            // binary format carries its own integrity checks instead.
-            println!("tracecheck: {trace_path}: binary .jtb input, schema check skipped");
+    let loaded = match load_jtb_bytes(&bytes) {
+        Ok(l) => l,
+        Err(e) => {
+            eprintln!("tracecheck: {trace_path}: {e}");
+            return ExitCode::FAILURE;
         }
-        let loaded = match load_jtb_bytes(&bytes) {
-            Ok(l) => l,
-            Err(e) => {
-                eprintln!("tracecheck: {trace_path}: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        let index = match JtbIndex::read(&bytes) {
-            Ok(ix) => ix,
-            Err(e) => {
-                eprintln!("tracecheck: {trace_path}: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        (loaded, Some(index.total_energy()), "jtb")
-    } else {
-        let text = match std::str::from_utf8(&bytes) {
-            Ok(t) => t,
-            Err(_) => {
-                eprintln!(
-                    "tracecheck: {trace_path}: input is neither .jtb (bad magic) nor UTF-8 JSON"
-                );
-                return ExitCode::FAILURE;
-            }
-        };
-        let doc = match Json::parse(text) {
-            Ok(d) => d,
-            Err(e) => {
-                eprintln!("tracecheck: {trace_path}: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        if let Some(schema_path) = &schema_path {
-            let schema_text = match std::fs::read_to_string(schema_path) {
-                Ok(t) => t,
-                Err(e) => {
-                    eprintln!("tracecheck: cannot read schema {schema_path}: {e}");
-                    return ExitCode::FAILURE;
-                }
-            };
-            let schema = match Json::parse(&schema_text) {
-                Ok(s) => s,
-                Err(e) => {
-                    eprintln!("tracecheck: schema {schema_path}: {e}");
-                    return ExitCode::FAILURE;
-                }
-            };
-            let errors = validate(&doc, &schema);
-            if !errors.is_empty() {
-                eprintln!("tracecheck: {trace_path} fails schema validation:");
-                for e in errors.iter().take(20) {
-                    eprintln!("  {e}");
-                }
-                if errors.len() > 20 {
-                    eprintln!("  … and {} more", errors.len() - 20);
-                }
-                return ExitCode::FAILURE;
-            }
+    };
+    let declared = match JtbIndex::read(&bytes) {
+        Ok(index) => index.total_energy(),
+        Err(e) => {
+            eprintln!("tracecheck: {trace_path}: {e}");
+            return ExitCode::FAILURE;
         }
-        let mut loaded = match load_chrome_doc(&doc) {
-            Ok(l) => l,
-            Err(e) => {
-                eprintln!("tracecheck: {trace_path}: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        let declared = loaded.declared_total.take();
-        (loaded, declared, "json")
     };
 
     if let Some(note) = loaded.recovered {
@@ -309,15 +241,11 @@ fn main() -> ExitCode {
         // Evicted events take their deltas with them — the ledger
         // cannot balance, and pretending otherwise would hide the gap.
         println!(
-            "tracecheck: {trace_path}: OK ({format}, {recorded} events, \
+            "tracecheck: {trace_path}: OK (jtb, {recorded} events, \
              conservation skipped: trace truncated, {} events dropped)",
             loaded.dropped
         );
     } else {
-        let Some(declared) = declared else {
-            eprintln!("tracecheck: {trace_path}: missing declared total energy");
-            return ExitCode::FAILURE;
-        };
         let declared = declared.total().nanojoules();
         let tolerance = 1e-6 * declared.abs().max(1.0);
         if (total - declared).abs() > tolerance {
@@ -327,9 +255,7 @@ fn main() -> ExitCode {
             );
             return ExitCode::FAILURE;
         }
-        println!(
-            "tracecheck: {trace_path}: OK ({format}, {recorded} events, {total:.1} nJ conserved)"
-        );
+        println!("tracecheck: {trace_path}: OK (jtb, {recorded} events, {total:.1} nJ conserved)");
     }
     if summary {
         println!("  recorded events:      {recorded}");
@@ -358,23 +284,47 @@ fn main() -> ExitCode {
         }
         println!("    {:<20} {:.1} nJ", "total", sum.total().nanojoules());
     }
-    if let Some(out) = reencode_path {
-        // Re-attach the stream-level truncation count so the re-export
-        // declares it (both exporters sum per-shard counts).
-        let mut shards: Vec<TraceShard> = loaded.shards.clone();
-        if let Some(first) = shards.first_mut() {
-            first.dropped = loaded.dropped;
-        }
-        let bytes = if out.ends_with(".jtb") {
-            jtb_bytes(&shards)
-        } else {
-            format!("{}\n", chrome_trace_sharded(&shards).render()).into_bytes()
+    if chrome_path.is_none() && schema_path.is_none() {
+        return ExitCode::SUCCESS;
+    }
+    // The Chrome export: one track per run, with the stream-level
+    // truncation count re-attached so the document declares it.
+    let mut shards: Vec<TraceShard> = loaded.shards;
+    if let Some(first) = shards.first_mut() {
+        first.dropped = loaded.dropped;
+    }
+    let text = format!("{}\n", chrome_trace_sharded(&shards).render());
+    if let Some(schema_path) = &schema_path {
+        let schema = match std::fs::read_to_string(schema_path)
+            .map_err(|e| format!("cannot read schema {schema_path}: {e}"))
+            .and_then(|t| Json::parse(&t).map_err(|e| format!("schema {schema_path}: {e}")))
+        {
+            Ok(s) => s,
+            Err(e) => {
+                eprintln!("tracecheck: {e}");
+                return ExitCode::FAILURE;
+            }
         };
-        if let Err(e) = write_atomic(&out, &bytes) {
+        let doc = Json::parse(&text).expect("the exporter renders valid JSON");
+        let errors = validate(&doc, &schema);
+        if !errors.is_empty() {
+            eprintln!("tracecheck: the Chrome export of {trace_path} fails schema validation:");
+            for e in errors.iter().take(20) {
+                eprintln!("  {e}");
+            }
+            if errors.len() > 20 {
+                eprintln!("  … and {} more", errors.len() - 20);
+            }
+            return ExitCode::FAILURE;
+        }
+        println!("tracecheck: {trace_path}: Chrome export validates against {schema_path}");
+    }
+    if let Some(out) = chrome_path {
+        if let Err(e) = write_atomic(&out, text.as_bytes()) {
             eprintln!("tracecheck: cannot write {out}: {e}");
             return ExitCode::FAILURE;
         }
-        println!("tracecheck: re-encoded {trace_path} -> {out}");
+        println!("tracecheck: exported {trace_path} -> {out}");
     }
     ExitCode::SUCCESS
 }

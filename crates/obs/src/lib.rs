@@ -8,8 +8,8 @@
 //! * [`trace`] — structured per-event tracing with [`SimTime`]
 //!   timestamps and per-event [`EnergyBreakdown`] deltas, a no-op
 //!   default sink (zero overhead, zero RNG impact when disabled), a
-//!   bounded ring sink, and a Chrome `trace_event` / Perfetto
-//!   compatible exporter,
+//!   bounded ring sink, and a one-way Chrome `trace_event` /
+//!   Perfetto exporter,
 //! * [`metrics`] — counters, gauges and log-bucketed histograms with
 //!   Prometheus text-format and JSON exposition,
 //! * [`accuracy`] — predicted-vs-actual energy per chosen mode and
@@ -21,10 +21,11 @@
 //! * [`diff`] — noise-aware differential comparison of two runs'
 //!   traces / metrics / results (decision flips, per-method energy
 //!   deltas); a run diffed against itself is provably empty,
-//! * [`wire`] — the compact `.jtb` binary trace format: streaming
-//!   bounded-memory writer sinks, a block index footer for cheap
-//!   skipping, lossless round-trip to/from [`trace::TraceEvent`], and
-//!   a format-sniffing loader shared by every CLI,
+//! * [`wire`] — the compact `.jtb` binary trace format, the one
+//!   stored trace format: streaming bounded-memory writer sinks, a
+//!   block index footer for cheap skipping, and one decoder behind
+//!   every reader (streaming, follow-mode, whole-file and crash
+//!   salvage), lossless back to [`trace::TraceEvent`],
 //! * [`query`] — a streaming filter / project / aggregate engine over
 //!   traces (`jem-query`), reconciling bit-exactly with [`profile`],
 //! * [`monitor`] — online invariant monitors (energy conservation,
@@ -97,9 +98,8 @@ pub use timeline::{
     TimelineSegment, TimelineSink,
 };
 pub use trace::{
-    chrome_trace, chrome_trace_sharded, chrome_trace_truncated, dropped_from_chrome_trace,
-    events_from_chrome_trace, split_shards, NullSink, RingSink, TraceEvent, TraceEventKind,
-    TraceShard, TraceSink, Tracer, TracerState,
+    chrome_trace, chrome_trace_sharded, chrome_trace_truncated, split_shards, NullSink, RingSink,
+    TraceEvent, TraceEventKind, TraceShard, TraceSink, Tracer, TracerState,
 };
 pub use wire::{
     is_jtb, jtb_bytes, load_trace_bytes, load_trace_path, salvage_jtb, FileSink, FollowStatus,

@@ -67,7 +67,7 @@
 //! byte-identical to an uninterrupted one.
 
 use crate::trace::{TraceEvent, TraceEventKind, TraceSink};
-use crate::wire::{put_msf, put_varint, unzigzag, zigzag, Cur, FollowStatus};
+use crate::wire::{is_torn_tail, put_msf, put_varint, unzigzag, zigzag, Cur, Feed, FollowStatus};
 use jem_energy::{Component, EnergyBreakdown};
 use std::io::Write;
 
@@ -367,6 +367,25 @@ struct SegMeta {
     end_t: f64,
     final_ledger: [f64; COMPONENTS],
     final_trace: [f64; COMPONENTS],
+}
+
+impl SegMeta {
+    /// Parse one entry as the footer and the checkpoint state store it.
+    fn read(cur: &mut Cur<'_>) -> Result<SegMeta, String> {
+        let samples = cur.varint()?;
+        let end_t = get_f64_bits(cur)?;
+        let mut final_ledger = [0.0; COMPONENTS];
+        let mut final_trace = [0.0; COMPONENTS];
+        for v in final_ledger.iter_mut().chain(final_trace.iter_mut()) {
+            *v = get_f64_bits(cur)?;
+        }
+        Ok(SegMeta {
+            samples,
+            end_t,
+            final_ledger,
+            final_trace,
+        })
+    }
 }
 
 /// Streaming `.jts` writer: a [`TraceSink`] that derives and persists
@@ -730,22 +749,7 @@ impl TimelineSink {
         }
         let mut closed = Vec::with_capacity(n_closed);
         for _ in 0..n_closed {
-            let samples = cur.varint()?;
-            let end_t = get_f64_bits(&mut cur)?;
-            let mut final_ledger = [0.0; COMPONENTS];
-            let mut final_trace = [0.0; COMPONENTS];
-            for v in final_ledger.iter_mut() {
-                *v = get_f64_bits(&mut cur)?;
-            }
-            for v in final_trace.iter_mut() {
-                *v = get_f64_bits(&mut cur)?;
-            }
-            closed.push(SegMeta {
-                samples,
-                end_t,
-                final_ledger,
-                final_trace,
-            });
+            closed.push(SegMeta::read(&mut cur)?);
         }
         let cur_flushed = match cur.u8()? {
             0 => None,
@@ -874,6 +878,188 @@ impl TraceSink for TimelineSink {
 // Reader
 // ---------------------------------------------------------------
 
+/// One record decoded by [`JtsDecoder::step`].
+enum JtsRecord {
+    /// The header (cadence and series names land in the decoder).
+    Header,
+    /// A new segment starts.
+    Segment,
+    /// One sample block of the open segment: the timestamps and one
+    /// column per series.
+    Samples {
+        times: Vec<f64>,
+        cols: Vec<Vec<f64>>,
+    },
+    /// The footer, cross-checked against the decoded records and
+    /// followed by a trailer that points back at it: one entry per
+    /// segment.
+    Footer(Vec<SegMeta>),
+}
+
+/// The one `.jts` read-side decoder, behind both [`Timeline::read`]
+/// (whole buffer) and [`JtsFollower`] (growing file). It parses the
+/// header or one record from the front of a byte slice; a slice that
+/// ends mid-record fails with a torn-tail error and leaves the state
+/// untouched, exactly like the `.jtb` decoder.
+#[derive(Default)]
+struct JtsDecoder {
+    header_done: bool,
+    sample_every_ns: f64,
+    series: Vec<String>,
+    /// Decoded sample count per segment so far.
+    seg_samples: Vec<u64>,
+    /// Per-series delta-chain carry of the open segment.
+    prev_vals: [f64; N_SERIES],
+    labels: Vec<String>,
+    done: bool,
+}
+
+impl JtsDecoder {
+    /// Decode the header or the record at the front of `data`, which
+    /// starts at file offset `offset`; returns it with the number of
+    /// bytes it spans.
+    fn step(&mut self, data: &[u8], offset: u64) -> Result<(JtsRecord, usize), String> {
+        let mut cur = Cur::new(data);
+        if !self.header_done {
+            if cur.bytes(4)? != JTS_MAGIC {
+                return Err("jts: missing JTS1 magic".into());
+            }
+            let version = cur.varint()?;
+            if version != 1 {
+                return Err(format!("jts: unsupported version {version}"));
+            }
+            let sample_every_ns = cur.msf()?;
+            let n_series = cur.varint()? as usize;
+            if n_series != N_SERIES {
+                return Err(format!(
+                    "jts: file has {n_series} series, this build expects {N_SERIES}"
+                ));
+            }
+            let mut series = Vec::with_capacity(n_series);
+            for _ in 0..n_series {
+                series.push(get_string(&mut cur)?);
+            }
+            self.sample_every_ns = sample_every_ns;
+            self.series = series;
+            self.header_done = true;
+            return Ok((JtsRecord::Header, cur.pos()));
+        }
+        let record = match cur.u8()? {
+            R_SEGMENT => {
+                self.seg_samples.push(0);
+                self.prev_vals = [0.0; N_SERIES];
+                JtsRecord::Segment
+            }
+            R_SAMPLES => {
+                let len = cur.varint()? as usize;
+                let block = cur.bytes(len)?;
+                let Some(count) = self.seg_samples.last_mut() else {
+                    return Err("jts: sample block before any segment record".into());
+                };
+                let (times, cols) = decode_samples(block, &mut self.prev_vals)?;
+                *count += times.len() as u64;
+                JtsRecord::Samples { times, cols }
+            }
+            R_FOOTER => {
+                let flen = cur.varint()? as usize;
+                let mut fcur = Cur::new(cur.bytes(flen)?);
+                let trailer = cur.bytes(12)?;
+                let n_labels = fcur.varint()? as usize;
+                if n_labels > 1 << 20 {
+                    return Err("jts: implausible label count".into());
+                }
+                let mut labels = Vec::with_capacity(n_labels);
+                for _ in 0..n_labels {
+                    labels.push(get_string(&mut fcur)?);
+                }
+                let n_segments = fcur.varint()? as usize;
+                if n_segments != self.seg_samples.len() {
+                    return Err(format!(
+                        "jts: {} segment records but footer declares {n_segments}",
+                        self.seg_samples.len()
+                    ));
+                }
+                let mut metas = Vec::with_capacity(n_segments);
+                for &decoded in &self.seg_samples {
+                    let meta = SegMeta::read(&mut fcur)?;
+                    if meta.samples != decoded {
+                        return Err(format!(
+                            "jts: segment holds {decoded} samples but footer declares {}",
+                            meta.samples
+                        ));
+                    }
+                    metas.push(meta);
+                }
+                let total: u64 = self.seg_samples.iter().sum();
+                let footer_total = fcur.varint()?;
+                if fcur.remaining() != 0 {
+                    return Err("jts: trailing bytes in footer".into());
+                }
+                if total != footer_total {
+                    return Err(format!(
+                        "jts: {total} decoded samples but footer declares {footer_total}"
+                    ));
+                }
+                if trailer[..8] != offset.to_le_bytes() || &trailer[8..] != JTS_END_MAGIC {
+                    return Err("jts: bad trailer (truncated or corrupt file)".into());
+                }
+                self.labels = labels;
+                self.done = true;
+                JtsRecord::Footer(metas)
+            }
+            other => return Err(format!("jts: unknown record tag {other}")),
+        };
+        Ok((record, cur.pos()))
+    }
+}
+
+/// Decode one sample block payload against the per-series carry
+/// `prev`, which is updated only when the whole block decodes.
+fn decode_samples(
+    block: &[u8],
+    prev: &mut [f64; N_SERIES],
+) -> Result<(Vec<f64>, Vec<Vec<f64>>), String> {
+    let mut bcur = Cur::new(block);
+    let n = bcur.varint()? as usize;
+    if n == 0 || n > BLOCK_SAMPLES {
+        return Err(format!("jts: implausible block sample count {n}"));
+    }
+    let mut times = Vec::with_capacity(n);
+    let mut t = bcur.msf()?;
+    times.push(t);
+    let mut prev_d: i64 = 0;
+    for _ in 1..n {
+        let tag = bcur.varint()?;
+        if tag & 1 == 1 {
+            let a = scaled(t).ok_or("jts: scaled timestamp delta against raw previous")?;
+            let d = prev_d + unzigzag(tag >> 1);
+            t = (a + d) as f64 / 1000.0;
+            prev_d = d;
+        } else if tag == 0 {
+            t = get_f64_bits(&mut bcur)?;
+            prev_d = 0;
+        } else {
+            return Err("jts: reserved timestamp tag".into());
+        }
+        times.push(t);
+    }
+    let mut carry = *prev;
+    let mut cols = Vec::with_capacity(N_SERIES);
+    for p in carry.iter_mut() {
+        let mut col = Vec::with_capacity(n);
+        for _ in 0..n {
+            *p = get_val(&mut bcur, *p)?;
+            col.push(*p);
+        }
+        cols.push(col);
+    }
+    if bcur.remaining() != 0 {
+        return Err("jts: trailing bytes in sample block".into());
+    }
+    *prev = carry;
+    Ok((times, cols))
+}
+
 /// One decoded segment (one run streamed through the sink).
 pub struct TimelineSegment {
     /// Sample timestamps (sim-ns, non-decreasing).
@@ -944,182 +1130,58 @@ pub struct Timeline {
 }
 
 impl Timeline {
-    /// Decode a `.jts` byte stream (header, records, footer, trailer),
-    /// cross-checking record structure against the footer.
+    /// Decode a `.jts` byte stream (header, records, footer, trailer)
+    /// with the same decoder [`JtsFollower`] runs, which cross-checks
+    /// the record structure against the footer.
     ///
     /// # Errors
     /// Corrupt or truncated input.
     pub fn read(bytes: &[u8]) -> Result<Timeline, String> {
-        if !is_jts(bytes) {
-            return Err("jts: missing JTS1 magic".into());
-        }
-        if bytes.len() < 16 {
-            return Err("jts: truncated file".into());
-        }
-        let tail = &bytes[bytes.len() - 12..];
-        if &tail[8..] != JTS_END_MAGIC {
-            return Err("jts: missing JTSE trailer (torn file?)".into());
-        }
-        let mut off = [0u8; 8];
-        off.copy_from_slice(&tail[..8]);
-        let footer_offset = u64::from_le_bytes(off) as usize;
-        if footer_offset + 12 > bytes.len() {
-            return Err("jts: footer offset out of range".into());
-        }
-
-        // Header.
-        let mut cur = Cur::new(&bytes[4..footer_offset]);
-        let version = cur.varint()?;
-        if version != 1 {
-            return Err(format!("jts: unsupported version {version}"));
-        }
-        let sample_every_ns = cur.msf()?;
-        let n_series = cur.varint()? as usize;
-        if n_series != N_SERIES {
-            return Err(format!(
-                "jts: file has {n_series} series, this build expects {N_SERIES}"
-            ));
-        }
-        let mut series = Vec::with_capacity(n_series);
-        for _ in 0..n_series {
-            series.push(get_string(&mut cur)?);
-        }
-
-        // Footer (label table + segment metas).
-        let mut fcur = Cur::new(&bytes[footer_offset..bytes.len() - 12]);
-        if fcur.u8()? != R_FOOTER {
-            return Err("jts: footer offset does not point at a footer record".into());
-        }
-        let flen = fcur.varint()? as usize;
-        if flen != fcur.remaining() {
-            return Err("jts: footer length mismatch".into());
-        }
-        let n_labels = fcur.varint()? as usize;
-        if n_labels > 1 << 20 {
-            return Err("jts: implausible label count".into());
-        }
-        let mut labels = Vec::with_capacity(n_labels);
-        for _ in 0..n_labels {
-            labels.push(get_string(&mut fcur)?);
-        }
-        let n_segments = fcur.varint()? as usize;
-        if n_segments > 1 << 20 {
-            return Err("jts: implausible segment count".into());
-        }
-        let mut metas = Vec::with_capacity(n_segments);
-        for _ in 0..n_segments {
-            let samples = fcur.varint()?;
-            let end_t = get_f64_bits(&mut fcur)?;
-            let mut final_ledger = [0.0; COMPONENTS];
-            let mut final_trace = [0.0; COMPONENTS];
-            for v in final_ledger.iter_mut() {
-                *v = get_f64_bits(&mut fcur)?;
-            }
-            for v in final_trace.iter_mut() {
-                *v = get_f64_bits(&mut fcur)?;
-            }
-            metas.push(SegMeta {
-                samples,
-                end_t,
-                final_ledger,
-                final_trace,
-            });
-        }
-        let declared_total = fcur.varint()?;
-        if fcur.remaining() != 0 {
-            return Err("jts: trailing bytes in footer".into());
-        }
-
-        // Records.
+        let mut dec = JtsDecoder::default();
         let mut segments: Vec<TimelineSegment> = Vec::new();
-        let mut prev_vals = [0.0; N_SERIES];
-        while cur.remaining() > 0 {
-            match cur.u8()? {
-                R_SEGMENT => {
-                    segments.push(TimelineSegment {
-                        times: Vec::new(),
-                        cols: vec![Vec::new(); N_SERIES],
-                        end_t: 0.0,
-                        final_ledger: [0.0; COMPONENTS],
-                        final_trace: [0.0; COMPONENTS],
-                    });
-                    prev_vals = [0.0; N_SERIES];
+        let mut pos = 0;
+        let metas = loop {
+            let (record, used) = dec.step(&bytes[pos..], pos as u64).map_err(|e| {
+                if is_torn_tail(&e) {
+                    "jts: missing JTSE trailer (torn file?)".to_string()
+                } else {
+                    e
                 }
-                R_SAMPLES => {
-                    let len = cur.varint()? as usize;
-                    let mut bcur = Cur::new(cur.bytes(len)?);
+            })?;
+            pos += used;
+            match record {
+                JtsRecord::Header => {}
+                JtsRecord::Segment => segments.push(TimelineSegment {
+                    times: Vec::new(),
+                    cols: vec![Vec::new(); N_SERIES],
+                    end_t: 0.0,
+                    final_ledger: [0.0; COMPONENTS],
+                    final_trace: [0.0; COMPONENTS],
+                }),
+                JtsRecord::Samples { times, cols } => {
                     let seg = segments
                         .last_mut()
-                        .ok_or("jts: sample block before any segment record")?;
-                    let n = bcur.varint()? as usize;
-                    if n == 0 || n > BLOCK_SAMPLES {
-                        return Err(format!("jts: implausible block sample count {n}"));
-                    }
-                    let mut t = bcur.msf()?;
-                    seg.times.push(t);
-                    let mut prev_d: i64 = 0;
-                    for _ in 1..n {
-                        let tag = bcur.varint()?;
-                        if tag & 1 == 1 {
-                            let a = scaled(t)
-                                .ok_or("jts: scaled timestamp delta against raw previous")?;
-                            let d = prev_d + unzigzag(tag >> 1);
-                            t = (a + d) as f64 / 1000.0;
-                            prev_d = d;
-                        } else if tag == 0 {
-                            t = get_f64_bits(&mut bcur)?;
-                            prev_d = 0;
-                        } else {
-                            return Err("jts: reserved timestamp tag".into());
-                        }
-                        seg.times.push(t);
-                    }
-                    for (s, prev) in prev_vals.iter_mut().enumerate() {
-                        for _ in 0..n {
-                            let v = get_val(&mut bcur, *prev)?;
-                            seg.cols[s].push(v);
-                            *prev = v;
-                        }
-                    }
-                    if bcur.remaining() != 0 {
-                        return Err("jts: trailing bytes in sample block".into());
+                        .expect("decoder checks a segment is open");
+                    seg.times.extend(times);
+                    for (col, block) in seg.cols.iter_mut().zip(cols) {
+                        col.extend(block);
                     }
                 }
-                other => return Err(format!("jts: unknown record tag {other}")),
+                JtsRecord::Footer(metas) => break metas,
             }
+        };
+        if pos != bytes.len() {
+            return Err("jts: trailing bytes after the trailer".into());
         }
-
-        // Footer cross-checks.
-        if segments.len() != metas.len() {
-            return Err(format!(
-                "jts: {} segment records but footer declares {}",
-                segments.len(),
-                metas.len()
-            ));
-        }
-        let mut total = 0u64;
-        for (seg, meta) in segments.iter_mut().zip(&metas) {
-            if seg.times.len() as u64 != meta.samples {
-                return Err(format!(
-                    "jts: segment holds {} samples but footer declares {}",
-                    seg.times.len(),
-                    meta.samples
-                ));
-            }
-            total += meta.samples;
+        for (seg, meta) in segments.iter_mut().zip(metas) {
             seg.end_t = meta.end_t;
             seg.final_ledger = meta.final_ledger;
             seg.final_trace = meta.final_trace;
         }
-        if total != declared_total {
-            return Err(format!(
-                "jts: {total} decoded samples but footer declares {declared_total}"
-            ));
-        }
         Ok(Timeline {
-            sample_every_ns,
-            series,
-            labels,
+            sample_every_ns: dec.sample_every_ns,
+            series: dec.series,
+            labels: dec.labels,
             segments,
         })
     }
@@ -1203,19 +1265,8 @@ pub struct JtsSample {
 /// so [`JtsFollower::labels`] is empty until the file completes —
 /// live consumers show `label#N` for label-coded series meanwhile.
 pub struct JtsFollower {
-    file: std::fs::File,
-    file_pos: u64,
-    buf: Vec<u8>,
-    /// Absolute file offset of `buf[0]`.
-    buf_offset: u64,
-    header_done: bool,
-    sample_every_ns: f64,
-    series: Vec<String>,
-    /// Per-segment decoded sample counts (`len()` = segments so far).
-    seg_samples: Vec<u64>,
-    prev_vals: [f64; N_SERIES],
-    labels: Vec<String>,
-    done: bool,
+    feed: Feed<std::fs::File>,
+    dec: JtsDecoder,
 }
 
 impl JtsFollower {
@@ -1228,17 +1279,8 @@ impl JtsFollower {
         let file =
             std::fs::File::open(path).map_err(|e| format!("jts: cannot open {path}: {e}"))?;
         Ok(JtsFollower {
-            file,
-            file_pos: 0,
-            buf: Vec::new(),
-            buf_offset: 0,
-            header_done: false,
-            sample_every_ns: 0.0,
-            series: Vec::new(),
-            seg_samples: Vec::new(),
-            prev_vals: [0.0; N_SERIES],
-            labels: Vec::new(),
-            done: false,
+            feed: Feed::new(file),
+            dec: JtsDecoder::default(),
         })
     }
 
@@ -1247,226 +1289,50 @@ impl JtsFollower {
     /// # Errors
     /// Real corruption only; short data is [`FollowStatus::Idle`].
     pub fn poll(&mut self) -> Result<FollowStatus<JtsSample>, String> {
-        use std::io::{Read as _, Seek, SeekFrom};
-        if self.done {
-            return Ok(FollowStatus::End);
-        }
-        self.file
-            .seek(SeekFrom::Start(self.file_pos))
-            .map_err(|e| format!("jts: seek failed: {e}"))?;
-        let mut fresh = Vec::new();
-        self.file
-            .read_to_end(&mut fresh)
-            .map_err(|e| format!("jts: read failed: {e}"))?;
-        self.file_pos += fresh.len() as u64;
-        self.buf.extend_from_slice(&fresh);
-
         let mut out = Vec::new();
-        let mut committed = 0usize;
-        loop {
-            match self.parse_one(committed, &mut out) {
-                Ok(Some(next)) => {
-                    committed = next;
-                    if self.done {
-                        break;
-                    }
-                }
-                Ok(None) => break,
-                Err(e) if crate::wire::is_torn_tail(&e) => break,
-                Err(e) => return Err(e),
-            }
-        }
-        self.buf.drain(..committed);
-        self.buf_offset += committed as u64;
-        if !out.is_empty() {
-            Ok(FollowStatus::Events(out))
-        } else if self.done {
-            Ok(FollowStatus::End)
-        } else {
-            Ok(FollowStatus::Idle)
-        }
-    }
-
-    /// Parse one header/record at `from`, appending samples to `out`;
-    /// `None` when the buffer is exhausted. State mutations only
-    /// happen once the whole record parsed, so a torn-tail abort
-    /// leaves the follower consistent.
-    fn parse_one(
-        &mut self,
-        from: usize,
-        out: &mut Vec<JtsSample>,
-    ) -> Result<Option<usize>, String> {
-        let data = &self.buf[from..];
-        if data.is_empty() {
-            return Ok(None);
-        }
-        let mut cur = Cur::new(data);
-        if !self.header_done {
-            if cur.bytes(4)? != JTS_MAGIC {
-                return Err("jts: missing JTS1 magic".into());
-            }
-            let version = cur.varint()?;
-            if version != 1 {
-                return Err(format!("jts: unsupported version {version}"));
-            }
-            let sample_every_ns = cur.msf()?;
-            let n_series = cur.varint()? as usize;
-            if n_series != N_SERIES {
-                return Err(format!(
-                    "jts: file has {n_series} series, this build expects {N_SERIES}"
-                ));
-            }
-            let mut series = Vec::with_capacity(n_series);
-            for _ in 0..n_series {
-                series.push(get_string(&mut cur)?);
-            }
-            self.sample_every_ns = sample_every_ns;
-            self.series = series;
-            self.header_done = true;
-            return Ok(Some(from + cur.pos()));
-        }
-        let record_offset = self.buf_offset + from as u64;
-        match cur.u8()? {
-            R_SEGMENT => {
-                self.seg_samples.push(0);
-                self.prev_vals = [0.0; N_SERIES];
-            }
-            R_SAMPLES => {
-                let len = cur.varint()? as usize;
-                let mut bcur = Cur::new(cur.bytes(len)?);
-                if self.seg_samples.is_empty() {
-                    return Err("jts: sample block before any segment record".into());
-                }
-                let segment = self.seg_samples.len() - 1;
-                let n = bcur.varint()? as usize;
-                if n == 0 || n > BLOCK_SAMPLES {
-                    return Err(format!("jts: implausible block sample count {n}"));
-                }
-                // Decode the whole block before touching carries, so a
-                // mid-block corruption error doesn't half-commit.
-                let mut times = Vec::with_capacity(n);
-                let mut t = bcur.msf()?;
-                times.push(t);
-                let mut prev_d: i64 = 0;
-                for _ in 1..n {
-                    let tag = bcur.varint()?;
-                    if tag & 1 == 1 {
-                        let a =
-                            scaled(t).ok_or("jts: scaled timestamp delta against raw previous")?;
-                        let d = prev_d + unzigzag(tag >> 1);
-                        t = (a + d) as f64 / 1000.0;
-                        prev_d = d;
-                    } else if tag == 0 {
-                        t = get_f64_bits(&mut bcur)?;
-                        prev_d = 0;
-                    } else {
-                        return Err("jts: reserved timestamp tag".into());
-                    }
-                    times.push(t);
-                }
-                let mut cols: Vec<Vec<f64>> = std::iter::repeat_with(|| Vec::with_capacity(n))
-                    .take(N_SERIES)
-                    .collect();
-                let mut prev_vals = self.prev_vals;
-                for (s, prev) in prev_vals.iter_mut().enumerate() {
-                    for _ in 0..n {
-                        let v = get_val(&mut bcur, *prev)?;
-                        cols[s].push(v);
-                        *prev = v;
-                    }
-                }
-                if bcur.remaining() != 0 {
-                    return Err("jts: trailing bytes in sample block".into());
-                }
-                self.prev_vals = prev_vals;
-                *self.seg_samples.last_mut().expect("non-empty") += n as u64;
+        while !self.dec.done {
+            let dec = &mut self.dec;
+            let Some(record) = self.feed.decode(|data, offset| dec.step(data, offset))? else {
+                break;
+            };
+            if let JtsRecord::Samples { times, cols } = record {
+                let segment = self.dec.seg_samples.len() - 1;
                 for (row, &t) in times.iter().enumerate() {
                     let mut vals = [0.0; N_SERIES];
-                    for (s, col) in cols.iter().enumerate() {
-                        vals[s] = col[row];
+                    for (v, col) in vals.iter_mut().zip(&cols) {
+                        *v = col[row];
                     }
                     out.push(JtsSample { segment, t, vals });
                 }
             }
-            R_FOOTER => {
-                let flen = cur.varint()? as usize;
-                let mut fcur = Cur::new(cur.bytes(flen)?);
-                let n_labels = fcur.varint()? as usize;
-                if n_labels > 1 << 20 {
-                    return Err("jts: implausible label count".into());
-                }
-                let mut labels = Vec::with_capacity(n_labels);
-                for _ in 0..n_labels {
-                    labels.push(get_string(&mut fcur)?);
-                }
-                let n_segments = fcur.varint()? as usize;
-                if n_segments != self.seg_samples.len() {
-                    return Err(format!(
-                        "jts: {} segment records but footer declares {n_segments}",
-                        self.seg_samples.len()
-                    ));
-                }
-                let mut total = 0u64;
-                for &decoded in &self.seg_samples {
-                    let samples = fcur.varint()?;
-                    let _end_t = get_f64_bits(&mut fcur)?;
-                    for _ in 0..2 * COMPONENTS {
-                        get_f64_bits(&mut fcur)?;
-                    }
-                    if samples != decoded {
-                        return Err(format!(
-                            "jts: segment holds {decoded} samples but footer declares {samples}"
-                        ));
-                    }
-                    total += samples;
-                }
-                let declared_total = fcur.varint()?;
-                if fcur.remaining() != 0 {
-                    return Err("jts: trailing bytes in footer".into());
-                }
-                if total != declared_total {
-                    return Err(format!(
-                        "jts: {total} decoded samples but footer declares {declared_total}"
-                    ));
-                }
-                let trailer = cur.bytes(12)?;
-                let mut off = [0u8; 8];
-                off.copy_from_slice(&trailer[..8]);
-                if u64::from_le_bytes(off) != record_offset || &trailer[8..] != JTS_END_MAGIC {
-                    return Err("jts: bad trailer (truncated or corrupt file)".into());
-                }
-                self.labels = labels;
-                self.done = true;
-            }
-            other => return Err(format!("jts: unknown record tag {other}")),
         }
-        Ok(Some(from + cur.pos()))
+        Ok(FollowStatus::of(out, self.dec.done))
     }
 
     /// Sampling cadence (sim-ns); 0 until the header has arrived.
     pub fn sample_every_ns(&self) -> f64 {
-        self.sample_every_ns
+        self.dec.sample_every_ns
     }
 
     /// Series names (empty until the header has arrived).
     pub fn series(&self) -> &[String] {
-        &self.series
+        &self.dec.series
     }
 
     /// Segments seen so far.
     pub fn segments(&self) -> usize {
-        self.seg_samples.len()
+        self.dec.seg_samples.len()
     }
 
     /// Samples decoded so far across all segments.
     pub fn samples(&self) -> u64 {
-        self.seg_samples.iter().sum()
+        self.dec.seg_samples.iter().sum()
     }
 
     /// Label table — only populated after [`FollowStatus::End`]
     /// (labels are written with the footer).
     pub fn labels(&self) -> &[String] {
-        &self.labels
+        &self.dec.labels
     }
 }
 

@@ -13,11 +13,12 @@
 //! ([`Tracer::off`]), which costs one branch per would-be event and
 //! draws nothing from the RNG, so tracing cannot perturb seeded runs.
 //! [`RingSink`] keeps a bounded in-memory window; [`chrome_trace`]
-//! exports events in the Chrome `trace_event` JSON format that
-//! Perfetto and `chrome://tracing` load directly.
+//! exports events (one way) in the Chrome `trace_event` JSON format
+//! that Perfetto and `chrome://tracing` load directly. The stored
+//! format is `.jtb` ([`crate::wire`]).
 
 use crate::json::Json;
-use jem_energy::{Component, Energy, EnergyBreakdown, SimTime};
+use jem_energy::{Energy, EnergyBreakdown, SimTime};
 use std::collections::VecDeque;
 
 /// What happened. String fields are stable labels (strategy keys,
@@ -271,111 +272,6 @@ impl TraceEventKind {
                 .with("instructions", *instructions),
         }
     }
-
-    fn from_args(name: &str, args: &Json) -> Result<TraceEventKind, String> {
-        let s = |key: &str| -> Result<String, String> {
-            args.get(key)
-                .and_then(Json::as_str)
-                .map(str::to_string)
-                .ok_or_else(|| format!("{name}: missing string '{key}'"))
-        };
-        let n = |key: &str| -> Result<f64, String> {
-            args.get(key)
-                .and_then(Json::as_f64)
-                .ok_or_else(|| format!("{name}: missing number '{key}'"))
-        };
-        let u = |key: &str| -> Result<u64, String> {
-            args.get(key)
-                .and_then(Json::as_u64)
-                .ok_or_else(|| format!("{name}: missing integer '{key}'"))
-        };
-        let b = |key: &str| -> Result<bool, String> {
-            args.get(key)
-                .and_then(Json::as_bool)
-                .ok_or_else(|| format!("{name}: missing bool '{key}'"))
-        };
-        Ok(match name {
-            "invocation-start" => TraceEventKind::InvocationStart {
-                strategy: s("strategy")?,
-                method: s("method")?,
-                size: u("size")? as u32,
-                true_class: s("true_class")?,
-                chosen_class: s("chosen_class")?,
-            },
-            "decision-evaluated" => {
-                let locals = args
-                    .get("local_nj")
-                    .and_then(Json::as_array)
-                    .ok_or("decision-evaluated: missing 'local_nj'")?;
-                if locals.len() != 3 {
-                    return Err("decision-evaluated: local_nj must have 3 entries".into());
-                }
-                let mut local_nj = [0.0; 3];
-                for (i, v) in locals.iter().enumerate() {
-                    local_nj[i] = v.as_f64().ok_or("decision-evaluated: bad local_nj")?;
-                }
-                TraceEventKind::DecisionEvaluated {
-                    k: u("k")?,
-                    s_bar: n("s_bar")?,
-                    pa_bar_w: n("pa_bar_w")?,
-                    interpret_nj: n("interpret_nj")?,
-                    remote_nj: n("remote_nj")?,
-                    local_nj,
-                    chosen: s("chosen")?,
-                    remote_allowed: b("remote_allowed")?,
-                }
-            }
-            "compile-start" => TraceEventKind::CompileStart {
-                level: s("level")?,
-                source: s("source")?,
-            },
-            "compile-end" => TraceEventKind::CompileEnd {
-                level: s("level")?,
-                source: s("source")?,
-                ok: b("ok")?,
-            },
-            "tx-window" => TraceEventKind::TxWindow {
-                bytes: u("bytes")?,
-                airtime: SimTime::from_nanos(n("airtime_ns")?),
-                retransmit: b("retransmit")?,
-            },
-            "rx-window" => TraceEventKind::RxWindow {
-                bytes: u("bytes")?,
-                airtime: SimTime::from_nanos(n("airtime_ns")?),
-            },
-            "power-down" => TraceEventKind::PowerDown {
-                duration: SimTime::from_nanos(n("duration_ns")?),
-                reason: s("reason")?,
-            },
-            "early-wake" => TraceEventKind::EarlyWake {
-                wait: SimTime::from_nanos(n("wait_ns")?),
-            },
-            "retry-attempt" => TraceEventKind::RetryAttempt {
-                attempt: u("attempt")? as u32,
-                backoff: SimTime::from_nanos(n("backoff_ns")?),
-            },
-            "breaker-transition" => TraceEventKind::BreakerTransition {
-                from: s("from")?,
-                to: s("to")?,
-            },
-            "fallback" => TraceEventKind::Fallback {
-                reason: s("reason")?,
-            },
-            "degraded" => TraceEventKind::Degraded { what: s("what")? },
-            "alert" => TraceEventKind::Alert {
-                monitor: s("monitor")?,
-                severity: s("severity")?,
-                message: s("message")?,
-            },
-            "invocation-end" => TraceEventKind::InvocationEnd {
-                mode: s("mode")?,
-                energy: Energy::from_nanojoules(n("energy_nj")?),
-                time: SimTime::from_nanos(n("time_ns")?),
-                instructions: u("instructions")?,
-            },
-            other => return Err(format!("unknown event kind '{other}'")),
-        })
-    }
 }
 
 /// One traced event.
@@ -409,23 +305,6 @@ pub fn breakdown_json(b: &EnergyBreakdown) -> Json {
     obj.with("total", b.total().nanojoules())
 }
 
-/// Parse a breakdown written by [`breakdown_json`] (the `total` member
-/// is ignored; it is derived).
-///
-/// # Errors
-/// A message naming the missing or mistyped component.
-pub fn breakdown_from_json(v: &Json) -> Result<EnergyBreakdown, String> {
-    let mut b = EnergyBreakdown::new();
-    for c in Component::ALL {
-        let nj = v
-            .get(c.name())
-            .and_then(Json::as_f64)
-            .ok_or_else(|| format!("breakdown: missing component '{}'", c.name()))?;
-        b.charge(c, Energy::from_nanojoules(nj));
-    }
-    Ok(b)
-}
-
 impl TraceEvent {
     /// The exported record format (one JSON object per event).
     pub fn to_json(&self) -> Json {
@@ -437,37 +316,6 @@ impl TraceEvent {
             .with("kind", self.kind.name())
             .with("delta_nj", breakdown_json(&self.delta))
             .with("args", self.kind.args_json())
-    }
-
-    /// Parse a record written by [`TraceEvent::to_json`].
-    ///
-    /// # Errors
-    /// A message describing the first missing or mistyped field.
-    pub fn from_json(v: &Json) -> Result<TraceEvent, String> {
-        let kind_name = v
-            .get("kind")
-            .and_then(Json::as_str)
-            .ok_or("event: missing 'kind'")?;
-        let args = v.get("args").ok_or("event: missing 'args'")?;
-        Ok(TraceEvent {
-            seq: v
-                .get("seq")
-                .and_then(Json::as_u64)
-                .ok_or("event: missing 'seq'")?,
-            invocation: v
-                .get("invocation")
-                .and_then(Json::as_u64)
-                .ok_or("event: missing 'invocation'")?,
-            // Absent in pre-PR5 traces; 0 keeps those loadable.
-            ordinal: v.get("ordinal").and_then(Json::as_u64).unwrap_or(0),
-            at: SimTime::from_nanos(
-                v.get("t_ns")
-                    .and_then(Json::as_f64)
-                    .ok_or("event: missing 't_ns'")?,
-            ),
-            delta: breakdown_from_json(v.get("delta_nj").ok_or("event: missing 'delta_nj'")?)?,
-            kind: TraceEventKind::from_args(kind_name, args)?,
-        })
     }
 }
 
@@ -764,8 +612,9 @@ impl TraceShard {
 /// instants (`ph:"i"`), windowed events become complete spans
 /// (`ph:"X"`, with `ts` backdated by the window duration). Timestamps
 /// are sim-time microseconds; every event's `args` carries the full
-/// exported record, so the file remains a lossless conservation
-/// ledger.
+/// exported record, so the document is a self-describing conservation
+/// ledger. It is a one-way export: `.jtb` is the stored format, and
+/// nothing reads this document back.
 pub fn chrome_trace(events: &[TraceEvent]) -> Json {
     chrome_trace_truncated(events, 0)
 }
@@ -842,18 +691,9 @@ pub fn chrome_trace_sharded(shards: &[TraceShard]) -> Json {
         )
 }
 
-/// The `otherData.dropped_events` count of a Chrome trace document
-/// (0 for pre-PR5 documents that never recorded it).
-pub fn dropped_from_chrome_trace(doc: &Json) -> u64 {
-    doc.get("otherData")
-        .and_then(|o| o.get("dropped_events"))
-        .and_then(Json::as_u64)
-        .unwrap_or(0)
-}
-
-/// Split a flattened event stream (e.g. re-imported via
-/// [`events_from_chrome_trace`]) back into its shards: a new shard
-/// starts wherever the monotonic `seq` counter restarts. A
+/// Split a flattened event stream (e.g. several runs streamed through
+/// one sink) back into its shards: a new shard starts wherever the
+/// monotonic `seq` counter restarts. A
 /// single-shard stream comes back as one slice; an empty stream as
 /// none.
 pub fn split_shards(events: &[TraceEvent]) -> Vec<&[TraceEvent]> {
@@ -871,30 +711,10 @@ pub fn split_shards(events: &[TraceEvent]) -> Vec<&[TraceEvent]> {
     shards
 }
 
-/// Extract the exported records back out of a Chrome trace document
-/// (skipping metadata events). Inverse of [`chrome_trace`].
-///
-/// # Errors
-/// A message describing the first malformed event.
-pub fn events_from_chrome_trace(doc: &Json) -> Result<Vec<TraceEvent>, String> {
-    let events = doc
-        .get("traceEvents")
-        .and_then(Json::as_array)
-        .ok_or("trace: missing 'traceEvents' array")?;
-    let mut out = Vec::new();
-    for ev in events {
-        if ev.get("ph").and_then(Json::as_str) == Some("M") {
-            continue;
-        }
-        let args = ev.get("args").ok_or("trace: event missing 'args'")?;
-        out.push(TraceEvent::from_json(args)?);
-    }
-    Ok(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use jem_energy::Component;
 
     fn sample_events() -> Vec<TraceEvent> {
         let mut tracer_events = Vec::new();
@@ -932,85 +752,6 @@ mod tests {
             },
         });
         tracer_events
-    }
-
-    #[test]
-    fn records_round_trip_through_json() {
-        for ev in sample_events() {
-            let text = ev.to_json().render();
-            let back = TraceEvent::from_json(&Json::parse(&text).unwrap()).unwrap();
-            assert_eq!(ev, back);
-        }
-    }
-
-    #[test]
-    fn every_kind_round_trips() {
-        let kinds = vec![
-            TraceEventKind::InvocationStart {
-                strategy: "AA".into(),
-                method: "fe::Main.integrate".into(),
-                size: 64,
-                true_class: "C3".into(),
-                chosen_class: "C4".into(),
-            },
-            TraceEventKind::CompileStart {
-                level: "L2".into(),
-                source: "download".into(),
-            },
-            TraceEventKind::CompileEnd {
-                level: "L2".into(),
-                source: "download".into(),
-                ok: false,
-            },
-            TraceEventKind::RxWindow {
-                bytes: 4096,
-                airtime: SimTime::from_micros(12.0),
-            },
-            TraceEventKind::PowerDown {
-                duration: SimTime::from_millis(1.5),
-                reason: "server-wait".into(),
-            },
-            TraceEventKind::EarlyWake {
-                wait: SimTime::from_micros(3.0),
-            },
-            TraceEventKind::RetryAttempt {
-                attempt: 2,
-                backoff: SimTime::from_millis(100.0),
-            },
-            TraceEventKind::BreakerTransition {
-                from: "closed".into(),
-                to: "open".into(),
-            },
-            TraceEventKind::Fallback {
-                reason: "connection-lost".into(),
-            },
-            TraceEventKind::Degraded {
-                what: "remote-exec".into(),
-            },
-            TraceEventKind::Alert {
-                monitor: "retry-storm".into(),
-                severity: "warn".into(),
-                message: "6 retries in 20 invocations".into(),
-            },
-            TraceEventKind::InvocationEnd {
-                mode: "local/L3".into(),
-                energy: Energy::from_microjoules(7.0),
-                time: SimTime::from_millis(2.0),
-                instructions: 123_456,
-            },
-        ];
-        for kind in kinds {
-            let ev = TraceEvent {
-                seq: 9,
-                invocation: 4,
-                ordinal: 2,
-                at: SimTime::from_micros(55.0),
-                delta: EnergyBreakdown::new(),
-                kind,
-            };
-            let back = TraceEvent::from_json(&ev.to_json()).unwrap();
-            assert_eq!(ev, back);
-        }
     }
 
     #[test]
@@ -1072,7 +813,7 @@ mod tests {
     }
 
     #[test]
-    fn chrome_trace_shape_and_inverse() {
+    fn chrome_trace_shape() {
         let events = sample_events();
         let doc = chrome_trace(&events);
         let arr = doc.get("traceEvents").and_then(Json::as_array).unwrap();
@@ -1086,10 +827,6 @@ mod tests {
         let ts = arr[3].get("ts").and_then(Json::as_f64).unwrap();
         let dur = arr[3].get("dur").and_then(Json::as_f64).unwrap();
         assert!((ts + dur - 2.1).abs() < 1e-12);
-        // Round-trip through the document text.
-        let parsed = Json::parse(&doc.render_pretty()).unwrap();
-        let back = events_from_chrome_trace(&parsed).unwrap();
-        assert_eq!(back, events);
         // The embedded total matches the deltas.
         let total = doc
             .get("otherData")
@@ -1122,9 +859,13 @@ mod tests {
             .and_then(Json::as_f64)
             .unwrap();
         assert!((total - 2.0 * 710.5).abs() < 1e-9);
-        // Flattened re-import splits back at the seq restart.
-        let back = events_from_chrome_trace(&doc).unwrap();
-        assert_eq!(back.len(), 4);
+        // The flattened stream splits back at the seq restart.
+        let back: Vec<TraceEvent> = shard_a
+            .events
+            .iter()
+            .chain(&shard_b.events)
+            .cloned()
+            .collect();
         let shards = split_shards(&back);
         assert_eq!(shards.len(), 2);
         assert_eq!(shards[0], &shard_a.events[..]);

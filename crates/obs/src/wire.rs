@@ -1,13 +1,19 @@
-//! The `.jtb` compact binary trace format ("Jem Trace Binary").
+//! The `.jtb` binary trace format ("Jem Trace Binary") — the one
+//! stored trace format.
 //!
-//! The JSON Chrome export ([`crate::chrome_trace`]) is great for
-//! viewers but costs hundreds of bytes per event and forces the whole
-//! run into memory before writing. `.jtb` is the scalable counterpart:
-//! a streaming, block-oriented wire format that [`WriterSink`] /
-//! [`FileSink`] produce in O(block) memory while the run executes, and
-//! that [`JtbStream`] decodes back **losslessly** — every
-//! [`TraceEvent`] field survives the round-trip bit-for-bit (enforced
-//! by property test against the JSON path).
+//! [`WriterSink`] / [`FileSink`] stream a run into it in O(block)
+//! memory while the run executes, and every reader decodes it back
+//! **losslessly**: every [`TraceEvent`] field survives the round trip
+//! bit-for-bit. The Chrome JSON document ([`crate::chrome_trace`]) is
+//! a one-way export of a `.jtb` (`tracecheck --chrome`) for viewers;
+//! nothing reads it back.
+//!
+//! One decoder (`JtbDecoder`) parses the header and the records from
+//! the front of a byte slice and reports a torn tail when the slice
+//! ends mid-record. [`JtbStream`] feeds it from a [`Read`] (and, in
+//! follow mode, from a growing file), [`load_jtb_bytes`] and
+//! [`salvage_jtb`] from a whole buffer, so the full-file, follow-mode
+//! and salvage reads run the same code.
 //!
 //! # Layout
 //!
@@ -55,14 +61,9 @@
 //! Loaders surface it as [`LoadedTrace::dropped`]; `jem-profile`
 //! refuses to reconcile such a ledger.
 
-use crate::json::Json;
-use crate::trace::{
-    breakdown_from_json, dropped_from_chrome_trace, events_from_chrome_trace, split_shards,
-    TraceEvent, TraceEventKind, TraceShard, TraceSink,
-};
+use crate::trace::{split_shards, TraceEvent, TraceEventKind, TraceShard, TraceSink};
 use jem_energy::{Component, Energy, EnergyBreakdown, SimTime};
 use std::collections::HashMap;
-use std::collections::VecDeque;
 use std::io::{Read, Write};
 
 /// Leading file magic.
@@ -91,8 +92,8 @@ const BLOCK_EVENTS: usize = 1024;
 /// emits absurdly many events.
 const BLOCK_EVENTS_MAX: usize = 4 * BLOCK_EVENTS;
 
-/// Whether `bytes` begin with the `.jtb` magic (the format sniff the
-/// CLIs use before falling back to JSON).
+/// Whether `bytes` begin with the `.jtb` magic (the sniff that tells a
+/// `.jtb` trace from a `.jts` timeline).
 pub fn is_jtb(bytes: &[u8]) -> bool {
     bytes.starts_with(JTB_MAGIC)
 }
@@ -510,7 +511,9 @@ fn decode_block(payload: &[u8], strings: &[String]) -> Result<Vec<TraceEvent>, S
     let mut prev_seq = cur.varint()?;
     let mut prev_inv = cur.varint()?;
     let mut prev_at = cur.f64()?;
-    let mut out = Vec::with_capacity(count);
+    // Every event takes at least one payload byte, so a corrupt count
+    // cannot force a huge allocation.
+    let mut out = Vec::with_capacity(count.min(payload.len()));
     for _ in 0..count {
         let seq = (prev_seq as i64 + unzigzag(cur.varint()?)) as u64;
         let invocation = (prev_inv as i64 + unzigzag(cur.varint()?)) as u64;
@@ -585,6 +588,31 @@ pub struct JtbIndex {
     pub dropped: u64,
 }
 
+impl BlockMeta {
+    /// The footer entry for `events` written as a block record at
+    /// `offset` with a `len`-byte payload, in shard `shard`.
+    fn of(offset: u64, len: u64, shard: u64, events: &[TraceEvent]) -> BlockMeta {
+        let mut energy_nj = [0.0; 5];
+        for ev in events {
+            for (i, (_, e)) in ev.delta.iter().enumerate() {
+                energy_nj[i] += e.nanojoules();
+            }
+        }
+        let (first, last) = (&events[0], &events[events.len() - 1]);
+        BlockMeta {
+            offset,
+            len,
+            events: events.len() as u64,
+            shard,
+            first_seq: first.seq,
+            first_invocation: first.invocation,
+            t_first: first.at.nanos(),
+            t_last: last.at.nanos(),
+            energy_nj,
+        }
+    }
+}
+
 impl JtbIndex {
     /// Total energy breakdown telescoped from the per-block partial
     /// sums — the footer-only answer to "what did this run cost".
@@ -631,7 +659,9 @@ impl JtbIndex {
 
 fn parse_footer(cur: &mut Cur<'_>) -> Result<JtbIndex, String> {
     let n_blocks = cur.varint()? as usize;
-    let mut blocks = Vec::with_capacity(n_blocks);
+    // Each entry takes dozens of bytes, so a corrupt count cannot force
+    // a huge allocation.
+    let mut blocks = Vec::with_capacity(n_blocks.min(cur.remaining()));
     for _ in 0..n_blocks {
         let offset = cur.varint()?;
         let len = cur.varint()?;
@@ -801,24 +831,12 @@ impl<W: Write> JtbWriter<W> {
         put_varint(&mut header, payload.len() as u64);
         self.write_all(&header)?;
         self.write_all(&payload)?;
-        let first = &self.buf[0];
-        let mut energy_nj = [0.0; 5];
-        for ev in &self.buf {
-            for (i, (_, e)) in ev.delta.iter().enumerate() {
-                energy_nj[i] += e.nanojoules();
-            }
-        }
-        self.index.blocks.push(BlockMeta {
-            offset: block_offset,
-            len: payload.len() as u64,
-            events: self.buf.len() as u64,
-            shard: self.shards - 1,
-            first_seq: first.seq,
-            first_invocation: first.invocation,
-            t_first: first.at.nanos(),
-            t_last: self.buf[self.buf.len() - 1].at.nanos(),
-            energy_nj,
-        });
+        self.index.blocks.push(BlockMeta::of(
+            block_offset,
+            payload.len() as u64,
+            self.shards - 1,
+            &self.buf,
+        ));
         self.index.events += self.buf.len() as u64;
         self.buf.clear();
         Ok(())
@@ -1242,284 +1260,37 @@ pub fn jtb_bytes(shards: &[TraceShard]) -> Vec<u8> {
 }
 
 // ---------------------------------------------------------------
-// Streaming reader
+// Decoder
 // ---------------------------------------------------------------
 
-/// Streaming `.jtb` decoder: yields events one at a time, holding one
-/// decoded block in memory. The footer is validated when the stream
-/// ends (block/event counts must match what was actually read).
-pub struct JtbStream<R: Read> {
-    r: R,
-    pos: u64,
-    strings: Vec<String>,
-    shard_names: Vec<String>,
-    pending: VecDeque<TraceEvent>,
-    pending_shard: usize,
-    dropped: u64,
-    recovered: Option<RecoveredNote>,
-    blocks_read: u64,
-    events_read: u64,
-    footer: Option<JtbIndex>,
-    done: bool,
+/// One record decoded by [`JtbDecoder::step`].
+enum Record {
+    /// The file header.
+    Header,
+    /// A shard start (the name is the decoder's last shard name).
+    Shard,
+    /// A string definition (appended to the decoder's string table).
+    StrDef,
+    /// An event block and its payload length.
+    Block { len: u64, events: Vec<TraceEvent> },
+    /// A truncation record: events the producing sink evicted.
+    Trunc(u64),
+    /// A crash-salvage marker.
+    Recover(RecoveredNote),
+    /// The footer, checked against the records before it and followed
+    /// by a trailer that points back at it: the trace is complete.
+    Footer,
 }
 
-impl<R: Read> JtbStream<R> {
-    /// Open a stream, checking the header magic and version.
-    ///
-    /// # Errors
-    /// "bad leading magic" / unsupported version / short read.
-    pub fn new(mut r: R) -> Result<JtbStream<R>, String> {
-        let mut magic = [0u8; 4];
-        r.read_exact(&mut magic)
-            .map_err(|e| format!("jtb: cannot read header: {e}"))?;
-        if &magic != JTB_MAGIC {
-            return Err("jtb: bad leading magic (not a .jtb file)".into());
-        }
-        let mut s = JtbStream {
-            r,
-            pos: 4,
-            strings: Vec::new(),
-            shard_names: Vec::new(),
-            pending: VecDeque::new(),
-            pending_shard: 0,
-            dropped: 0,
-            recovered: None,
-            blocks_read: 0,
-            events_read: 0,
-            footer: None,
-            done: false,
-        };
-        let version = s.read_varint()?;
-        if version != JTB_VERSION {
-            return Err(format!("jtb: unsupported version {version}"));
-        }
-        Ok(s)
-    }
-
-    fn read_u8(&mut self) -> Result<u8, String> {
-        let mut b = [0u8; 1];
-        self.r
-            .read_exact(&mut b)
-            .map_err(|_| "jtb: unexpected end of stream".to_string())?;
-        self.pos += 1;
-        Ok(b[0])
-    }
-
-    fn read_exact(&mut self, buf: &mut [u8]) -> Result<(), String> {
-        self.r
-            .read_exact(buf)
-            .map_err(|_| "jtb: unexpected end of stream".to_string())?;
-        self.pos += buf.len() as u64;
-        Ok(())
-    }
-
-    fn read_varint(&mut self) -> Result<u64, String> {
-        let mut v = 0u64;
-        let mut shift = 0u32;
-        loop {
-            let b = self.read_u8()?;
-            if shift >= 64 || (shift == 63 && b > 1) {
-                return Err("jtb: varint overflow".into());
-            }
-            v |= u64::from(b & 0x7f) << shift;
-            if b & 0x80 == 0 {
-                return Ok(v);
-            }
-            shift += 7;
-        }
-    }
-
-    fn read_string(&mut self) -> Result<String, String> {
-        let len = self.read_varint()? as usize;
-        let mut bytes = vec![0u8; len];
-        self.read_exact(&mut bytes)?;
-        String::from_utf8(bytes).map_err(|_| "jtb: invalid utf-8 string".into())
-    }
-
-    /// The next event with its shard index, or `None` at a validated
-    /// end of stream.
-    ///
-    /// # Errors
-    /// Any decode error, including a missing or inconsistent footer.
-    pub fn next_event(&mut self) -> Result<Option<(usize, TraceEvent)>, String> {
-        loop {
-            if let Some(ev) = self.pending.pop_front() {
-                return Ok(Some((self.pending_shard, ev)));
-            }
-            if self.done {
-                return Ok(None);
-            }
-            let record_offset = self.pos;
-            let tag = self.read_u8()?;
-            match tag {
-                R_SHARD => {
-                    let name = self.read_string()?;
-                    self.shard_names.push(name);
-                }
-                R_STRDEF => {
-                    let s = self.read_string()?;
-                    self.strings.push(s);
-                }
-                R_BLOCK => {
-                    let len = self.read_varint()? as usize;
-                    let mut payload = vec![0u8; len];
-                    self.read_exact(&mut payload)?;
-                    let events = decode_block(&payload, &self.strings)?;
-                    self.blocks_read += 1;
-                    self.events_read += events.len() as u64;
-                    self.pending_shard = self.shard_names.len().saturating_sub(1);
-                    self.pending = events.into();
-                }
-                R_TRUNC => {
-                    self.dropped = self.read_varint()?;
-                }
-                R_RECOVER => {
-                    let dropped_bytes = self.read_varint()?;
-                    let dropped_events = self.read_varint()?;
-                    self.recovered = Some(RecoveredNote {
-                        dropped_bytes,
-                        dropped_events,
-                    });
-                }
-                R_FOOTER => {
-                    let footer = self.read_footer()?;
-                    if footer.blocks.len() as u64 != self.blocks_read
-                        || footer.events != self.events_read
-                    {
-                        return Err(format!(
-                            "jtb: footer disagrees with stream ({} blocks / {} events vs {} / {})",
-                            footer.blocks.len(),
-                            footer.events,
-                            self.blocks_read,
-                            self.events_read
-                        ));
-                    }
-                    self.dropped = self.dropped.max(footer.dropped);
-                    // The trailer must point back at this footer.
-                    let mut trailer = [0u8; 12];
-                    self.read_exact(&mut trailer)?;
-                    let mut off = [0u8; 8];
-                    off.copy_from_slice(&trailer[..8]);
-                    if u64::from_le_bytes(off) != record_offset || &trailer[8..] != JTB_END_MAGIC {
-                        return Err("jtb: bad trailer (truncated or corrupt file)".into());
-                    }
-                    self.footer = Some(footer);
-                    self.done = true;
-                }
-                other => return Err(format!("jtb: unknown record tag 0x{other:02x}")),
-            }
-        }
-    }
-
-    /// Shard names seen so far (all of them once the stream ends).
-    pub fn shard_names(&self) -> &[String] {
-        &self.shard_names
-    }
-
-    /// Declared dropped-event count (final once the stream ends).
-    pub fn dropped(&self) -> u64 {
-        self.dropped
-    }
-
-    /// The crash-salvage marker, if this trace went through
-    /// [`salvage_jtb`].
-    pub fn recovered(&self) -> Option<RecoveredNote> {
-        self.recovered
-    }
-
-    /// The validated footer index (available once the stream ends).
-    pub fn index(&self) -> Option<&JtbIndex> {
-        self.footer.as_ref()
-    }
-
-    fn read_footer(&mut self) -> Result<JtbIndex, String> {
-        // Footer records are small; slurp the fixed-layout fields via
-        // a byte cursor to share the parse with JtbIndex::read.
-        let n_blocks = self.read_varint()? as usize;
-        let mut blocks = Vec::with_capacity(n_blocks);
-        for _ in 0..n_blocks {
-            let offset = self.read_varint()?;
-            let len = self.read_varint()?;
-            let events = self.read_varint()?;
-            let shard = self.read_varint()?;
-            let first_seq = self.read_varint()?;
-            let first_invocation = self.read_varint()?;
-            let mut f = [0u8; 8];
-            self.read_exact(&mut f)?;
-            let t_first = f64::from_bits(u64::from_le_bytes(f));
-            self.read_exact(&mut f)?;
-            let t_last = f64::from_bits(u64::from_le_bytes(f));
-            let mut energy_nj = [0.0; 5];
-            for e in &mut energy_nj {
-                self.read_exact(&mut f)?;
-                *e = f64::from_bits(u64::from_le_bytes(f));
-            }
-            blocks.push(BlockMeta {
-                offset,
-                len,
-                events,
-                shard,
-                first_seq,
-                first_invocation,
-                t_first,
-                t_last,
-                energy_nj,
-            });
-        }
-        let shards = self.read_varint()?;
-        let events = self.read_varint()?;
-        let dropped = self.read_varint()?;
-        Ok(JtbIndex {
-            blocks,
-            shards,
-            events,
-            dropped,
-        })
-    }
-}
-
-// ---------------------------------------------------------------
-// Follow-mode reader
-// ---------------------------------------------------------------
-
-/// One [`JtbFollower::poll`] / [`crate::timeline::JtsFollower::poll`]
-/// outcome.
-#[derive(Debug, PartialEq)]
-pub enum FollowStatus<T> {
-    /// New complete items decoded since the previous poll.
-    Events(Vec<T>),
-    /// No complete new records yet — the writer is (or may still be)
-    /// mid-record. A torn tail is indistinguishable from a live
-    /// writer, so this never errors; poll again later.
-    Idle,
-    /// The footer and trailer arrived and validated: the file is
-    /// complete and no further items will appear.
-    End,
-}
-
-/// Whether a decode error means "ran off the end of the bytes read so
-/// far" (a torn tail — retryable) rather than real corruption. The
-/// shared cursor and the stream reader both funnel every short read
-/// through this one message.
-pub(crate) fn is_torn_tail(err: &str) -> bool {
-    err.contains("unexpected end of data") || err.contains("unexpected end of stream")
-}
-
-/// Tail a growing `.jtb` file: [`JtbFollower::poll`] decodes every
-/// record that has fully arrived and treats a torn tail as
-/// [`FollowStatus::Idle`] instead of an error, resuming at the same
-/// record boundary on the next poll. Decode state (string interner,
-/// shard names, block counts) is carried across polls, so the
-/// concatenation of all polled events converges to exactly the
-/// [`JtbStream`] full-file fold once the writer finishes.
-pub struct JtbFollower {
-    file: std::fs::File,
-    /// Absolute file offset of the next byte to read.
-    file_pos: u64,
-    /// Unconsumed bytes (the tail of a possibly-torn record).
-    buf: Vec<u8>,
-    /// Absolute file offset of `buf[0]`.
-    buf_offset: u64,
+/// The one `.jtb` read-side decoder: parses the header or one record
+/// from the front of a byte slice and keeps the state the records
+/// build up (string table, shard names, counts, footer). A slice that
+/// ends mid-record fails with a torn-tail error ([`is_torn_tail`]) and
+/// leaves the state untouched, so the caller can retry with more
+/// bytes: [`JtbStream`] reads more (or, following a growing file,
+/// parks), [`load_jtb_bytes`] fails, and [`salvage_jtb`] cuts there.
+#[derive(Default)]
+struct JtbDecoder {
     header_done: bool,
     strings: Vec<String>,
     shard_names: Vec<String>,
@@ -1528,101 +1299,16 @@ pub struct JtbFollower {
     blocks_read: u64,
     events_read: u64,
     footer: Option<JtbIndex>,
-    done: bool,
 }
 
-impl JtbFollower {
-    /// Open `path` for tailing. The file must exist but may be empty
-    /// or torn mid-record — even a partial header is just
-    /// [`FollowStatus::Idle`] until more bytes land.
-    ///
-    /// # Errors
-    /// Only filesystem errors (the path does not exist / cannot be
-    /// opened); nothing is decoded yet.
-    pub fn open(path: &str) -> Result<JtbFollower, String> {
-        let file =
-            std::fs::File::open(path).map_err(|e| format!("jtb: cannot open {path}: {e}"))?;
-        Ok(JtbFollower {
-            file,
-            file_pos: 0,
-            buf: Vec::new(),
-            buf_offset: 0,
-            header_done: false,
-            strings: Vec::new(),
-            shard_names: Vec::new(),
-            dropped: 0,
-            recovered: None,
-            blocks_read: 0,
-            events_read: 0,
-            footer: None,
-            done: false,
-        })
-    }
-
-    /// Read any newly-appended bytes and decode every complete record.
-    ///
-    /// # Errors
-    /// Real corruption only (bad magic, unknown tag, inconsistent
-    /// footer). Short data is never an error here.
-    pub fn poll(&mut self) -> Result<FollowStatus<(usize, TraceEvent)>, String> {
-        use std::io::{Read as _, Seek, SeekFrom};
-        if self.done {
-            return Ok(FollowStatus::End);
-        }
-        self.file
-            .seek(SeekFrom::Start(self.file_pos))
-            .map_err(|e| format!("jtb: seek failed: {e}"))?;
-        let mut fresh = Vec::new();
-        self.file
-            .read_to_end(&mut fresh)
-            .map_err(|e| format!("jtb: read failed: {e}"))?;
-        self.file_pos += fresh.len() as u64;
-        self.buf.extend_from_slice(&fresh);
-
-        let mut out = Vec::new();
-        let mut committed = 0usize;
-        loop {
-            match self.parse_one(committed, &mut out) {
-                Ok(Some(next)) => {
-                    committed = next;
-                    if self.done {
-                        break;
-                    }
-                }
-                Ok(None) => break,
-                Err(e) if is_torn_tail(&e) => break,
-                Err(e) => return Err(e),
-            }
-        }
-        self.buf.drain(..committed);
-        self.buf_offset += committed as u64;
-        if !out.is_empty() {
-            Ok(FollowStatus::Events(out))
-        } else if self.done {
-            Ok(FollowStatus::End)
-        } else {
-            Ok(FollowStatus::Idle)
-        }
-    }
-
-    /// Parse one header/record starting at `from`; push decoded events
-    /// to `out`. Returns the new committed offset, or `None` when the
-    /// buffer is fully consumed. A torn-tail error leaves all state
-    /// before `from` intact (mutations below only happen once the
-    /// whole record parsed).
-    fn parse_one(
-        &mut self,
-        from: usize,
-        out: &mut Vec<(usize, TraceEvent)>,
-    ) -> Result<Option<usize>, String> {
-        let data = &self.buf[from..];
-        if data.is_empty() {
-            return Ok(None);
-        }
+impl JtbDecoder {
+    /// Decode the header or the record at the front of `data`, which
+    /// starts at file offset `offset`; returns it with the number of
+    /// bytes it spans.
+    fn step(&mut self, data: &[u8], offset: u64) -> Result<(Record, usize), String> {
         let mut cur = Cur::new(data);
         if !self.header_done {
-            let magic = cur.bytes(4)?;
-            if magic != JTB_MAGIC {
+            if cur.bytes(JTB_MAGIC.len())? != JTB_MAGIC {
                 return Err("jtb: bad leading magic (not a .jtb file)".into());
             }
             let version = cur.varint()?;
@@ -1630,44 +1316,46 @@ impl JtbFollower {
                 return Err(format!("jtb: unsupported version {version}"));
             }
             self.header_done = true;
-            return Ok(Some(from + cur.pos));
+            return Ok((Record::Header, cur.pos()));
         }
-        let record_offset = self.buf_offset + from as u64;
-        match cur.u8()? {
+        let record = match cur.u8()? {
             R_SHARD => {
                 let name = cur_string(&mut cur)?;
                 self.shard_names.push(name);
+                Record::Shard
             }
             R_STRDEF => {
                 let s = cur_string(&mut cur)?;
                 self.strings.push(s);
+                Record::StrDef
             }
             R_BLOCK => {
-                let len = cur.varint()? as usize;
-                let payload = cur.bytes(len)?;
-                let events = decode_block(payload, &self.strings)?;
+                let len = cur.varint()?;
+                let events = decode_block(cur.bytes(len as usize)?, &self.strings)?;
+                if events.is_empty() {
+                    // The writer never emits empty blocks.
+                    return Err("jtb: empty event block".into());
+                }
                 self.blocks_read += 1;
                 self.events_read += events.len() as u64;
-                let shard = self.shard_names.len().saturating_sub(1);
-                out.extend(events.into_iter().map(|ev| (shard, ev)));
+                Record::Block { len, events }
             }
             R_TRUNC => {
                 self.dropped = cur.varint()?;
+                Record::Trunc(self.dropped)
             }
             R_RECOVER => {
-                let dropped_bytes = cur.varint()?;
-                let dropped_events = cur.varint()?;
-                self.recovered = Some(RecoveredNote {
-                    dropped_bytes,
-                    dropped_events,
-                });
+                let note = RecoveredNote {
+                    dropped_bytes: cur.varint()?,
+                    dropped_events: cur.varint()?,
+                };
+                self.recovered = Some(note);
+                Record::Recover(note)
             }
             R_FOOTER => {
                 let footer = parse_footer(&mut cur)?;
                 let trailer = cur.bytes(12)?;
-                let mut off = [0u8; 8];
-                off.copy_from_slice(&trailer[..8]);
-                if u64::from_le_bytes(off) != record_offset || &trailer[8..] != JTB_END_MAGIC {
+                if trailer[..8] != offset.to_le_bytes() || &trailer[8..] != JTB_END_MAGIC {
                     return Err("jtb: bad trailer (truncated or corrupt file)".into());
                 }
                 if footer.blocks.len() as u64 != self.blocks_read
@@ -1683,37 +1371,16 @@ impl JtbFollower {
                 }
                 self.dropped = self.dropped.max(footer.dropped);
                 self.footer = Some(footer);
-                self.done = true;
+                Record::Footer
             }
             other => return Err(format!("jtb: unknown record tag 0x{other:02x}")),
-        }
-        Ok(Some(from + cur.pos))
+        };
+        Ok((record, cur.pos()))
     }
 
-    /// Shard names seen so far.
-    pub fn shard_names(&self) -> &[String] {
-        &self.shard_names
-    }
-
-    /// Declared dropped-event count so far.
-    pub fn dropped(&self) -> u64 {
-        self.dropped
-    }
-
-    /// The crash-salvage marker, if one has streamed past.
-    pub fn recovered(&self) -> Option<RecoveredNote> {
-        self.recovered
-    }
-
-    /// Events decoded so far.
-    pub fn events_read(&self) -> u64 {
-        self.events_read
-    }
-
-    /// The validated footer index, once [`FollowStatus::End`] was
-    /// returned.
-    pub fn index(&self) -> Option<&JtbIndex> {
-        self.footer.as_ref()
+    /// Index of the shard the next block belongs to.
+    fn shard(&self) -> usize {
+        self.shard_names.len().saturating_sub(1)
     }
 }
 
@@ -1725,15 +1392,245 @@ fn cur_string(cur: &mut Cur<'_>) -> Result<String, String> {
     String::from_utf8(cur.bytes(len)?.to_vec()).map_err(|_| "jtb: invalid utf-8 string".into())
 }
 
-impl JtbStream<std::io::BufReader<std::fs::File>> {
-    /// Open `path` in follow (tail) mode: the returned
-    /// [`JtbFollower`] decodes incrementally as the file grows instead
-    /// of erroring at a torn tail the way a plain stream would.
+/// Whether a decode error means "ran off the end of the bytes read so
+/// far" (a torn tail — retryable) rather than real corruption. Every
+/// short read goes through [`Cur`], which reports it with this one
+/// message.
+pub(crate) fn is_torn_tail(err: &str) -> bool {
+    err.contains("unexpected end of data")
+}
+
+/// Bytes a [`Feed`] asks its reader for at a time; a record that does
+/// not fit doubles the request.
+const READ_CHUNK: usize = 64 * 1024;
+
+/// Input for a record decoder: the bytes read from `r` that no record
+/// has consumed yet, and their file offset. It holds at most the
+/// record being decoded plus one read.
+pub(crate) struct Feed<R> {
+    r: R,
+    buf: Vec<u8>,
+    /// The unconsumed bytes start at `buf[pos]`.
+    pos: usize,
+    /// File offset of `buf[0]`.
+    offset: u64,
+}
+
+impl<R: Read> Feed<R> {
+    pub(crate) fn new(r: R) -> Feed<R> {
+        Feed {
+            r,
+            buf: Vec::new(),
+            pos: 0,
+            offset: 0,
+        }
+    }
+
+    /// Decode one record with `step` (given the unconsumed bytes and
+    /// their file offset, returning the record and the bytes it spans),
+    /// reading more input while `step` reports a torn tail. `None` when
+    /// the input ends mid-record; on a growing file, a later call
+    /// resumes at the same record boundary.
     ///
     /// # Errors
-    /// Filesystem errors opening the path.
+    /// Read errors and any non-torn decode error.
+    pub(crate) fn decode<T>(
+        &mut self,
+        mut step: impl FnMut(&[u8], u64) -> Result<(T, usize), String>,
+    ) -> Result<Option<T>, String> {
+        loop {
+            match step(&self.buf[self.pos..], self.offset + self.pos as u64) {
+                Ok((record, used)) => {
+                    self.pos += used;
+                    return Ok(Some(record));
+                }
+                Err(e) if is_torn_tail(&e) => {
+                    if !self.fill()? {
+                        return Ok(None);
+                    }
+                }
+                Err(e) => return Err(e),
+            }
+        }
+    }
+
+    /// Drop the consumed bytes and append the next read; `false` when
+    /// the input has nothing more (yet).
+    fn fill(&mut self) -> Result<bool, String> {
+        self.buf.drain(..self.pos);
+        self.offset += self.pos as u64;
+        self.pos = 0;
+        let want = self.buf.len().max(READ_CHUNK) as u64;
+        let n = (&mut self.r)
+            .take(want)
+            .read_to_end(&mut self.buf)
+            .map_err(|e| format!("read failed: {e}"))?;
+        Ok(n > 0)
+    }
+}
+
+// ---------------------------------------------------------------
+// Streaming and follow-mode reader
+// ---------------------------------------------------------------
+
+/// Streaming `.jtb` reader: yields events one at a time, holding at
+/// most one decoded block and one undecoded record in memory. The
+/// footer is validated when the stream ends (block/event counts must
+/// match what was read). Opened with [`JtbStream::follow`], it tails a
+/// growing file instead ([`JtbStream::poll`]).
+pub struct JtbStream<R: Read> {
+    feed: Feed<R>,
+    dec: JtbDecoder,
+    pending: std::vec::IntoIter<TraceEvent>,
+    pending_shard: usize,
+}
+
+/// A [`JtbStream`] tailing a growing `.jtb` file.
+pub type JtbFollower = JtbStream<std::fs::File>;
+
+impl<R: Read> JtbStream<R> {
+    fn lazy(r: R) -> JtbStream<R> {
+        JtbStream {
+            feed: Feed::new(r),
+            dec: JtbDecoder::default(),
+            pending: Vec::new().into_iter(),
+            pending_shard: 0,
+        }
+    }
+
+    /// Open a stream, checking the header magic and version.
+    ///
+    /// # Errors
+    /// "bad leading magic" / unsupported version / short read.
+    pub fn new(r: R) -> Result<JtbStream<R>, String> {
+        let mut s = JtbStream::lazy(r);
+        s.next_record()?;
+        Ok(s)
+    }
+
+    /// The next record, or `None` when the input ends mid-record.
+    fn try_record(&mut self) -> Result<Option<Record>, String> {
+        let dec = &mut self.dec;
+        self.feed.decode(|data, offset| dec.step(data, offset))
+    }
+
+    /// The next record; input that ends mid-record is an error.
+    fn next_record(&mut self) -> Result<Record, String> {
+        self.try_record()?
+            .ok_or_else(|| "jtb: unexpected end of stream (truncated file?)".to_string())
+    }
+
+    /// The next event with its shard index, or `None` at a validated
+    /// end of stream.
+    ///
+    /// # Errors
+    /// Any decode error, including a missing or inconsistent footer.
+    pub fn next_event(&mut self) -> Result<Option<(usize, TraceEvent)>, String> {
+        loop {
+            if let Some(ev) = self.pending.next() {
+                return Ok(Some((self.pending_shard, ev)));
+            }
+            if self.dec.footer.is_some() {
+                return Ok(None);
+            }
+            if let Record::Block { events, .. } = self.next_record()? {
+                self.pending_shard = self.dec.shard();
+                self.pending = events.into_iter();
+            }
+        }
+    }
+
+    /// Shard names seen so far (all of them once the stream ends).
+    pub fn shard_names(&self) -> &[String] {
+        &self.dec.shard_names
+    }
+
+    /// Declared dropped-event count (final once the stream ends).
+    pub fn dropped(&self) -> u64 {
+        self.dec.dropped
+    }
+
+    /// The crash-salvage marker, if this trace went through
+    /// [`salvage_jtb`].
+    pub fn recovered(&self) -> Option<RecoveredNote> {
+        self.dec.recovered
+    }
+
+    /// Events decoded so far.
+    pub fn events_read(&self) -> u64 {
+        self.dec.events_read
+    }
+
+    /// The validated footer index (available once the stream ends).
+    pub fn index(&self) -> Option<&JtbIndex> {
+        self.dec.footer.as_ref()
+    }
+}
+
+/// One [`JtbStream::poll`] / [`crate::timeline::JtsFollower::poll`]
+/// outcome.
+#[derive(Debug, PartialEq)]
+pub enum FollowStatus<T> {
+    /// New complete items decoded since the previous poll.
+    Events(Vec<T>),
+    /// No complete new records yet — the writer is (or may still be)
+    /// mid-record. A torn tail is indistinguishable from a live
+    /// writer, so this never errors; poll again later.
+    Idle,
+    /// The footer and trailer arrived and validated: the file is
+    /// complete and no further items will appear.
+    End,
+}
+
+impl<T> FollowStatus<T> {
+    /// The outcome of a poll that decoded `items`; `done` once the
+    /// footer validated.
+    pub(crate) fn of(items: Vec<T>, done: bool) -> FollowStatus<T> {
+        if !items.is_empty() {
+            FollowStatus::Events(items)
+        } else if done {
+            FollowStatus::End
+        } else {
+            FollowStatus::Idle
+        }
+    }
+}
+
+impl JtbStream<std::fs::File> {
+    /// Open `path` in follow (tail) mode. The file must exist but may
+    /// be empty or torn mid-record — even a partial header is just
+    /// [`FollowStatus::Idle`] until more bytes land.
+    ///
+    /// # Errors
+    /// Only filesystem errors; nothing is decoded yet.
     pub fn follow(path: &str) -> Result<JtbFollower, String> {
-        JtbFollower::open(path)
+        let file =
+            std::fs::File::open(path).map_err(|e| format!("jtb: cannot open {path}: {e}"))?;
+        Ok(JtbStream::lazy(file))
+    }
+
+    /// Decode every record that has fully arrived. A torn tail is
+    /// [`FollowStatus::Idle`] instead of an error, and the next poll
+    /// resumes at the same record boundary, so the concatenation of
+    /// all polled events converges to exactly the
+    /// [`JtbStream::next_event`] fold once the writer finishes.
+    ///
+    /// # Errors
+    /// Real corruption only (bad magic, unknown tag, inconsistent
+    /// footer). Short data is never an error here.
+    pub fn poll(&mut self) -> Result<FollowStatus<(usize, TraceEvent)>, String> {
+        let mut out = Vec::new();
+        while self.dec.footer.is_none() {
+            match self.try_record()? {
+                Some(Record::Block { events, .. }) => {
+                    let shard = self.dec.shard();
+                    out.extend(events.into_iter().map(|ev| (shard, ev)));
+                }
+                Some(_) => {}
+                None => break,
+            }
+        }
+        Ok(FollowStatus::of(out, self.dec.footer.is_some()))
     }
 }
 
@@ -1758,14 +1655,14 @@ pub struct SalvageReport {
     pub dropped_events: u64,
 }
 
-/// Salvage a crash-torn `.jtb` file: scan the valid record prefix,
-/// cut trailing blocks until the kept events end on an invocation
-/// boundary (`InvocationEnd`), then emit a complete file — kept bytes
-/// verbatim, an explicit [`RecoveredNote`] record, and a rebuilt
-/// footer + trailer. The result loads through every normal path
-/// ([`load_trace_bytes`], `jem-profile`, `jem-query`, `tracecheck`)
-/// as a first-class trace. A file that already ends with a valid
-/// trailer is returned unchanged.
+/// Salvage a crash-torn `.jtb` file: decode the valid record prefix
+/// (up to the first error), cut trailing blocks until the kept events
+/// end on an invocation boundary (`InvocationEnd`), then emit a
+/// complete file — kept bytes verbatim, an explicit [`RecoveredNote`]
+/// record, and a rebuilt footer + trailer. The result loads through
+/// every normal path ([`load_trace_bytes`], `jem-profile`,
+/// `jem-query`, `tracecheck`) as a first-class trace. A file that
+/// already ends with a valid trailer is returned unchanged.
 ///
 /// # Errors
 /// Bad leading magic, an unsupported version, or a tear inside the
@@ -1786,133 +1683,64 @@ pub fn salvage_jtb(bytes: &[u8]) -> Result<(Vec<u8>, SalvageReport), String> {
             },
         ));
     }
-    let mut cur = Cur::new(bytes);
-    cur.bytes(JTB_MAGIC.len()).expect("magic checked by is_jtb");
-    let version = cur
-        .varint()
-        .map_err(|_| "jtb: torn inside the header — nothing salvageable".to_string())?;
-    if version != JTB_VERSION {
-        return Err(format!("jtb: unsupported version {version}"));
-    }
-    let header_end = cur.pos;
+    let mut dec = JtbDecoder::default();
+    let header_end = match dec.step(bytes, 0) {
+        Ok((_, used)) => used,
+        Err(e) if is_torn_tail(&e) => {
+            return Err("jtb: torn inside the header — nothing salvageable".into())
+        }
+        Err(e) => return Err(e),
+    };
 
-    fn read_str_rec(cur: &mut Cur<'_>) -> Result<(), String> {
-        let len = cur.varint()? as usize;
-        let b = cur.bytes(len)?;
-        std::str::from_utf8(b).map_err(|_| "jtb: invalid utf-8 string".to_string())?;
-        Ok(())
-    }
-    fn read_strdef(cur: &mut Cur<'_>) -> Result<String, String> {
-        let len = cur.varint()? as usize;
-        let b = cur.bytes(len)?;
-        String::from_utf8(b.to_vec()).map_err(|_| "jtb: invalid utf-8 string".into())
-    }
-
-    struct ScannedBlock {
-        meta: BlockMeta,
-        /// Byte offset one past the block record.
-        end: usize,
-        ends_invocation: bool,
-    }
-    let mut strings: Vec<String> = Vec::new();
+    // Kept blocks, each with the offset one past its record and
+    // whether its last event ends an invocation.
+    let mut blocks: Vec<(BlockMeta, usize, bool)> = Vec::new();
     let mut shard_offsets: Vec<usize> = Vec::new();
-    let mut blocks: Vec<ScannedBlock> = Vec::new();
     // Ring-eviction count from a kept R_TRUNC record (pre-footer, so
     // only present if the crash hit mid-finish), and counts from a
     // prior salvage pass to fold into the new marker.
     let mut prior_dropped = 0u64;
     let mut prior_recover = (0u64, 0u64);
-    loop {
-        let record_start = cur.pos;
-        if cur.remaining() == 0 {
-            break;
+    let mut pos = header_end;
+    // The first decode error (a torn tail, corruption, or a footer
+    // without a valid trailer) ends the valid prefix; the tail from
+    // there on is regenerated.
+    while let Ok((record, used)) = dec.step(&bytes[pos..], pos as u64) {
+        match record {
+            Record::Shard => shard_offsets.push(pos),
+            Record::Block { len, events } => {
+                let meta = BlockMeta::of(pos as u64, len, dec.shard() as u64, &events);
+                let ends_invocation = matches!(
+                    events[events.len() - 1].kind,
+                    TraceEventKind::InvocationEnd { .. }
+                );
+                blocks.push((meta, pos + used, ends_invocation));
+            }
+            Record::Trunc(n) => prior_dropped = prior_dropped.max(n),
+            Record::Recover(note) => {
+                prior_recover.0 += note.dropped_bytes;
+                prior_recover.1 += note.dropped_events;
+            }
+            Record::Footer => break,
+            Record::Header | Record::StrDef => {}
         }
-        let Ok(tag) = cur.u8() else { break };
-        match tag {
-            R_SHARD => {
-                if read_str_rec(&mut cur).is_err() {
-                    break;
-                }
-                shard_offsets.push(record_start);
-            }
-            R_STRDEF => {
-                let Ok(s) = read_strdef(&mut cur) else {
-                    break;
-                };
-                strings.push(s);
-            }
-            R_BLOCK => {
-                let parsed = cur
-                    .varint()
-                    .and_then(|len| cur.bytes(len as usize).map(|p| (len, p)))
-                    .and_then(|(len, p)| decode_block(p, &strings).map(|evs| (len, evs)));
-                let Ok((len, events)) = parsed else {
-                    break;
-                };
-                if events.is_empty() {
-                    // The writer never emits empty blocks.
-                    break;
-                }
-                let mut energy_nj = [0.0; 5];
-                for ev in &events {
-                    for (i, (_, e)) in ev.delta.iter().enumerate() {
-                        energy_nj[i] += e.nanojoules();
-                    }
-                }
-                let first = &events[0];
-                let last = &events[events.len() - 1];
-                blocks.push(ScannedBlock {
-                    meta: BlockMeta {
-                        offset: record_start as u64,
-                        len,
-                        events: events.len() as u64,
-                        shard: (shard_offsets.len() as u64).saturating_sub(1),
-                        first_seq: first.seq,
-                        first_invocation: first.invocation,
-                        t_first: first.at.nanos(),
-                        t_last: last.at.nanos(),
-                        energy_nj,
-                    },
-                    end: cur.pos,
-                    ends_invocation: matches!(last.kind, TraceEventKind::InvocationEnd { .. }),
-                });
-            }
-            R_TRUNC => {
-                let Ok(n) = cur.varint() else {
-                    break;
-                };
-                prior_dropped = prior_dropped.max(n);
-            }
-            R_RECOVER => {
-                let parsed = cur.varint().and_then(|b| cur.varint().map(|e| (b, e)));
-                let Ok((b, e)) = parsed else {
-                    break;
-                };
-                prior_recover.0 += b;
-                prior_recover.1 += e;
-            }
-            // A footer without a valid trailer (or any unknown tag):
-            // the tail from here on is regenerated.
-            _ => {
-                break;
-            }
-        }
+        pos += used;
     }
 
     // Cut trailing blocks until the kept events are a complete,
     // invocation-aligned prefix.
     let mut dropped_events = prior_recover.1;
-    while blocks.last().map(|b| !b.ends_invocation).unwrap_or(false) {
-        let b = blocks.pop().expect("guarded by map above");
-        dropped_events += b.meta.events;
+    while let Some((meta, _, false)) = blocks.last() {
+        dropped_events += meta.events;
+        blocks.pop();
     }
-    let keep_end = blocks.last().map(|b| b.end).unwrap_or(header_end);
+    let keep_end = blocks.last().map_or(header_end, |b| b.1);
     let dropped_bytes = (bytes.len() - keep_end) as u64 + prior_recover.0;
 
     let index = JtbIndex {
-        blocks: blocks.iter().map(|b| b.meta.clone()).collect(),
         shards: shard_offsets.iter().filter(|&&o| o < keep_end).count() as u64,
-        events: blocks.iter().map(|b| b.meta.events).sum(),
+        events: blocks.iter().map(|b| b.0.events).sum(),
+        blocks: blocks.into_iter().map(|b| b.0).collect(),
         dropped: prior_dropped,
     };
     let mut out = bytes[..keep_end].to_vec();
@@ -1938,20 +1766,16 @@ pub fn salvage_jtb(bytes: &[u8]) -> Result<(Vec<u8>, SalvageReport), String> {
 }
 
 // ---------------------------------------------------------------
-// Unified loader (format sniffing)
+// Whole-trace loader
 // ---------------------------------------------------------------
 
-/// A trace materialized from either format, with its truncation state
-/// and (for JSON inputs) the document's declared total.
+/// A fully decoded `.jtb` trace with its truncation state.
 #[derive(Debug, Clone)]
 pub struct LoadedTrace {
     /// The shards, input order, with per-shard events `seq`-ordered.
     pub shards: Vec<TraceShard>,
     /// Events evicted by the producing sink (0 = complete ledger).
     pub dropped: u64,
-    /// `otherData.total_energy` for Chrome-trace inputs; `None` for
-    /// `.jtb` (whose footer partial sums are exact by construction).
-    pub declared_total: Option<EnergyBreakdown>,
     /// The crash-salvage marker for traces that went through
     /// [`salvage_jtb`]; `None` for traces written uninterrupted. The
     /// kept events are a complete, invocation-aligned prefix — every
@@ -1993,47 +1817,42 @@ impl LoadedTrace {
     }
 }
 
-/// Load a trace from raw bytes: `.jtb` if the magic matches, otherwise
-/// Chrome-trace JSON. This is the sniffing entry point every CLI uses.
+/// Load a `.jtb` trace from raw bytes — the entry point every CLI
+/// uses (same as [`load_jtb_bytes`]).
 ///
 /// # Errors
-/// The format-specific decode error.
+/// Any decode error, including footer/trailer validation.
 pub fn load_trace_bytes(bytes: &[u8]) -> Result<LoadedTrace, String> {
-    if is_jtb(bytes) {
-        return load_jtb_bytes(bytes);
-    }
-    let text = std::str::from_utf8(bytes)
-        .map_err(|_| "trace: input is neither .jtb (bad magic) nor UTF-8 JSON".to_string())?;
-    let doc = Json::parse(text).map_err(|e| format!("trace: JSON parse error: {e}"))?;
-    load_chrome_doc(&doc)
+    load_jtb_bytes(bytes)
 }
 
-/// Load a `.jtb` byte buffer completely (streaming under the hood).
+/// Load a `.jtb` byte buffer completely.
 ///
 /// # Errors
 /// Any decode error, including footer/trailer validation.
 pub fn load_jtb_bytes(bytes: &[u8]) -> Result<LoadedTrace, String> {
-    let mut stream = JtbStream::new(bytes)?;
+    let mut dec = JtbDecoder::default();
     let mut events = Vec::new();
-    while let Some((_, ev)) = stream.next_event()? {
-        events.push(ev);
+    let mut pos = 0;
+    while dec.footer.is_none() {
+        let (record, used) = dec.step(&bytes[pos..], pos as u64)?;
+        if let Record::Block { events: block, .. } = record {
+            events.extend(block);
+        }
+        pos += used;
     }
-    let names = stream.shard_names().to_vec();
     Ok(LoadedTrace {
-        dropped: stream.dropped(),
-        recovered: stream.recovered(),
-        shards: name_shards(events, names),
-        declared_total: None,
+        dropped: dec.dropped,
+        recovered: dec.recovered,
+        shards: name_shards(events, dec.shard_names),
     })
 }
 
 /// Split a flattened event stream on `seq` restarts and attach the
-/// declared track names. Both loaders funnel through this, so a trace
-/// loads into the same shard structure whichever format carried it —
-/// in particular, several runs streamed into one declared track (the
-/// single-sink bench bins) split back into per-run shards. Names only
-/// line up when the declared list matches the split count; otherwise
-/// positional labels avoid misattributing.
+/// declared track names, so several runs streamed into one declared
+/// track (the single-sink bench bins) load back as per-run shards.
+/// Names only line up when the declared list matches the split count;
+/// otherwise positional labels avoid misattributing.
 fn name_shards(events: Vec<TraceEvent>, names: Vec<String>) -> Vec<TraceShard> {
     let splits: Vec<Vec<TraceEvent>> = split_shards(&events)
         .into_iter()
@@ -2054,39 +1873,10 @@ fn name_shards(events: Vec<TraceEvent>, names: Vec<String>) -> Vec<TraceShard> {
         .collect()
 }
 
-/// Load a parsed Chrome-trace document into the unified shape.
+/// Read `path` (`-` = stdin) and load it as a `.jtb` trace.
 ///
 /// # Errors
-/// The first malformed event, or a missing `traceEvents` array.
-pub fn load_chrome_doc(doc: &Json) -> Result<LoadedTrace, String> {
-    let events = events_from_chrome_trace(doc)?;
-    let names: Vec<String> = doc
-        .get("otherData")
-        .and_then(|o| o.get("shards"))
-        .and_then(Json::as_array)
-        .map(|arr| {
-            arr.iter()
-                .filter_map(Json::as_str)
-                .map(str::to_string)
-                .collect()
-        })
-        .unwrap_or_default();
-    let declared_total = doc
-        .get("otherData")
-        .and_then(|o| o.get("total_energy"))
-        .and_then(|t| breakdown_from_json(t).ok());
-    Ok(LoadedTrace {
-        shards: name_shards(events, names),
-        dropped: dropped_from_chrome_trace(doc),
-        declared_total,
-        recovered: None,
-    })
-}
-
-/// Read `path` (`-` = stdin) and load it with format sniffing.
-///
-/// # Errors
-/// I/O errors (as text) or the format-specific decode error.
+/// I/O errors (as text) or the decode error.
 pub fn load_trace_path(path: &str) -> Result<LoadedTrace, String> {
     let bytes = if path == "-" {
         let mut buf = Vec::new();
@@ -2097,7 +1887,7 @@ pub fn load_trace_path(path: &str) -> Result<LoadedTrace, String> {
     } else {
         std::fs::read(path).map_err(|e| format!("cannot read {path}: {e}"))?
     };
-    load_trace_bytes(&bytes)
+    load_jtb_bytes(&bytes)
 }
 
 #[cfg(test)]
@@ -2322,9 +2112,7 @@ mod tests {
     fn corrupted_header_is_rejected() {
         let mut bytes = jtb_bytes(&[TraceShard::new("client", all_kinds())]);
         bytes[0] = b'X';
-        assert!(load_trace_bytes(&bytes)
-            .unwrap_err()
-            .contains("neither .jtb"));
+        assert!(load_trace_bytes(&bytes).unwrap_err().contains("magic"));
         assert!(JtbIndex::read(&bytes).unwrap_err().contains("magic"));
         // A corrupt version is caught too.
         let mut bytes2 = jtb_bytes(&[TraceShard::new("client", all_kinds())]);
@@ -2445,8 +2233,7 @@ mod tests {
 
     #[test]
     fn file_sink_resume_is_byte_identical() {
-        let dir = std::env::temp_dir().join(format!("jem-wire-resume-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = crate::fsio::scratch_dir();
         let golden_path = dir.join("golden.jtb");
         let resumed_path = dir.join("resumed.jtb");
         let events = invocation_stream(60, 30);
@@ -2552,13 +2339,30 @@ mod tests {
         }
     }
 
+    /// Every cut of a corpus exercising each salvage branch (two
+    /// shards, a truncation record, a salvaged file torn again)
+    /// salvages to pinned bytes: a digest over all outputs and reports.
     #[test]
-    fn chrome_json_round_trips_through_loader() {
-        let events = all_kinds();
-        let doc = crate::trace::chrome_trace_truncated(&events, 3);
-        let loaded = load_trace_bytes(doc.render().as_bytes()).unwrap();
-        assert_eq!(loaded.events(), events);
-        assert_eq!(loaded.dropped, 3);
-        assert!(loaded.declared_total.is_some());
+    fn salvage_output_is_pinned_for_every_cut() {
+        let a = TraceShard::new("a", invocation_stream(8, 25));
+        let b = TraceShard::new("b", invocation_stream(6, 30)).with_dropped(7);
+        let bytes = jtb_bytes(&[a, b]);
+        let (salvaged, _) = salvage_jtb(&bytes[..bytes.len() * 3 / 4]).unwrap();
+        let mut all = Vec::new();
+        for input in [&bytes, &salvaged] {
+            for cut in 0..=input.len() {
+                match salvage_jtb(&input[..cut]) {
+                    Ok((out, report)) => {
+                        all.extend_from_slice(&out);
+                        all.extend_from_slice(format!("{report:?}").as_bytes());
+                    }
+                    Err(_) => all.push(0xff),
+                }
+            }
+        }
+        assert_eq!(
+            crate::lab::sha256_hex(&all),
+            "849adf8f3f684e422c139e6cdd5714dec06e23b51c79be61c1411d9f1f3ef885"
+        );
     }
 }
