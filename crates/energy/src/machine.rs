@@ -286,9 +286,10 @@ impl Machine {
     ///   the same sequence, and hits never modify tags), so they are
     ///   credited in bulk via [`CacheSim::credit_hits`].
     /// * **D-cache** — data-bearing micros are replayed individually,
-    ///   in issue order, at their true addresses (`frame_base +
-    ///   offset` for spills, `heap_addr` for the sequence's heap
-    ///   access), because heap locality is dynamic.
+    ///   in issue order, at their true addresses, because heap
+    ///   locality is dynamic: `frame_base + offset` for spills, and for
+    ///   the `i`-th heap micro `heap_addrs[i]`, where `None` means the
+    ///   micro makes no D-cache access.
     /// * **Core energy** — the per-micro `energy(class)` additions are
     ///   folded into one exact add whenever that gives the same bits as
     ///   adding them individually in order, and replayed one by one
@@ -303,21 +304,30 @@ impl Machine {
     ///
     /// # Panics
     /// In debug builds, if called while powered down, if `code_base`
-    /// is not aligned to the plan's line size, or if the plan was
-    /// compiled for a different I-cache line size than this machine's.
+    /// is not aligned to the plan's line size, if the plan was
+    /// compiled for a different I-cache line size than this machine's,
+    /// or if `heap_addrs` does not hold one entry per heap micro.
     #[inline]
     pub fn step_seq(
         &mut self,
         plan: &SeqPlan,
         code_base: u64,
         frame_base: u64,
-        heap_addr: Option<u64>,
+        heap_addrs: &[Option<u64>],
     ) {
         debug_assert_eq!(self.state, PowerState::Active, "step while powered down");
         debug_assert_eq!(
             code_base % u64::from(plan.line_bytes),
             0,
             "code base not line-aligned"
+        );
+        debug_assert_eq!(
+            heap_addrs.len(),
+            plan.mems
+                .iter()
+                .filter(|m| matches!(m, SeqDataRef::Heap { .. }))
+                .count(),
+            "one heap address per heap micro"
         );
         let penalty = u64::from(self.config.miss_penalty_cycles);
         let mut cycles = plan.n;
@@ -338,13 +348,14 @@ impl Machine {
             }
         }
         if let Some(dcache) = &mut self.dcache {
+            let mut heap = heap_addrs.iter();
             for mem in plan.mems.iter() {
                 let addr = match *mem {
                     SeqDataRef::None => continue,
                     SeqDataRef::Frame { offset, .. } => frame_base + offset,
-                    SeqDataRef::Heap { .. } => match heap_addr {
-                        Some(a) => a,
-                        None => continue,
+                    SeqDataRef::Heap { .. } => match heap.next() {
+                        Some(&Some(a)) => a,
+                        _ => continue,
                     },
                 };
                 if !dcache.access(addr) {
@@ -887,8 +898,6 @@ pub struct SeqPlan {
     classes: Box<[(InstrClass, u64)]>,
     /// Micro count (= base cycles).
     n: u64,
-    /// Whether any [`SeqDataRef::Heap`] entry exists.
-    has_heap: bool,
     /// I-cache line size the line grouping assumes.
     line_bytes: u32,
     /// Derived fold of `core` at the last Core binade seen.
@@ -953,7 +962,6 @@ impl SeqPlan {
         let mut core = Vec::with_capacity(micros.len());
         let mut mems = Vec::new();
         let mut mix = InstrMix::new();
-        let mut has_heap = false;
         for &(off, class, mem) in micros {
             match lines.last_mut() {
                 Some(&mut (first, ref mut extra)) if off / lb == first / lb => *extra += 1,
@@ -961,13 +969,8 @@ impl SeqPlan {
             }
             core.push(table.energy(class));
             mix.record(class, 1);
-            match mem {
-                SeqDataRef::None => {}
-                SeqDataRef::Frame { .. } => mems.push(mem),
-                SeqDataRef::Heap { .. } => {
-                    has_heap = true;
-                    mems.push(mem);
-                }
+            if mem != SeqDataRef::None {
+                mems.push(mem);
             }
         }
         let classes: Vec<(InstrClass, u64)> = InstrClass::ALL
@@ -983,7 +986,6 @@ impl SeqPlan {
             mems: mems.into_boxed_slice(),
             classes: classes.into_boxed_slice(),
             n: micros.len() as u64,
-            has_heap,
             line_bytes,
             fold: CoreFold::new(),
         }
@@ -999,13 +1001,6 @@ impl SeqPlan {
     #[inline]
     pub fn is_empty(&self) -> bool {
         self.n == 0
-    }
-
-    /// True when replay needs a resolved heap address (the sequence
-    /// contains a heap-touching micro).
-    #[inline]
-    pub fn wants_heap_addr(&self) -> bool {
-        self.has_heap
     }
 }
 
@@ -1217,11 +1212,15 @@ mod tests {
             slow.step(rep * 96, Load, MemOp::Read(rep * 40));
             fast.step(rep * 96, Load, MemOp::Read(rep * 40));
             for ((start, micros), plan) in seqs.iter().zip(&plans) {
-                let heap_addr = if rep % 5 == 4 {
-                    None
-                } else {
-                    Some(0x8000 + rep * 24)
-                };
+                // One address per heap micro, some absent.
+                let nheap = micros
+                    .iter()
+                    .filter(|(_, mem)| matches!(mem, SeqDataRef::Heap { .. }))
+                    .count() as u64;
+                let heap_addrs: Vec<Option<u64>> = (0..nheap)
+                    .map(|j| ((rep + j) % 5 != 4).then_some(0x8000 + rep * 24 + j * 72))
+                    .collect();
+                let mut heap = heap_addrs.iter();
                 let mut pc = code_base + start;
                 for &(class, mem) in micros {
                     let op = match mem {
@@ -1234,16 +1233,16 @@ mod tests {
                                 MemOp::Read(a)
                             }
                         }
-                        SeqDataRef::Heap { store } => match heap_addr {
-                            Some(a) if store => MemOp::Write(a),
-                            Some(a) => MemOp::Read(a),
-                            None => MemOp::None,
+                        SeqDataRef::Heap { store } => match heap.next() {
+                            Some(&Some(a)) if store => MemOp::Write(a),
+                            Some(&Some(a)) => MemOp::Read(a),
+                            _ => MemOp::None,
                         },
                     };
                     slow.step(pc, class, op);
                     pc += 4;
                 }
-                fast.step_seq(plan, code_base, frame_base, heap_addr);
+                fast.step_seq(plan, code_base, frame_base, &heap_addrs);
                 assert_eq!(slow.breakdown(), fast.breakdown(), "rep {rep}");
             }
         }

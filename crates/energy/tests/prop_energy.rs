@@ -195,6 +195,7 @@ proptest! {
         reps in 1u64..20,
     ) {
         let table = table(which);
+        let offs: Vec<u64> = micros.iter().map(|&(_, _, off)| off).collect();
         let micros: Vec<(InstrClass, SeqDataRef)> = micros
             .into_iter()
             .map(|(class, kind, off)| {
@@ -210,20 +211,31 @@ proptest! {
         let (code_base, frame_base) = (0x3000_0040u64, 0x5000_2000u64);
         let (mut slow, mut fast) = (seeded(&table, acc), seeded(&table, acc));
         for rep in 0..reps {
-            let heap = (rep % 4 != 3).then_some(0x8000 + rep * 24);
+            // One address per heap micro, drawn from the micro's own
+            // offset, some absent.
+            let heap_addrs: Vec<Option<u64>> = micros
+                .iter()
+                .zip(&offs)
+                .filter(|((_, mem), _)| matches!(mem, SeqDataRef::Heap { .. }))
+                .map(|(_, &off)| ((rep + off) % 4 != 3).then_some(0x8000 + rep * 24 + off * 40))
+                .collect();
+            let mut heap = heap_addrs.iter();
             let mut pc = code_base + start * 4;
             for &(class, mem) in &micros {
-                let op = match (mem, heap) {
-                    (SeqDataRef::Frame { store: true, offset }, _) => MemOp::Write(frame_base + offset),
-                    (SeqDataRef::Frame { offset, .. }, _) => MemOp::Read(frame_base + offset),
-                    (SeqDataRef::Heap { store: true }, Some(a)) => MemOp::Write(a),
-                    (SeqDataRef::Heap { .. }, Some(a)) => MemOp::Read(a),
-                    _ => MemOp::None,
+                let op = match mem {
+                    SeqDataRef::Frame { store: true, offset } => MemOp::Write(frame_base + offset),
+                    SeqDataRef::Frame { offset, .. } => MemOp::Read(frame_base + offset),
+                    SeqDataRef::Heap { store } => match heap.next() {
+                        Some(&Some(a)) if store => MemOp::Write(a),
+                        Some(&Some(a)) => MemOp::Read(a),
+                        _ => MemOp::None,
+                    },
+                    SeqDataRef::None => MemOp::None,
                 };
                 slow.step(pc, class, op);
                 pc += 4;
             }
-            fast.step_seq(&plan, code_base, frame_base, heap);
+            fast.step_seq(&plan, code_base, frame_base, &heap_addrs);
             assert_same(&slow, &fast)?;
             if rep % 3 == 2 {
                 churn(&mut slow, &mut fast, rep);

@@ -190,12 +190,16 @@ impl Heap {
     /// is an array handle; used only for cache simulation so a wrong
     /// guess about element width is harmless).
     pub fn element_address(&self, h: Handle, idx: usize) -> u64 {
-        let base = self.address_of(h);
-        let width = match self.objects.get(h.0 as usize) {
-            Some(HeapObj::Array(a)) => elem_size(a.elem_type()),
-            _ => 8,
-        };
-        base + 8 + width * idx as u64
+        match self.objects.get(h.0 as usize) {
+            Some(HeapObj::Array(a)) => self.elem_addr(h, a.elem_type(), idx),
+            _ => self.address_of(h) + 8 + 8 * idx as u64,
+        }
+    }
+
+    /// Simulated address of element `idx` of the `ty` array `h`.
+    #[inline]
+    fn elem_addr(&self, h: Handle, ty: Type, idx: usize) -> u64 {
+        self.address_of(h) + 8 + elem_size(ty) * idx as u64
     }
 
     /// Simulated address of field `idx` of object `h`.
@@ -219,31 +223,33 @@ impl Heap {
     /// # Errors
     /// [`VmError::IndexOutOfBounds`], [`VmError::NotAnArray`],
     /// [`VmError::BadHandle`].
+    #[inline]
     pub fn array_get(&self, h: Handle, idx: usize) -> Result<Value, VmError> {
-        match self.get(h)? {
-            HeapObj::Array(ArrayData::Int(v)) => {
-                v.get(idx)
-                    .map(|&x| Value::Int(x))
-                    .ok_or(VmError::IndexOutOfBounds {
-                        index: idx,
-                        len: v.len(),
-                    })
-            }
-            HeapObj::Array(ArrayData::Float(v)) => {
-                v.get(idx)
-                    .map(|&x| Value::Float(x))
-                    .ok_or(VmError::IndexOutOfBounds {
-                        index: idx,
-                        len: v.len(),
-                    })
-            }
-            HeapObj::Array(ArrayData::Ref(v)) => {
-                v.get(idx).copied().ok_or(VmError::IndexOutOfBounds {
-                    index: idx,
-                    len: v.len(),
-                })
-            }
-            _ => Err(VmError::NotAnArray),
+        self.array_load(h, idx).map(|(v, _)| v)
+    }
+
+    /// [`Heap::array_get`] that also returns the element's
+    /// [`Heap::element_address`], both from one object lookup.
+    ///
+    /// # Errors
+    /// As [`Heap::array_get`].
+    #[inline]
+    pub fn array_load(&self, h: Handle, idx: usize) -> Result<(Value, u64), VmError> {
+        let a = match self.get(h)? {
+            HeapObj::Array(a) => a,
+            _ => return Err(VmError::NotAnArray),
+        };
+        let v = match a {
+            ArrayData::Int(v) => v.get(idx).map(|&x| Value::Int(x)),
+            ArrayData::Float(v) => v.get(idx).map(|&x| Value::Float(x)),
+            ArrayData::Ref(v) => v.get(idx).copied(),
+        };
+        match v {
+            Some(v) => Ok((v, self.elem_addr(h, a.elem_type(), idx))),
+            None => Err(VmError::IndexOutOfBounds {
+                index: idx,
+                len: a.len(),
+            }),
         }
     }
 
@@ -252,14 +258,26 @@ impl Heap {
     /// # Errors
     /// [`VmError::IndexOutOfBounds`], [`VmError::TypeMismatch`],
     /// [`VmError::NotAnArray`], [`VmError::BadHandle`].
+    #[inline]
     pub fn array_set(&mut self, h: Handle, idx: usize, val: Value) -> Result<(), VmError> {
-        match self.get_mut(h)? {
+        self.array_store(h, idx, val).map(|_| ())
+    }
+
+    /// [`Heap::array_set`] that also returns the element's
+    /// [`Heap::element_address`], both from one object lookup.
+    ///
+    /// # Errors
+    /// As [`Heap::array_set`].
+    #[inline]
+    pub fn array_store(&mut self, h: Handle, idx: usize, val: Value) -> Result<u64, VmError> {
+        let ty = match self.get_mut(h)? {
             HeapObj::Array(ArrayData::Int(v)) => {
                 let len = v.len();
                 let slot = v
                     .get_mut(idx)
                     .ok_or(VmError::IndexOutOfBounds { index: idx, len })?;
                 *slot = val.as_int()?;
+                Type::Int
             }
             HeapObj::Array(ArrayData::Float(v)) => {
                 let len = v.len();
@@ -267,6 +285,7 @@ impl Heap {
                     .get_mut(idx)
                     .ok_or(VmError::IndexOutOfBounds { index: idx, len })?;
                 *slot = val.as_float()?;
+                Type::Float
             }
             HeapObj::Array(ArrayData::Ref(v)) => {
                 let len = v.len();
@@ -282,10 +301,11 @@ impl Heap {
                         })
                     }
                 }
+                Type::Ref
             }
             _ => return Err(VmError::NotAnArray),
-        }
-        Ok(())
+        };
+        Ok(self.elem_addr(h, ty, idx))
     }
 
     /// Read object field.

@@ -1,5 +1,5 @@
-//! Pre-decoded execution form and run-level batched charge planning
-//! for the native executor.
+//! Pre-decoded execution form and segment charge planning for the
+//! native executor.
 //!
 //! Installing native code compiles a [`NativeCode`] object into an
 //! [`XCode`]: the executable plan [`crate::exec`] actually runs. It
@@ -12,66 +12,72 @@
 //!    operators split into per-op variants (no inner operator match at
 //!    run time), call argument lists pooled into one flat side table,
 //!    and each virtual call's inline-cache slot index precomputed.
-//! 2. **Batched charge plans** — a per-instruction [`SeqPlan`] (the
-//!    reference-shaped path) plus merged multi-instruction *runs*
-//!    whose charging is hoisted to the run head.
+//! 2. **Segments** ([`Segment`]) — each block split into stretches
+//!    that end after every call, allocation or control transfer, and
+//!    at the block end, each with one merged [`SeqPlan`] charging all
+//!    of its instructions' emitted micros.
 //!
-//! # Why hoisting run charges is bit-exact
+//! # Why deferred segment charging is bit-exact
 //!
 //! The reference execution model interleaves accounting and semantics
-//! per instruction: charge the instruction's emitted micro sequence,
-//! then run its semantics, then the next instruction. For most
-//! straight-line NIR that interleaving is unobservable — the semantics
-//! of register-only instructions never touch the simulated
-//! [`Machine`](jem_energy::Machine), so the machine sees the exact same
-//! event sequence whether the charges land one instruction at a time
-//! or all at once at the head of the run. A run must preserve that
-//! equivalence on **every** path, including errors, so its shape is
-//! constrained:
+//! per instruction: resolve the instruction's heap address, charge its
+//! emitted micro sequence, then run its semantics, then the next
+//! instruction. The executor instead runs the semantics of a
+//! segment's instructions except the last (its *body*) first,
+//! recording each heap access's address where the reference computes
+//! it; then charges the whole segment with one
+//! [`Machine::step_seq`](jem_energy::Machine::step_seq) replay; then
+//! runs the last instruction (its *tail*). That is unobservable:
 //!
-//! * No instruction in a run may touch the machine from its semantics
-//!   (allocations charge a zeroing mix, calls recurse into the VM) or
-//!   carry a heap-addressed micro (the D-cache needs the address
-//!   resolved *after* the preceding semantics ran). Such instructions
-//!   execute on the per-instruction path.
-//! * Every instruction except the last must have **infallible**
-//!   semantics: if semantics `i` could fail, the reference sequence
-//!   stops after charge `i`, while the batched sequence already
-//!   charged the whole run. Infallibility is proven by a conservative
-//!   forward type inference over the virtual registers ([`Ty`]): only
-//!   values the engine itself constructed (constants, arithmetic
-//!   results, conversions, copies of those) get a known type —
-//!   arguments, heap loads and call returns are never trusted. A
-//!   fallible instruction may still *end* a run: the reference charges
-//!   it before running its semantics, so both engines have charged
-//!   exactly the same prefix when the error surfaces.
-//! * The step budget is handled by the executor: the batched path is
-//!   only taken when the remaining budget covers the whole run, so the
-//!   folded `bump_steps` cannot fail mid-run; otherwise the
-//!   per-instruction path reproduces the reference budget error
-//!   exactly.
+//! * No body instruction touches the machine from its semantics:
+//!   allocations charge a zeroing mix and calls recurse into the VM,
+//!   and both end segments, so they are always tails. Conversely the
+//!   machine feeds no semantics, so running them before their charges
+//!   changes nothing either side sees.
+//! * A heap address depends only on the registers before its
+//!   instruction and on the handle's fixed layout (allocations, which
+//!   create layouts, are tails), so the address recorded while running
+//!   the body is the one the reference resolves before charging.
+//! * The I-cache and D-cache are separate simulators; each still sees
+//!   its own accesses in reference order. The DRAM accumulator adds
+//!   the same constant once per miss, the Core additions fold exactly
+//!   in order, and cycles and the instruction mix are integers, so
+//!   moving one simulator's accesses ahead of the other's changes no
+//!   bit ([`Machine::step_seq`](jem_energy::Machine::step_seq) relies
+//!   on the same argument inside one instruction).
+//! * If a body instruction's semantics fail, the executor charges the
+//!   instructions up to and including it one at a time and returns the
+//!   error: exactly the prefix the reference charged.
+//! * The executor takes a segment whole only when the remaining step
+//!   budget covers all of it; otherwise it runs the segment one
+//!   instruction at a time in reference order.
 //!
-//! Because the semantics inside a run never touch the I-cache, the
-//! merged plan's consecutive fetches remain back-to-back, which is
-//! precisely the property [`SeqPlan`] line grouping relies on.
+//! Any split point is exact, so a segment is also closed early when its
+//! heap accesses would overflow the executor's address buffer
+//! (`SEG_ADDRS`). Because the body never touches the I-cache, the
+//! merged plan's consecutive fetches stay back-to-back, which is what
+//! [`SeqPlan`] line grouping relies on.
 
 use crate::bytecode::{Cond, FBin, IBin};
 use crate::costs::NATIVE_INSTR_BYTES;
 use crate::emit::{Micro, MicroMem, NativeCode};
-use crate::nir::{NFunc, NInst, VReg};
+use crate::nir::{NInst, VReg};
 use crate::value::Type;
 use jem_energy::{InstrClass, MachineConfig, SeqDataRef, SeqPlan};
+use std::ops::Range;
 
-/// Sentinel for [`XBlock::run_at`] slots where no batched run starts.
-pub const NO_RUN: u32 = u32::MAX;
+/// Capacity of the executor's per-segment heap-address buffer: a
+/// segment holds at most this many heap micros.
+pub(crate) const SEG_ADDRS: usize = 16;
 
 /// Sentinel register number meaning "absent" (void call destination,
 /// void return). Valid registers are `< NONE` — enforced at decode.
 pub const NONE: u16 = u16::MAX;
 
-/// One pre-decoded executable instruction. Fixed 16-byte layout, every
-/// field pre-resolved; semantics are identical to the corresponding
-/// [`NInst`] as executed by the reference path.
+/// One pre-decoded executable instruction, every field pre-resolved;
+/// semantics are identical to the corresponding [`NInst`] as executed
+/// by the reference path. 24 bytes: [`XOp::CallVirt`]'s 16 bytes of
+/// fields plus the tag, padded to [`XOp::FConst`]'s 8-byte alignment.
 #[derive(Debug, Clone)]
 pub enum XOp {
     /// `r[d] = v`
@@ -394,219 +400,76 @@ pub enum XOp {
     },
 }
 
+const _: () = assert!(std::mem::size_of::<XOp>() == 24);
+
+impl XOp {
+    /// Whether the op's emitted code accesses the heap (one heap micro,
+    /// see [`crate::emit`]).
+    pub(crate) fn touches_heap(&self) -> bool {
+        matches!(
+            self,
+            XOp::ALoad { .. }
+                | XOp::AStore { .. }
+                | XOp::ArrLen { .. }
+                | XOp::GetField { .. }
+                | XOp::PutField { .. }
+                | XOp::CallVirt { .. }
+        )
+    }
+
+    /// Whether the op ends a segment: it allocates, calls or transfers
+    /// control, so its semantics may touch the machine or leave the
+    /// block.
+    pub(crate) fn ends_segment(&self) -> bool {
+        matches!(
+            self,
+            XOp::NewArr { .. }
+                | XOp::NewObj { .. }
+                | XOp::Call { .. }
+                | XOp::CallVirt { .. }
+                | XOp::Jmp { .. }
+                | XOp::Br { .. }
+                | XOp::Ret { .. }
+        )
+    }
+}
+
 /// The executable plan for one installed method: pre-decoded ops plus
-/// charge plans, compiled against one machine's energy table and
-/// I-cache geometry. A derived artifact — cache-reconstructable from
-/// the [`NativeCode`], never serialized.
+/// segment charge plans, compiled against one machine's energy table
+/// and I-cache geometry. A derived artifact — cache-reconstructable
+/// from the [`NativeCode`], never serialized.
 #[derive(Debug)]
 pub struct XCode {
     /// Per-block executable form.
     pub blocks: Vec<XBlock>,
-    /// Register file size.
-    pub nregs: u32,
     /// Pooled call-argument registers (see [`XOp::Call`]).
     pub args_pool: Vec<u16>,
 }
 
-/// One basic block of an [`XCode`]: decoded ops, the per-instruction
-/// charge plans (the reference-shaped path) and the batched
-/// multi-instruction runs layered over them.
+/// One basic block of an [`XCode`]: its decoded ops and the segments
+/// that partition them, in order.
 #[derive(Debug)]
 pub struct XBlock {
     /// Pre-decoded instructions.
     pub ops: Vec<XOp>,
-    /// Per-instruction batched charge plan (one straight-line emitted
-    /// micro sequence each).
-    pub plans: Vec<SeqPlan>,
-    /// Multi-instruction batched runs (each covers ≥ 2 instructions).
-    pub runs: Vec<SeqRun>,
-    /// `run_at[ii]` is the index into [`XBlock::runs`] of the run
-    /// starting at instruction `ii`, or [`NO_RUN`].
-    pub run_at: Vec<u32>,
+    /// Segments covering `ops`, in order.
+    pub segs: Vec<Segment>,
 }
 
-/// One batched run: a maximal straight-line stretch of instructions
-/// whose charging is hoisted to the run head.
+/// A stretch of ops `start..end` charged with one replay: the body
+/// `start..end - 1` is machine-free, the tail `end - 1` may call,
+/// allocate or leave the block (see the module docs).
 #[derive(Debug)]
-pub struct SeqRun {
-    /// Number of instructions covered.
-    pub len: u32,
-    /// Step-budget cost of the whole run: `Σ max(1, micros_i)`,
-    /// matching what the per-instruction path would bump.
+pub struct Segment {
+    /// First op.
+    pub start: u32,
+    /// One past the tail op.
+    pub end: u32,
+    /// Step-budget cost of the whole segment: `Σ max(1, micros_i)`,
+    /// what the reference bumps one instruction at a time.
     pub steps: u64,
-    /// The merged charge plan (never heap-addressed).
+    /// The merged charge plan of every op's emitted micros.
     pub plan: SeqPlan,
-}
-
-/// Inferred virtual-register type, for proving semantics infallible.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Ty {
-    /// Definitely `Value::Int`.
-    Int,
-    /// Definitely `Value::Float`.
-    Float,
-    /// Definitely a reference or null (never `Int`/`Float`).
-    Other,
-    /// Unknown / conflicting — assume nothing.
-    Any,
-}
-
-fn meet(a: Ty, b: Ty) -> Ty {
-    if a == b {
-        a
-    } else {
-        Ty::Any
-    }
-}
-
-/// Apply one instruction's register effect to the type state. The
-/// state describes the *success* path — the only path that continues —
-/// so besides typing the def, an instruction *refines* its operands:
-/// `FAdd a, b` only continues if both unwrapped as floats, so every
-/// later use may assume `Float`. This is what lets an untrusted
-/// ([`Ty::Any`]) argument register break a run once at its first use
-/// instead of at every use on every loop iteration.
-fn apply(inst: &NInst, tys: &mut [Ty]) {
-    fn set(tys: &mut [Ty], d: VReg, t: Ty) {
-        tys[d.0 as usize] = t;
-    }
-    // Operand refinement (before the def: the def overwrites on
-    // overlap).
-    match inst {
-        NInst::IBinOp { a, b, .. } | NInst::ICmpOp { a, b, .. } | NInst::BrCond { a, b, .. } => {
-            set(tys, *a, Ty::Int);
-            set(tys, *b, Ty::Int);
-        }
-        NInst::IShlImm { a, .. } | NInst::INegOp { a, .. } | NInst::I2FOp { a, .. } => {
-            set(tys, *a, Ty::Int)
-        }
-        NInst::FBinOp { a, b, .. } | NInst::FCmpOp { a, b, .. } => {
-            set(tys, *a, Ty::Float);
-            set(tys, *b, Ty::Float);
-        }
-        NInst::FNegOp { a, .. } | NInst::F2IOp { a, .. } => set(tys, *a, Ty::Float),
-        NInst::NewArr { len, .. } => set(tys, *len, Ty::Int),
-        NInst::ALoadOp { arr, idx, .. } => {
-            set(tys, *arr, Ty::Other);
-            set(tys, *idx, Ty::Int);
-        }
-        NInst::AStoreOp { arr, idx, .. } => {
-            set(tys, *arr, Ty::Other);
-            set(tys, *idx, Ty::Int);
-        }
-        NInst::ArrLenOp { arr, .. } => set(tys, *arr, Ty::Other),
-        NInst::GetFieldOp { obj, .. } | NInst::PutFieldOp { obj, .. } => set(tys, *obj, Ty::Other),
-        NInst::CallVirtOp { recv, .. } => set(tys, *recv, Ty::Other),
-        _ => {}
-    }
-    match inst {
-        NInst::IConst { d, .. } => set(tys, *d, Ty::Int),
-        NInst::FConst { d, .. } => set(tys, *d, Ty::Float),
-        NInst::NullConst { d } => set(tys, *d, Ty::Other),
-        NInst::Mov { d, s } => tys[d.0 as usize] = tys[s.0 as usize],
-        NInst::IBinOp { d, .. }
-        | NInst::IShlImm { d, .. }
-        | NInst::INegOp { d, .. }
-        | NInst::ICmpOp { d, .. }
-        | NInst::FCmpOp { d, .. }
-        | NInst::F2IOp { d, .. }
-        | NInst::ArrLenOp { d, .. } => set(tys, *d, Ty::Int),
-        NInst::FBinOp { d, .. } | NInst::FNegOp { d, .. } | NInst::I2FOp { d, .. } => {
-            set(tys, *d, Ty::Float)
-        }
-        NInst::NewArr { d, .. } | NInst::NewObj { d, .. } => set(tys, *d, Ty::Other),
-        // Values materialized from outside the engine's own register
-        // dataflow are never trusted.
-        NInst::ALoadOp { d, .. } | NInst::GetFieldOp { d, .. } => set(tys, *d, Ty::Any),
-        NInst::CallOp { d, .. } | NInst::CallVirtOp { d, .. } => {
-            if let Some(d) = d {
-                set(tys, *d, Ty::Any);
-            }
-        }
-        NInst::AStoreOp { .. }
-        | NInst::PutFieldOp { .. }
-        | NInst::Jmp { .. }
-        | NInst::BrCond { .. }
-        | NInst::Ret { .. } => {}
-    }
-}
-
-/// Whether `inst`'s semantics provably cannot return an error, given
-/// the register types on entry to the instruction.
-fn infallible(inst: &NInst, tys: &[Ty]) -> bool {
-    let int = |r: &VReg| tys[r.0 as usize] == Ty::Int;
-    let flt = |r: &VReg| tys[r.0 as usize] == Ty::Float;
-    match inst {
-        NInst::IConst { .. }
-        | NInst::FConst { .. }
-        | NInst::NullConst { .. }
-        | NInst::Mov { .. }
-        | NInst::Jmp { .. }
-        | NInst::Ret { .. } => true,
-        // Div/Rem fail on a zero divisor regardless of types.
-        NInst::IBinOp { op, a, b, .. } => !matches!(op, IBin::Div | IBin::Rem) && int(a) && int(b),
-        NInst::IShlImm { a, .. } | NInst::INegOp { a, .. } | NInst::I2FOp { a, .. } => int(a),
-        NInst::ICmpOp { a, b, .. } | NInst::BrCond { a, b, .. } => int(a) && int(b),
-        NInst::FBinOp { a, b, .. } | NInst::FCmpOp { a, b, .. } => flt(a) && flt(b),
-        NInst::FNegOp { a, .. } | NInst::F2IOp { a, .. } => flt(a),
-        // Heap, allocation and call instructions never sit inside a
-        // run, so their fallibility is moot — report fallible.
-        _ => false,
-    }
-}
-
-/// Forward type inference: the register type state on entry to every
-/// block. Non-argument registers start as `Int` (the executor
-/// zero-initializes the register file with `Value::Int(0)`); argument
-/// registers start as [`Ty::Any`] because caller-supplied values are
-/// not trusted.
-fn infer(func: &NFunc, nargs: usize) -> Vec<Vec<Ty>> {
-    let nregs = func.nregs as usize;
-    let mut entry = vec![Ty::Int; nregs];
-    for t in entry.iter_mut().take(nargs.min(nregs)) {
-        *t = Ty::Any;
-    }
-    let mut states: Vec<Option<Vec<Ty>>> = vec![None; func.blocks.len()];
-    states[0] = Some(entry);
-    let mut work = vec![0usize];
-    while let Some(b) = work.pop() {
-        let mut tys = states[b].clone().expect("worklist block has a state");
-        for inst in &func.blocks[b].insts {
-            apply(inst, &mut tys);
-        }
-        let succs: [Option<usize>; 2] = match func.blocks[b].insts.last() {
-            Some(NInst::Jmp { target }) => [Some(target.0 as usize), None],
-            Some(NInst::BrCond { then_, else_, .. }) => {
-                [Some(then_.0 as usize), Some(else_.0 as usize)]
-            }
-            _ => [None, None],
-        };
-        for succ in succs.into_iter().flatten() {
-            match &mut states[succ] {
-                Some(old) => {
-                    let mut changed = false;
-                    for (o, n) in old.iter_mut().zip(&tys) {
-                        let m = meet(*o, *n);
-                        if m != *o {
-                            *o = m;
-                            changed = true;
-                        }
-                    }
-                    if changed {
-                        work.push(succ);
-                    }
-                }
-                slot @ None => {
-                    *slot = Some(tys.clone());
-                    work.push(succ);
-                }
-            }
-        }
-    }
-    states
-        .into_iter()
-        .map(|s| s.unwrap_or_else(|| vec![Ty::Any; nregs]))
-        .collect()
 }
 
 /// The `(byte offset, class, data ref)` micros of one emitted
@@ -775,22 +638,20 @@ fn decode_op(inst: &NInst, ic: u32, pool: &mut Vec<u16>) -> XOp {
 }
 
 /// Compile `code` into its executable plan against `config`'s energy
-/// table and I-cache geometry: pre-decoded ops, per-instruction charge
-/// plans and batched runs. `nargs` is the method's invoke arity
-/// (argument registers are typed [`Ty::Any`]). Grouping at
-/// `line_bytes.min(32)` is sound because code bases are 32-byte
-/// aligned (see [`SeqPlan::compile_at`]).
+/// table and I-cache geometry: pre-decoded ops and their segments.
+/// Grouping at `line_bytes.min(32)` is sound because code bases are
+/// 32-byte aligned (see [`SeqPlan::compile_at`]).
 ///
 /// # Panics
 /// If the function uses ≥ `u16::MAX` virtual registers (far beyond
-/// anything the JIT emits).
-pub fn compile(config: &MachineConfig, code: &NativeCode, nargs: usize) -> XCode {
+/// anything the JIT emits), or if an instruction's heap micros are not
+/// one per heap-touching op ([`crate::emit`] never emits otherwise).
+pub fn compile(config: &MachineConfig, code: &NativeCode) -> XCode {
     assert!(
         code.func.nregs < u32::from(NONE),
         "register file too large to pre-decode"
     );
     let line_bytes = config.icache.map_or(32, |c| c.line_bytes).min(32);
-    let states = infer(&code.func, nargs);
     let mut scratch: Vec<(u64, InstrClass, SeqDataRef)> = Vec::new();
     let mut args_pool: Vec<u16> = Vec::new();
     let blocks = code
@@ -801,83 +662,50 @@ pub fn compile(config: &MachineConfig, code: &NativeCode, nargs: usize) -> XCode
         .map(|(b, block)| {
             let seqs = &code.micros[b];
             let offs = &code.offsets[b];
-            let ninsts = block.insts.len();
+            let ops: Vec<XOp> = block
+                .insts
+                .iter()
+                .zip(offs)
+                .map(|(inst, &off)| decode_op(inst, off, &mut args_pool))
+                .collect();
 
-            // Decoded ops and per-instruction plans (the
-            // reference-shaped path).
-            let mut ops = Vec::with_capacity(ninsts);
-            let mut insts = Vec::with_capacity(ninsts);
-            for (ii, inst) in block.insts.iter().enumerate() {
-                ops.push(decode_op(inst, offs[ii], &mut args_pool));
+            // The segment `range`: its merged plan and step cost.
+            let mut segment = |range: Range<usize>| {
                 scratch.clear();
-                inst_micros(&seqs[ii], offs[ii], &mut scratch);
-                insts.push(SeqPlan::compile_at(&config.table, line_bytes, &scratch));
-            }
-
-            // Partition into batched runs.
-            let mut tys = states[b].clone();
-            let mut runs = Vec::new();
-            let mut run_at = vec![NO_RUN; ninsts];
-            let mut start = 0usize;
-            let mut steps = 0u64;
-            scratch.clear();
-            let close = |scratch: &mut Vec<(u64, InstrClass, SeqDataRef)>,
-                         runs: &mut Vec<SeqRun>,
-                         run_at: &mut [u32],
-                         start: usize,
-                         end: usize,
-                         steps: u64| {
-                if end - start >= 2 {
-                    run_at[start] = runs.len() as u32;
-                    runs.push(SeqRun {
-                        len: (end - start) as u32,
-                        steps,
-                        plan: SeqPlan::compile_at(&config.table, line_bytes, scratch),
-                    });
+                let mut steps = 0u64;
+                for ii in range.clone() {
+                    inst_micros(&seqs[ii], offs[ii], &mut scratch);
+                    steps += (seqs[ii].len() as u64).max(1);
                 }
-                scratch.clear();
+                Segment {
+                    start: range.start as u32,
+                    end: range.end as u32,
+                    steps,
+                    plan: SeqPlan::compile_at(&config.table, line_bytes, &scratch),
+                }
             };
-            for (ii, inst) in block.insts.iter().enumerate() {
-                let excluded = matches!(
-                    inst,
-                    NInst::NewArr { .. }
-                        | NInst::NewObj { .. }
-                        | NInst::CallOp { .. }
-                        | NInst::CallVirtOp { .. }
-                ) || seqs[ii].iter().any(|m| m.mem == MicroMem::Heap);
-                if excluded {
-                    close(&mut scratch, &mut runs, &mut run_at, start, ii, steps);
-                    apply(inst, &mut tys);
-                    start = ii + 1;
-                    steps = 0;
-                    continue;
+            let mut segs = Vec::new();
+            let (mut start, mut nheap) = (0usize, 0usize);
+            for (ii, op) in ops.iter().enumerate() {
+                let heap = usize::from(op.touches_heap());
+                assert_eq!(
+                    seqs[ii].iter().filter(|m| m.mem == MicroMem::Heap).count(),
+                    heap,
+                    "one heap micro per heap-touching instruction"
+                );
+                if nheap + heap > SEG_ADDRS {
+                    segs.push(segment(start..ii));
+                    (start, nheap) = (ii, 0);
                 }
-                let ok = infallible(inst, &tys);
-                inst_micros(&seqs[ii], offs[ii], &mut scratch);
-                steps += (seqs[ii].len() as u64).max(1);
-                apply(inst, &mut tys);
-                if !ok {
-                    // A fallible instruction may end a run but not sit
-                    // inside one.
-                    close(&mut scratch, &mut runs, &mut run_at, start, ii + 1, steps);
-                    start = ii + 1;
-                    steps = 0;
+                nheap += heap;
+                if op.ends_segment() || ii + 1 == ops.len() {
+                    segs.push(segment(start..ii + 1));
+                    (start, nheap) = (ii + 1, 0);
                 }
             }
-            close(&mut scratch, &mut runs, &mut run_at, start, ninsts, steps);
-
-            XBlock {
-                ops,
-                plans: insts,
-                runs,
-                run_at,
-            }
+            XBlock { ops, segs }
         })
         .collect();
 
-    XCode {
-        blocks,
-        nregs: code.func.nregs,
-        args_pool,
-    }
+    XCode { blocks, args_pool }
 }

@@ -80,10 +80,9 @@ pub enum MethodCode {
         /// (cold) vector after resume is observationally identical.
         ics: Rc<Vec<Cell<u64>>>,
         /// The pre-decoded executable plan: flat [`crate::runplan::XOp`]
-        /// stream plus batched charge plans (per-instruction plans and
-        /// merged multi-instruction runs), compiled for this machine's
-        /// energy table and I-cache geometry at install time. A
-        /// derived artifact — never serialized.
+        /// stream plus one merged charge plan per segment, compiled
+        /// for this machine's energy table and I-cache geometry at
+        /// install time. A derived artifact — never serialized.
         plans: Rc<XCode>,
     },
 }
@@ -183,8 +182,7 @@ impl<'p> Vm<'p> {
         self.next_code_addr = (self.next_code_addr + 31) & !31;
         let nslots = (code.code_bytes as u64 / NATIVE_INSTR_BYTES) as usize + 1;
         let ics = Rc::new(vec![Cell::new(u64::MAX); nslots]);
-        let nargs = self.program.method(m).invoke_arity();
-        let plans = Rc::new(crate::runplan::compile(self.machine.config(), &code, nargs));
+        let plans = Rc::new(crate::runplan::compile(self.machine.config(), &code));
         self.code[m.0 as usize] = MethodCode::Native {
             code,
             base,
@@ -225,12 +223,16 @@ impl<'p> Vm<'p> {
                 }
             }
             MethodCode::Native {
-                base, ics, plans, ..
+                code,
+                base,
+                ics,
+                plans,
             } => {
                 let base = *base;
+                let code = Rc::clone(code);
                 let ics = Rc::clone(ics);
                 let plans = Rc::clone(plans);
-                crate::exec::run(self, &plans, base, &ics, args)
+                crate::exec::run(self, &code, &plans, base, &ics, args)
             }
         };
         self.depth -= 1;

@@ -25,52 +25,14 @@
 //!    where batched charges fold into one exact add per replay instead
 //!    of starting from zero.
 
-use jem_energy::{Component, Energy};
+mod common;
+
+use common::{fingerprint, precharge, Fingerprint};
 use jem_jvm::class::{MethodAttrs, MethodSig, ProgramBuilder};
 use jem_jvm::dsl::*;
 use jem_jvm::verify::verify_program;
 use jem_jvm::{MethodId, Op, Program, Type, Value, Vm, VmError};
 use proptest::prelude::*;
-
-/// Everything observable about a finished VM, with energies captured
-/// as raw bit patterns so `-0.0`/`0.0` or NaN artifacts could never
-/// mask a divergence.
-#[derive(Debug, Clone, PartialEq)]
-struct Fingerprint {
-    steps: u64,
-    cycles: u64,
-    energy_bits: u64,
-    component_bits: Vec<(String, u64)>,
-    mix: Vec<(String, u64)>,
-    icache: Option<jem_energy::CacheStats>,
-    dcache: Option<jem_energy::CacheStats>,
-    state: jem_energy::MachineState,
-}
-
-fn fingerprint(vm: &Vm) -> Fingerprint {
-    let m = &vm.machine;
-    Fingerprint {
-        steps: vm.steps,
-        cycles: m.cycles(),
-        energy_bits: m.energy().joules().to_bits(),
-        component_bits: m
-            .breakdown()
-            .iter()
-            .map(|(c, e)| (format!("{c:?}"), e.joules().to_bits()))
-            .collect(),
-        mix: {
-            use jem_energy::InstrClass::*;
-            let mix = m.mix();
-            [Load, Store, Branch, AluSimple, AluComplex, Nop]
-                .iter()
-                .map(|c| (format!("{c:?}"), mix.count(*c)))
-                .collect()
-        },
-        icache: m.icache_stats(),
-        dcache: m.dcache_stats(),
-        state: m.export_state(),
-    }
-}
 
 /// Run `id(args)` on a fresh client VM with the chosen engine and
 /// budget, returning the outcome plus the machine fingerprint.
@@ -95,9 +57,7 @@ fn run_engine_from(
     core_nj: f64,
 ) -> (Result<Option<Value>, VmError>, Fingerprint) {
     let mut vm = Vm::client(program);
-    let mut state = vm.machine.export_state();
-    state.breakdown[Component::Core] = Energy::from_nanojoules(core_nj);
-    vm.machine.import_state(&state);
+    precharge(&mut vm, core_nj);
     vm.options.slow_interp = slow;
     vm.options.step_budget = budget;
     let got = vm.invoke(id, args.to_vec());
