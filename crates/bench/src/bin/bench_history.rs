@@ -43,7 +43,7 @@
 //! queryable per-fingerprint history that `jem-lab check` can apply
 //! its throughput changepoint tests to.
 
-use jem_bench::arg_usize;
+use jem_bench::{arg_parse, arg_usize};
 use jem_obs::diff::{diff_json, DiffPolicy, DiffReport};
 use jem_obs::Json;
 use std::path::{Path, PathBuf};
@@ -248,16 +248,10 @@ fn check(args: &[String]) -> ExitCode {
         eprintln!("{USAGE}");
         return ExitCode::from(2);
     };
-    let rel_tol = jem_bench::arg_str(args, "--rel-tol")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(1e-9);
-    let threshold: f64 = jem_bench::arg_str(args, "--threshold")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(0.5);
+    let rel_tol: f64 = arg_parse(args, "--rel-tol", 1e-9);
+    let threshold: f64 = arg_parse(args, "--threshold", 0.5);
     let fail_on_throughput = args.iter().any(|a| a == "--fail-on-throughput");
-    let min_instr: u64 = jem_bench::arg_str(args, "--min-instr")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(1_000_000);
+    let min_instr: u64 = arg_parse(args, "--min-instr", 1_000_000);
     let report_path = jem_bench::arg_str(args, "--report");
 
     let text = match std::fs::read_to_string(baseline_path) {

@@ -7,9 +7,9 @@
 //!
 //! * **arith** — tight integer arithmetic loop: long straight-line
 //!   stretches, so almost everything executes as fused
-//!   superinstructions and batched runs;
+//!   superinstructions in long segments;
 //! * **call** — call-heavy: a tiny helper invoked every iteration, so
-//!   invoke dispatch, frame setup and return-shape tracking dominate;
+//!   invoke dispatch and frame setup dominate;
 //! * **heap** — array read/modify/write traffic, so the simulated
 //!   d-cache and bounds checks dominate;
 //! * **float** — float arithmetic plus int↔float conversions.

@@ -63,12 +63,34 @@ pub fn fmt_norm(v: f64) -> String {
 }
 
 /// Parse a `--runs N`-style flag from argv, with a default.
+///
+/// A flag that is present but has no value, or whose value does not
+/// parse as a `usize`, exits 2 with a message naming the flag (see
+/// [`arg_parse`]).
 pub fn arg_usize(args: &[String], flag: &str, default: usize) -> usize {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
+    arg_parse(args, flag, default)
+}
+
+/// Parse a `--flag value` option from argv, with a default when the
+/// flag is absent.
+///
+/// A present flag with no value, or with a value that does not parse
+/// as a `T`, exits the process with status 2 before anything runs,
+/// naming the flag and the value.
+pub fn arg_parse<T: std::str::FromStr>(args: &[String], flag: &str, default: T) -> T {
+    let Some(i) = args.iter().position(|a| a == flag) else {
+        return default;
+    };
+    match args.get(i + 1) {
+        Some(v) => v.parse().unwrap_or_else(|_| {
+            eprintln!("error: {flag}: cannot parse {v:?}");
+            std::process::exit(2);
+        }),
+        None => {
+            eprintln!("error: {flag} expects a value");
+            std::process::exit(2);
+        }
+    }
 }
 
 /// True when `--full` was passed (run paper-scale workloads).

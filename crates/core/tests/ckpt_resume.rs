@@ -219,8 +219,8 @@ proptest! {
     }
 }
 
-/// The fast-path interpreter's pre-decoded method forms, batched-run
-/// metadata and per-handler charge plans are *derived* artifacts —
+/// The fast-path interpreter's pre-decoded method forms, segments and
+/// per-handler charge plans are *derived* artifacts —
 /// never serialized into a [`RunSnapshot`]. A resumed VM therefore
 /// starts with those caches cold while a straight-through VM has them
 /// warm. This must be invisible: a second invocation on a freshly

@@ -197,86 +197,15 @@ impl Machine {
         self.cycles += cycles;
     }
 
-    /// Replay a precompiled [`ChargePlan`]: one instruction fetch at
-    /// the plan's pc followed by its precomputed core-energy charge
-    /// sequence.
+    /// Replay a precompiled [`SeqPlan`]: one straight-line sequence of
+    /// machine events, batched. This is the machine's only batched
+    /// replay; native segments and interpreter segments both use it.
     ///
-    /// This is the batched fast-path equivalent of
-    ///
-    /// ```text
-    /// machine.step(plan_pc, lead_class, MemOp::None);
-    /// machine.charge_mix(&mix_1);
-    /// ...
-    /// machine.charge_mix(&mix_n);
-    /// ```
-    ///
-    /// and is **bit-exact** with that sequence: the plan stores each
-    /// `energy(class) * n` product individually, in order, and the
-    /// Core accumulator ends on the same bits as adding them one at a
-    /// time (see [`CoreFold`] for how the adds are folded exactly); the
-    /// I-cache sees the same access, and the integer cycle/mix
-    /// bookkeeping — which *is* associative — is folded into single
-    /// additions.
-    #[inline]
-    pub fn step_planned(&mut self, plan: &ChargePlan) {
-        debug_assert_eq!(self.state, PowerState::Active, "step while powered down");
-        let mut cycles = plan.cycles;
-        if let Some(icache) = &mut self.icache {
-            if !icache.access(plan.fetch_pc) {
-                cycles += self.config.miss_penalty_cycles as u64;
-                self.breakdown
-                    .charge(Component::Dram, self.config.table.main_memory);
-                self.mix.mem_accesses += 1;
-            }
-        }
-        self.charge_core(&plan.core[..plan.ncore as usize], &plan.fold);
-        for &(class, n) in &plan.classes[..plan.nclasses as usize] {
-            self.mix.record(class, n);
-        }
-        self.cycles += cycles;
-    }
-
-    /// Replay a precompiled [`ChargeSeq`]: several consecutive
-    /// dispatch plans merged into one batched replay.
-    ///
-    /// Bit-exact with calling [`Machine::step_planned`] once per
-    /// folded plan, in order: the I-cache sees the same fetches in the
-    /// same order; the Core accumulator ends on the same bits as the
-    /// per-plan additions in order (each folded plan's products,
-    /// concatenated, folded by [`CoreFold`]); the Dram accumulator
-    /// adds the same `table.main_memory` constant once per miss, and
-    /// moving those additions ahead of the core additions cannot
-    /// change either accumulator — they are *different* accumulators,
-    /// and only the per-accumulator addition order matters for f64
-    /// bit-equality; the integer cycle/mix bookkeeping is associative
-    /// and folded.
-    #[inline]
-    pub fn step_charge_seq(&mut self, seq: &ChargeSeq) {
-        debug_assert_eq!(self.state, PowerState::Active, "step while powered down");
-        let mut cycles = seq.cycles;
-        if let Some(icache) = &mut self.icache {
-            for &pc in seq.fetch_pcs.iter() {
-                if !icache.access(pc) {
-                    cycles += self.config.miss_penalty_cycles as u64;
-                    self.breakdown
-                        .charge(Component::Dram, self.config.table.main_memory);
-                    self.mix.mem_accesses += 1;
-                }
-            }
-        }
-        self.charge_core(&seq.core, &seq.fold);
-        for &(class, n) in seq.classes.iter() {
-            self.mix.record(class, n);
-        }
-        self.cycles += cycles;
-    }
-
-    /// Replay a precompiled [`SeqPlan`]: one straight-line emitted
-    /// micro-instruction sequence, batched.
-    ///
-    /// This is the bit-exact batched equivalent of calling
-    /// [`Machine::step`] once per micro with consecutive fetch
-    /// addresses `code_base + start, + instr_bytes, ...`:
+    /// This is the bit-exact batched equivalent of the calls the plan
+    /// was built from, in order: [`Machine::step`] at `code_base + off`
+    /// once per micro, and `step(code_base + fetch, lead, None)`
+    /// followed by one [`Machine::charge_mix`] per mix for each
+    /// dispatch (see [`SeqPlan::dispatch`]):
     ///
     /// * **I-cache** — because `code_base` is line-aligned, the
     ///   grouping of consecutive fetches into cache lines is static.
@@ -290,10 +219,11 @@ impl Machine {
     ///   locality is dynamic: `frame_base + offset` for spills, and for
     ///   the `i`-th heap micro `heap_addrs[i]`, where `None` means the
     ///   micro makes no D-cache access.
-    /// * **Core energy** — the per-micro `energy(class)` additions are
-    ///   folded into one exact add whenever that gives the same bits as
-    ///   adding them individually in order, and replayed one by one
-    ///   otherwise (see [`CoreFold`]).
+    /// * **Core energy** — the ordered additions (`energy(class)` per
+    ///   micro or lead, each `energy(class) * n` product a mix
+    ///   charges) are folded into one exact add whenever that gives
+    ///   the same bits as adding them individually in order, and
+    ///   replayed one by one otherwise (see the private `CoreFold`).
     /// * **DRAM energy** — every miss charges the same
     ///   `table.main_memory` constant, so reordering the D-cache
     ///   misses after the I-cache misses leaves the DRAM accumulator
@@ -307,7 +237,11 @@ impl Machine {
     /// is not aligned to the plan's line size, if the plan was
     /// compiled for a different I-cache line size than this machine's,
     /// or if `heap_addrs` does not hold one entry per heap micro.
-    #[inline]
+    ///
+    /// Always inlined: it runs once per segment in both engines' hot
+    /// loops, and with two engines calling it the compiler otherwise
+    /// keeps it out of line.
+    #[inline(always)]
     pub fn step_seq(
         &mut self,
         plan: &SeqPlan,
@@ -330,7 +264,7 @@ impl Machine {
             "one heap address per heap micro"
         );
         let penalty = u64::from(self.config.miss_penalty_cycles);
-        let mut cycles = plan.n;
+        let mut cycles = plan.cycles;
         if let Some(icache) = &mut self.icache {
             debug_assert_eq!(
                 icache.config().line_bytes % plan.line_bytes,
@@ -682,171 +616,6 @@ fn fold_ulps(key: u64, core: &[Energy]) -> u64 {
     sum
 }
 
-/// Maximum number of distinct core-energy additions one plan can hold
-/// (one lead instruction plus each nonzero class of each folded mix).
-pub const CHARGE_PLAN_SLOTS: usize = 12;
-
-/// A precompiled per-dispatch charge plan for [`Machine::step_planned`].
-///
-/// Captures, once, the machine work the interpreter performs for every
-/// executed bytecode: the instruction fetch (an I-cache access at the
-/// handler's address), the lead instruction's core energy, and the
-/// core energies of one or more fixed [`InstrMix`]es (dispatch
-/// overhead + per-op operand traffic). The core charges are stored as
-/// the *individual* `energy(class) * count` products, in the exact
-/// order `charge_mix` would issue them, and folded exactly on replay,
-/// so replaying a plan is bit-identical to the unbatched call sequence
-/// — see [`Machine::step_planned`].
-///
-/// Plans depend only on an [`EnergyTable`], so they can be built once
-/// per machine configuration and reused for the whole run.
-#[derive(Debug, Clone)]
-pub struct ChargePlan {
-    /// Simulated fetch address (drives the I-cache).
-    fetch_pc: u64,
-    /// Ordered core-energy additions.
-    core: [Energy; CHARGE_PLAN_SLOTS],
-    /// Number of valid entries in `core`.
-    ncore: u8,
-    /// Folded instruction-histogram delta (lead + all mixes), stored
-    /// as nonzero `(class, count)` pairs so replay touches only the
-    /// classes actually present.
-    classes: [(InstrClass, u64); 6],
-    /// Number of valid entries in `classes`.
-    nclasses: u8,
-    /// Folded cycle delta (miss penalties are added dynamically).
-    cycles: u64,
-    /// Derived fold of `core` at the last Core binade seen.
-    fold: CoreFold,
-}
-
-impl ChargePlan {
-    /// Compile a plan equivalent to `step(fetch_pc, lead, MemOp::None)`
-    /// followed by `charge_mix(m)` for each mix in `mixes`, in order.
-    ///
-    /// # Panics
-    /// If a mix records main-memory accesses (those need dynamic
-    /// pricing, which a static plan cannot fold), or if the mixes need
-    /// more than [`CHARGE_PLAN_SLOTS`] distinct core additions.
-    pub fn compile(
-        table: &EnergyTable,
-        fetch_pc: u64,
-        lead: InstrClass,
-        mixes: &[InstrMix],
-    ) -> Self {
-        let mut core = [Energy::ZERO; CHARGE_PLAN_SLOTS];
-        core[0] = table.energy(lead);
-        let mut ncore = 1usize;
-        let mut folded = InstrMix::new().with(lead, 1);
-        let mut cycles = 1u64;
-        for mix in mixes {
-            assert_eq!(
-                mix.mem_accesses, 0,
-                "ChargePlan cannot fold mixes with main-memory accesses"
-            );
-            for class in InstrClass::ALL {
-                let n = mix.count(class);
-                if n > 0 {
-                    assert!(ncore < CHARGE_PLAN_SLOTS, "ChargePlan overflow");
-                    // The identical product `charge_mix` computes, so
-                    // the replayed addition carries identical bits.
-                    core[ncore] = table.energy(class) * n as f64;
-                    ncore += 1;
-                }
-            }
-            folded += *mix;
-            cycles += mix.total();
-        }
-        let mut classes = [(InstrClass::Nop, 0u64); 6];
-        let mut nclasses = 0usize;
-        for class in InstrClass::ALL {
-            let n = folded.count(class);
-            if n > 0 {
-                classes[nclasses] = (class, n);
-                nclasses += 1;
-            }
-        }
-        ChargePlan {
-            fetch_pc,
-            core,
-            ncore: ncore as u8,
-            classes,
-            nclasses: nclasses as u8,
-            cycles,
-            fold: CoreFold::new(),
-        }
-    }
-
-    /// The simulated fetch address this plan accesses.
-    pub fn fetch_pc(&self) -> u64 {
-        self.fetch_pc
-    }
-}
-
-/// Several consecutive [`ChargePlan`]s merged into one batched replay
-/// for [`Machine::step_charge_seq`] — the "superinstruction" charge
-/// form: one call replays what would otherwise be several
-/// `step_planned` dispatches.
-///
-/// Merging is purely structural: the fetch addresses are kept
-/// individually (cache outcomes stay dynamic) and the core-energy
-/// products are concatenated in plan order, then folded exactly on
-/// replay, so replay is bit-exact with the unmerged sequence — see
-/// [`Machine::step_charge_seq`].
-#[derive(Debug, Clone)]
-pub struct ChargeSeq {
-    /// Fetch addresses of the folded plans, in order.
-    fetch_pcs: Box<[u64]>,
-    /// Concatenated ordered core-energy additions.
-    core: Box<[Energy]>,
-    /// Folded instruction-histogram delta, as nonzero
-    /// `(class, count)` pairs.
-    classes: Box<[(InstrClass, u64)]>,
-    /// Folded base cycles (miss penalties are added dynamically).
-    cycles: u64,
-    /// Derived fold of `core` at the last Core binade seen.
-    fold: CoreFold,
-}
-
-impl ChargeSeq {
-    /// Merge `plans` into one replay equivalent to
-    /// `step_planned(plans[0]); step_planned(plans[1]); ...`.
-    pub fn merge(plans: &[&ChargePlan]) -> Self {
-        let fetch_pcs: Vec<u64> = plans.iter().map(|p| p.fetch_pc).collect();
-        let mut core = Vec::new();
-        let mut folded = InstrMix::new();
-        let mut cycles = 0u64;
-        for p in plans {
-            core.extend_from_slice(&p.core[..p.ncore as usize]);
-            for &(class, n) in &p.classes[..p.nclasses as usize] {
-                folded.record(class, n);
-            }
-            cycles += p.cycles;
-        }
-        let classes: Vec<(InstrClass, u64)> = InstrClass::ALL
-            .into_iter()
-            .filter_map(|class| {
-                let n = folded.count(class);
-                (n > 0).then_some((class, n))
-            })
-            .collect();
-        ChargeSeq {
-            fetch_pcs: fetch_pcs.into_boxed_slice(),
-            core: core.into_boxed_slice(),
-            classes: classes.into_boxed_slice(),
-            cycles,
-            fold: CoreFold::new(),
-        }
-    }
-
-    /// Number of folded dispatches (= step-budget increments the
-    /// caller owes when replaying this merged plan).
-    #[inline]
-    pub fn steps(&self) -> u64 {
-        self.fetch_pcs.len() as u64
-    }
-}
-
 /// Data access performed by one micro-instruction of a [`SeqPlan`].
 ///
 /// Addresses are split into a static part (captured at compile time)
@@ -871,34 +640,39 @@ pub enum SeqDataRef {
 }
 
 /// A precompiled batched charge plan for one straight-line sequence of
-/// emitted micro-instructions, replayed by [`Machine::step_seq`].
+/// machine events, replayed by [`Machine::step_seq`].
 ///
-/// Compiled once per (sequence, energy table, I-cache geometry) — in
-/// practice when native code is installed into a VM — and replayed on
-/// every execution of the sequence. The plan pre-resolves everything
-/// static about the accounting (line grouping of the consecutive
-/// fetches, per-micro core-energy products and their exact fold,
-/// folded instruction histogram and base cycles) while keeping
-/// everything dynamic (cache hit/miss outcomes, data addresses) live. Replay is bit-exact with
-/// the equivalent per-micro [`Machine::step`] loop — see
-/// [`Machine::step_seq`] for the argument.
+/// The events are emitted native micro-instructions
+/// ([`SeqPlan::compile_at`]), interpreter dispatches
+/// ([`SeqPlan::dispatch`]), or any concatenation of such plans
+/// ([`SeqPlan::concat`]). A plan is compiled once per (sequence, energy
+/// table, I-cache grouping) and replayed on every execution of the
+/// sequence. It pre-resolves everything static about the accounting
+/// (line grouping of consecutive fetches, the ordered core-energy
+/// additions and their exact fold, folded instruction histogram and
+/// base cycles) while keeping everything dynamic (cache hit/miss
+/// outcomes, data addresses) live. Replay is bit-exact with the calls
+/// the plan was built from — see [`Machine::step_seq`] for the
+/// argument.
 #[derive(Debug, Clone)]
 pub struct SeqPlan {
-    /// One entry per I-cache line the sequence's fetches touch, in
-    /// first-touch order: byte offset (from the line-aligned code
-    /// base) of the line's first fetch, plus the number of guaranteed
-    /// follow-on hits to that line.
+    /// One entry per run of consecutive same-granule fetches, in
+    /// order: byte offset (from the line-aligned code base) of the
+    /// run's first fetch, plus the number of guaranteed follow-on hits.
     lines: Box<[(u64, u32)]>,
-    /// Ordered per-micro core-energy additions.
+    /// Ordered core-energy additions.
     core: Box<[Energy]>,
     /// Data-bearing micros, in issue order.
     mems: Box<[SeqDataRef]>,
     /// Folded instruction histogram of the whole sequence, as nonzero
     /// `(class, count)` pairs.
     classes: Box<[(InstrClass, u64)]>,
-    /// Micro count (= base cycles).
-    n: u64,
-    /// I-cache line size the line grouping assumes.
+    /// Base cycles: one per micro, and per dispatch one for its fetch
+    /// plus one per instruction of its mixes (miss penalties are added
+    /// on replay).
+    cycles: u64,
+    /// Fetch grouping granule: a power of two dividing the I-cache's
+    /// line size.
     line_bytes: u32,
     /// Derived fold of `core` at the last Core binade seen.
     fold: CoreFold,
@@ -957,51 +731,144 @@ impl SeqPlan {
             line_bytes.is_power_of_two(),
             "line size must be a power of two"
         );
-        let lb = u64::from(line_bytes);
         let mut lines: Vec<(u64, u32)> = Vec::new();
         let mut core = Vec::with_capacity(micros.len());
         let mut mems = Vec::new();
         let mut mix = InstrMix::new();
         for &(off, class, mem) in micros {
-            match lines.last_mut() {
-                Some(&mut (first, ref mut extra)) if off / lb == first / lb => *extra += 1,
-                _ => lines.push((off, 0)),
-            }
+            push_fetch(&mut lines, line_bytes, off, 0);
             core.push(table.energy(class));
             mix.record(class, 1);
             if mem != SeqDataRef::None {
                 mems.push(mem);
             }
         }
-        let classes: Vec<(InstrClass, u64)> = InstrClass::ALL
-            .into_iter()
-            .filter_map(|class| {
-                let n = mix.count(class);
-                (n > 0).then_some((class, n))
-            })
-            .collect();
         SeqPlan {
             lines: lines.into_boxed_slice(),
             core: core.into_boxed_slice(),
             mems: mems.into_boxed_slice(),
-            classes: classes.into_boxed_slice(),
-            n: micros.len() as u64,
+            classes: nonzero_classes(&mix),
+            cycles: micros.len() as u64,
             line_bytes,
             fold: CoreFold::new(),
         }
     }
 
-    /// Number of micro-instructions the plan replays.
-    #[inline]
-    pub fn len(&self) -> u64 {
-        self.n
+    /// Compile one interpreter dispatch: a plan equivalent to
+    /// `step(code_base + fetch_pc, lead, MemOp::None)` followed by
+    /// `charge_mix(m)` for each mix in `mixes`, in order.
+    ///
+    /// The core additions are the lead's `energy(lead)` and then, per
+    /// mix, each nonzero `energy(class) * n` product in the order
+    /// `charge_mix` issues them, so the replayed additions carry
+    /// identical bits.
+    ///
+    /// # Panics
+    /// If `line_bytes` is not a power of two, or if a mix records
+    /// main-memory accesses (those are priced as one DRAM add of their
+    /// own, which a plan does not fold).
+    pub fn dispatch(
+        table: &EnergyTable,
+        line_bytes: u32,
+        fetch_pc: u64,
+        lead: InstrClass,
+        mixes: &[InstrMix],
+    ) -> Self {
+        assert!(
+            line_bytes.is_power_of_two(),
+            "line size must be a power of two"
+        );
+        let mut core = vec![table.energy(lead)];
+        let mut mix = InstrMix::new().with(lead, 1);
+        for m in mixes {
+            assert_eq!(
+                m.mem_accesses, 0,
+                "a dispatch plan cannot fold DRAM accesses"
+            );
+            for class in InstrClass::ALL {
+                let n = m.count(class);
+                if n > 0 {
+                    core.push(table.energy(class) * n as f64);
+                }
+            }
+            mix += *m;
+        }
+        SeqPlan {
+            lines: Box::new([(fetch_pc, 0)]),
+            core: core.into_boxed_slice(),
+            mems: Box::new([]),
+            classes: nonzero_classes(&mix),
+            cycles: mix.total(),
+            line_bytes,
+            fold: CoreFold::new(),
+        }
     }
 
-    /// True when the plan replays no micros at all.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.n == 0
+    /// Concatenate `plans` into one plan equivalent to replaying each
+    /// of them in order with the same `code_base` and `frame_base`,
+    /// and the heap addresses of all of them, in order.
+    ///
+    /// Core additions, data micros and fetches keep their order; a
+    /// fetch in the same granule as the fetch just before it becomes a
+    /// guaranteed hit, as in [`SeqPlan::compile_at`].
+    ///
+    /// # Panics
+    /// If `plans` is empty or its plans group fetches at different
+    /// granules.
+    pub fn concat(plans: &[&SeqPlan]) -> Self {
+        let line_bytes = plans.first().expect("at least one plan").line_bytes;
+        let mut lines: Vec<(u64, u32)> = Vec::new();
+        let mut core = Vec::new();
+        let mut mems = Vec::new();
+        let mut mix = InstrMix::new();
+        let mut cycles = 0;
+        for p in plans {
+            assert_eq!(
+                p.line_bytes, line_bytes,
+                "plans grouped at different granules"
+            );
+            for &(off, hits) in p.lines.iter() {
+                push_fetch(&mut lines, line_bytes, off, hits);
+            }
+            core.extend_from_slice(&p.core);
+            mems.extend_from_slice(&p.mems);
+            for &(class, n) in p.classes.iter() {
+                mix.record(class, n);
+            }
+            cycles += p.cycles;
+        }
+        SeqPlan {
+            lines: lines.into_boxed_slice(),
+            core: core.into_boxed_slice(),
+            mems: mems.into_boxed_slice(),
+            classes: nonzero_classes(&mix),
+            cycles,
+            line_bytes,
+            fold: CoreFold::new(),
+        }
     }
+}
+
+/// Append a fetch at `off` followed by `hits` guaranteed hits to
+/// `lines`, folding it into the last entry when both lie in one
+/// `line_bytes` granule (the fetch then hits the line just accessed).
+fn push_fetch(lines: &mut Vec<(u64, u32)>, line_bytes: u32, off: u64, hits: u32) {
+    let lb = u64::from(line_bytes);
+    match lines.last_mut() {
+        Some(&mut (first, ref mut extra)) if off / lb == first / lb => *extra += 1 + hits,
+        _ => lines.push((off, hits)),
+    }
+}
+
+/// `mix`'s nonzero `(class, count)` pairs, in [`InstrClass::ALL`] order.
+fn nonzero_classes(mix: &InstrMix) -> Box<[(InstrClass, u64)]> {
+    InstrClass::ALL
+        .into_iter()
+        .filter_map(|class| {
+            let n = mix.count(class);
+            (n > 0).then_some((class, n))
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -1062,9 +929,10 @@ mod tests {
     }
 
     #[test]
-    fn step_planned_is_bit_exact_with_unbatched_sequence() {
-        // A plan replay must leave the machine in *bit-identical*
-        // state to the step + charge_mix sequence it compiles.
+    fn dispatch_plan_is_bit_exact_with_unbatched_sequence() {
+        // A dispatch plan replay must leave the machine in
+        // *bit-identical* state to the step + charge_mix sequence it
+        // compiles.
         let dispatch = InstrMix::new()
             .with(InstrClass::Load, 1)
             .with(InstrClass::AluSimple, 2);
@@ -1074,8 +942,9 @@ mod tests {
             .with(InstrClass::Branch, 1);
         let mut slow = client();
         let mut fast = client();
-        let plan = ChargePlan::compile(
+        let plan = SeqPlan::dispatch(
             &fast.config().table.clone(),
+            4,
             0x1000_0080,
             InstrClass::Branch,
             &[dispatch, work],
@@ -1088,7 +957,7 @@ mod tests {
             slow.step(0x1000_0080, InstrClass::Branch, MemOp::None);
             slow.charge_mix(&dispatch);
             slow.charge_mix(&work);
-            fast.step_planned(&plan);
+            fast.step_seq(&plan, 0, 0, &[]);
             assert_eq!(slow.breakdown(), fast.breakdown(), "rep {rep}");
         }
         assert_eq!(slow.cycles(), fast.cycles());
@@ -1102,8 +971,8 @@ mod tests {
     }
 
     #[test]
-    fn step_charge_seq_is_bit_exact_with_per_plan_replay() {
-        // A merged ChargeSeq must leave the machine bit-identical to
+    fn concat_plan_is_bit_exact_with_per_plan_replay() {
+        // A concatenated plan must leave the machine bit-identical to
         // replaying its component plans one at a time.
         let table = EnergyTable::microsparc_iiep();
         let mixes = [
@@ -1116,18 +985,21 @@ mod tests {
                 .with(InstrClass::Branch, 1)
                 .with(InstrClass::AluComplex, 1),
         ];
-        let plans: Vec<ChargePlan> = (0..3)
+        let plans: Vec<SeqPlan> = (0..3)
             .map(|i| {
-                ChargePlan::compile(
+                SeqPlan::dispatch(
                     &table,
+                    4,
                     0x1000_0000 + i * 0x40,
                     InstrClass::Branch,
                     &mixes[..=i as usize],
                 )
             })
             .collect();
-        let seq = ChargeSeq::merge(&plans.iter().collect::<Vec<_>>());
-        assert_eq!(seq.steps(), 3);
+        let seq = SeqPlan::concat(&plans.iter().collect::<Vec<_>>());
+        // Three dispatches, three fetches.
+        let fetches: u64 = seq.lines.iter().map(|&(_, h)| 1 + u64::from(h)).sum();
+        assert_eq!(fetches, 3);
         let mut slow = client();
         let mut fast = client();
         for rep in 0..1000u64 {
@@ -1136,9 +1008,9 @@ mod tests {
             slow.step(rep * 8192, InstrClass::Load, MemOp::Read(rep * 16));
             fast.step(rep * 8192, InstrClass::Load, MemOp::Read(rep * 16));
             for p in &plans {
-                slow.step_planned(p);
+                slow.step_seq(p, 0, 0, &[]);
             }
-            fast.step_charge_seq(&seq);
+            fast.step_seq(&seq, 0, 0, &[]);
             assert_eq!(slow.breakdown(), fast.breakdown(), "rep {rep}");
         }
         assert_eq!(slow.export_state(), fast.export_state());

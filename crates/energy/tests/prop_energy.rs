@@ -3,8 +3,8 @@
 //! batched charge replays against per-micro charging.
 
 use jem_energy::{
-    CacheConfig, CacheSim, ChargePlan, ChargeSeq, Component, Energy, EnergyTable, InstrClass,
-    InstrMix, Machine, MachineConfig, MemOp, SeqDataRef, SeqPlan, SimTime,
+    CacheConfig, CacheSim, Component, Energy, EnergyTable, InstrClass, InstrMix, Machine,
+    MachineConfig, MemOp, SeqDataRef, SeqPlan, SimTime,
 };
 use proptest::prelude::*;
 
@@ -64,8 +64,7 @@ fn any_class() -> impl Strategy<Value = InstrClass> {
     ]
 }
 
-/// A mix of at most three nonzero classes, so three of them plus a
-/// lead instruction fit in one [`ChargePlan`].
+/// A mix of at most three nonzero classes.
 fn any_mix() -> impl Strategy<Value = InstrMix> {
     prop::collection::vec((any_class(), 0u64..40), 0..=3).prop_map(|pairs| {
         pairs
@@ -74,7 +73,7 @@ fn any_mix() -> impl Strategy<Value = InstrMix> {
     })
 }
 
-/// A [`ChargePlan`]'s fetch pc, lead class and mixes.
+/// A dispatch plan's fetch pc, lead class and mixes.
 type PlanSpec = (u64, InstrClass, Vec<InstrMix>);
 
 fn any_plan() -> impl Strategy<Value = PlanSpec> {
@@ -122,7 +121,7 @@ fn churn(slow: &mut Machine, fast: &mut Machine, rep: u64) {
     fast.step(pc, InstrClass::Load, op);
 }
 
-/// The literal per-micro equivalent of one [`ChargePlan`].
+/// The literal per-micro equivalent of one dispatch plan.
 fn step_plan_slow(m: &mut Machine, (pc, lead, mixes): &PlanSpec) {
     m.step(*pc, *lead, MemOp::None);
     for mix in mixes {
@@ -130,17 +129,38 @@ fn step_plan_slow(m: &mut Machine, (pc, lead, mixes): &PlanSpec) {
     }
 }
 
-fn compile_plan(table: &EnergyTable, (pc, lead, mixes): &PlanSpec) -> ChargePlan {
-    ChargePlan::compile(table, *pc, *lead, mixes)
+/// Fetches are grouped at the interpreter's 4-byte fetch width, which
+/// divides the client's 32-byte I-cache lines.
+const GRANULE: u32 = 4;
+
+fn compile_plan(table: &EnergyTable, (pc, lead, mixes): &PlanSpec) -> SeqPlan {
+    SeqPlan::dispatch(table, GRANULE, *pc, *lead, mixes)
+}
+
+/// One event of an interpreter segment: a dispatch, or a heap touch
+/// `(pc, class, store)` at an address supplied per replay.
+#[derive(Debug, Clone)]
+enum Event {
+    Dispatch(PlanSpec),
+    Heap(u64, InstrClass, bool),
+}
+
+fn any_event() -> impl Strategy<Value = Event> {
+    prop_oneof![
+        any_plan().prop_map(Event::Dispatch),
+        any_plan().prop_map(Event::Dispatch),
+        (0u64..1 << 16, any_class(), any::<bool>())
+            .prop_map(|(pc, class, store)| Event::Heap(pc, class, store)),
+    ]
 }
 
 proptest! {
     #![proptest_config(ProptestConfig { cases: 256 })]
 
-    /// Replaying a [`ChargePlan`] from any seeded accumulator ends on
+    /// Replaying a dispatch plan from any seeded accumulator ends on
     /// the same bits as the `step` + `charge_mix` sequence it compiles.
     #[test]
-    fn charge_plan_replay_is_bit_exact(
+    fn dispatch_plan_replay_is_bit_exact(
         which in 0u8..4,
         acc in any_acc(),
         spec in any_plan(),
@@ -151,7 +171,7 @@ proptest! {
         let (mut slow, mut fast) = (seeded(&table, acc), seeded(&table, acc));
         for rep in 0..reps {
             step_plan_slow(&mut slow, &spec);
-            fast.step_planned(&plan);
+            fast.step_seq(&plan, 0, 0, &[]);
             assert_same(&slow, &fast)?;
             if rep % 3 == 2 {
                 churn(&mut slow, &mut fast, rep);
@@ -159,24 +179,50 @@ proptest! {
         }
     }
 
-    /// Replaying a merged [`ChargeSeq`] ends on the same bits as the
-    /// per-plan `step` + `charge_mix` sequences it merges.
+    /// Replaying a concatenation of dispatch and heap-touch plans ends
+    /// on the same bits as the per-event `step` + `charge_mix`
+    /// sequences it concatenates, with one address per heap touch,
+    /// some absent.
     #[test]
-    fn charge_seq_replay_is_bit_exact(
+    fn concat_plan_replay_is_bit_exact(
         which in 0u8..4,
         acc in any_acc(),
-        specs in prop::collection::vec(any_plan(), 1..=4),
+        events in prop::collection::vec(any_event(), 1..=6),
         reps in 1u64..40,
     ) {
         let table = table(which);
-        let plans: Vec<ChargePlan> = specs.iter().map(|s| compile_plan(&table, s)).collect();
-        let seq = ChargeSeq::merge(&plans.iter().collect::<Vec<_>>());
+        let plans: Vec<SeqPlan> = events
+            .iter()
+            .map(|e| match e {
+                Event::Dispatch(spec) => compile_plan(&table, spec),
+                &Event::Heap(pc, class, store) => SeqPlan::compile_at(
+                    &table,
+                    GRANULE,
+                    &[(pc, class, SeqDataRef::Heap { store })],
+                ),
+            })
+            .collect();
+        let seq = SeqPlan::concat(&plans.iter().collect::<Vec<_>>());
         let (mut slow, mut fast) = (seeded(&table, acc), seeded(&table, acc));
         for rep in 0..reps {
-            for spec in &specs {
-                step_plan_slow(&mut slow, spec);
+            let mut heap_addrs = Vec::new();
+            for (j, e) in events.iter().enumerate() {
+                match e {
+                    Event::Dispatch(spec) => step_plan_slow(&mut slow, spec),
+                    &Event::Heap(pc, class, store) => {
+                        let j = j as u64;
+                        let addr = ((rep + j) % 4 != 3).then_some(0x8000 + rep * 24 + j * 40);
+                        let op = match addr {
+                            Some(a) if store => MemOp::Write(a),
+                            Some(a) => MemOp::Read(a),
+                            None => MemOp::None,
+                        };
+                        slow.step(pc, class, op);
+                        heap_addrs.push(addr);
+                    }
+                }
             }
-            fast.step_charge_seq(&seq);
+            fast.step_seq(&seq, 0, 0, &heap_addrs);
             assert_same(&slow, &fast)?;
             if rep % 3 == 2 {
                 churn(&mut slow, &mut fast, rep);
@@ -345,7 +391,7 @@ fn plan_matches_at(table: &EnergyTable, acc: f64, spec: &PlanSpec) -> f64 {
     let (mut slow, mut fast) = (seeded(table, acc), seeded(table, acc));
     for _ in 0..8 {
         step_plan_slow(&mut slow, spec);
-        fast.step_planned(&plan);
+        fast.step_seq(&plan, 0, 0, &[]);
         assert_same(&slow, &fast).unwrap();
     }
     fast.breakdown()[Component::Core].nanojoules()

@@ -8,10 +8,6 @@
 //! translation** of a method's `Vec<Op>` into a flattened
 //! [`DecodedMethod`] stream whose entries carry
 //!
-//! * a precompiled [`ChargePlan`] index — the handler I-cache address
-//!   and the exact ordered core-energy additions of
-//!   `step + dispatch_mix + op_work_mix`, built once per machine
-//!   energy table by [`CostCache`];
 //! * pre-resolved operands (validated local slots, callee arity for
 //!   static calls);
 //! * **fused superinstructions** for the hot op sequences the energy
@@ -19,22 +15,39 @@
 //!   `Load+Store`, compare-and-branch, `Load+Load+ALoad`);
 //! * a **monomorphic inline cache** per virtual call site.
 //!
+//! # Segments
+//!
+//! The decoded stream is split into [`Segment`]s. A segment starts at
+//! slot 0, at every branch target and after every segment end. It ends
+//! after every call, allocation, branch, goto and return (its *tail*),
+//! before a branch target, at the end of the code, and once it holds
+//! `SEG_ADDRS` heap accesses. Its other ops are its *body*. Each
+//! segment carries one merged [`SeqPlan`]: every handler dispatch it
+//! makes, plus one heap micro per heap op (the element or field touch
+//! at `handler_address + 4`), in reference order, built by
+//! concatenating [`CostCache`]'s per-handler plans.
+//!
+//! The engine runs a segment's body semantics first, recording each
+//! heap op's address; then charges the whole segment with one
+//! [`Machine::step_seq`](jem_energy::Machine::step_seq) replay and one
+//! step-budget bump; then runs its tail.
+//!
 //! # Bit-exactness
 //!
-//! The fast path is *observationally identical* to the reference
-//! interpreter: the simulated machine receives the same I-cache
-//! accesses at the same addresses, per-component energy accumulators
-//! that end on the same bits (plans store the individual products in
-//! order, and the machine folds them only where that is exact — see
-//! [`Machine::step_planned`](jem_energy::Machine::step_planned)), the
-//! same step-budget increments at the same points, and errors surface
-//! at the same execution points with the same machine state. Fused
-//! superinstructions replay each component's charge plan and budget
-//! bump *before* executing the combined semantics; this is safe
-//! because every non-final component (loads, constants) is
-//! side-effect-free and infallible once its local slot has been
-//! validated at decode time. `crates/jvm/tests/fastpath_equiv.rs`
-//! enforces the equivalence property across randomized programs.
+//! This is the native executor's segment rule, and its exactness
+//! argument (see [`crate::runplan`]) holds here unchanged, including
+//! the two cold paths: a body op whose semantics fail, and a step
+//! budget too small for the whole segment. The argument needs two
+//! facts of the interpreter. No tail makes a D-cache access, so every
+//! heap touch belongs to a body op and no tail address has to be
+//! peeked. And allocation zeroing, the only `charge_mix` with
+//! main-memory accesses, happens only in tails, so inside a segment
+//! the only DRAM adds are the per-miss constant.
+//! A fused superinstruction's components dispatch in reference order
+//! before the combined semantics; its interior components (loads and
+//! constants with decode-validated slots) are side-effect-free and
+//! infallible. `crates/jvm/tests/fastpath_equiv.rs` enforces the
+//! equivalence against the reference interpreter.
 //!
 //! # Caching
 //!
@@ -46,12 +59,14 @@
 
 use crate::arith;
 use crate::bytecode::{ClassId, Cond, FBin, IBin, MethodId, Op};
-use crate::class::Method;
+use crate::class::{Method, Program};
 use crate::costs;
+use crate::heap::Heap;
+use crate::runplan::SEG_ADDRS;
 use crate::value::{Type, Value};
 use crate::vm::Vm;
 use crate::VmError;
-use jem_energy::{ChargePlan, ChargeSeq, EnergyTable, InstrClass, MemOp};
+use jem_energy::{EnergyTable, InstrClass, SeqDataRef, SeqPlan};
 use std::cell::Cell;
 
 /// Number of distinct interpreter handlers (dense opcode indices).
@@ -91,77 +106,64 @@ const P_RET: usize = 40;
 const P_RETVAL: usize = 41;
 const P_NOP: usize = 42;
 
-/// Simulated address of the second fetch heap-op handlers issue (the
-/// element/field touch), mirroring `handler_address(op) + 4`.
-const fn aux_pc(plan_idx: usize) -> u64 {
-    costs::INTERP_CODE_BASE + plan_idx as u64 * costs::HANDLER_STRIDE + 4
-}
+/// The interpreter's fetch width, and the granule its plans group
+/// fetches at: every handler fetch is word-aligned, and I-cache lines
+/// are whole words.
+const FETCH_BYTES: u32 = 4;
 
-/// One precompiled charge plan per interpreter handler, built from a
-/// machine's energy table, plus merged [`ChargeSeq`]s — the cached
-/// cost mixes — for every fused superinstruction shape. Plans fold the
-/// handler fetch, the dispatch mix and the per-op work mix of
-/// [`crate::costs`] — the three charges the reference interpreter
-/// recomputes on every executed bytecode; a merged seq folds the whole
-/// fused sequence's dispatches into one replay.
+/// The heap handlers' element or field touches, as `(handler, writes)`:
+/// the second fetch a heap handler issues, at `handler_address + 4`,
+/// with one D-cache access. Indexed by [`touch_of`].
+const TOUCHES: [(usize, bool); 5] = [
+    (P_ALOAD, false),
+    (P_ASTORE, true),
+    (P_ARRLEN, false),
+    (P_GETFIELD, false),
+    (P_PUTFIELD, true),
+];
+
+/// The charge plans of every interpreter handler for one machine
+/// energy table: each handler's dispatch — its fetch, the dispatch mix
+/// and its per-op work mix of [`crate::costs`], the three charges the
+/// reference interpreter recomputes on every executed bytecode — and
+/// each heap handler's touch. Segment plans are concatenations of
+/// these.
 #[derive(Debug)]
 pub struct CostCache {
-    plans: [ChargePlan; NUM_HANDLERS],
-    /// `Load; Load; IArith op` merged, indexed by `IBin`.
-    ll_iarith: [ChargeSeq; 10],
-    /// `Load; IConst; IArith op` merged, indexed by `IBin`.
-    lic_iarith: [ChargeSeq; 10],
-    /// `Load; IArith op` merged, indexed by `IBin`.
-    l_iarith: [ChargeSeq; 10],
-    /// `IConst; IArith op` merged, indexed by `IBin`.
-    ic_iarith: [ChargeSeq; 10],
-    /// `Load; Store` merged.
-    load_store: ChargeSeq,
-    /// `IConst; Store` merged.
-    iconst_store: ChargeSeq,
-    /// `Load; Load; ICmpBr` merged.
-    ll_icmpbr: ChargeSeq,
-    /// `Load; IConst; ICmpBr` merged.
-    lic_icmpbr: ChargeSeq,
-    /// `Load; Load; ALoad` merged.
-    ll_aload: ChargeSeq,
+    /// One dispatch plan per handler.
+    plans: [SeqPlan; NUM_HANDLERS],
+    /// One touch plan per [`TOUCHES`] entry.
+    touches: [SeqPlan; TOUCHES.len()],
 }
 
 impl CostCache {
     /// Build the per-handler plans for `table`.
     pub fn new(table: &EnergyTable) -> Self {
         let rep = representative_ops();
-        let plans: [ChargePlan; NUM_HANDLERS] = std::array::from_fn(|i| {
-            let op = &rep[i];
-            debug_assert!(costs::opcode_index(op) as usize == i || matches!(op, Op::FArith(_)));
-            ChargePlan::compile(
-                table,
-                costs::INTERP_CODE_BASE + i as u64 * costs::HANDLER_STRIDE,
-                InstrClass::Branch,
-                &[costs::dispatch_mix(), costs::op_work_mix(op)],
-            )
-        });
-        let m2 = |i: usize, j: usize| ChargeSeq::merge(&[&plans[i], &plans[j]]);
-        let m3 =
-            |i: usize, j: usize, k: usize| ChargeSeq::merge(&[&plans[i], &plans[j], &plans[k]]);
         CostCache {
-            ll_iarith: std::array::from_fn(|i| m3(P_LOAD, P_LOAD, P_IARITH + i)),
-            lic_iarith: std::array::from_fn(|i| m3(P_LOAD, P_ICONST, P_IARITH + i)),
-            l_iarith: std::array::from_fn(|i| m2(P_LOAD, P_IARITH + i)),
-            ic_iarith: std::array::from_fn(|i| m2(P_ICONST, P_IARITH + i)),
-            load_store: m2(P_LOAD, P_STORE),
-            iconst_store: m2(P_ICONST, P_STORE),
-            ll_icmpbr: m3(P_LOAD, P_LOAD, P_ICMPBR),
-            lic_icmpbr: m3(P_LOAD, P_ICONST, P_ICMPBR),
-            ll_aload: m3(P_LOAD, P_LOAD, P_ALOAD),
-            plans,
+            plans: std::array::from_fn(|i| {
+                debug_assert!(
+                    costs::opcode_index(&rep[i]) as usize == i || matches!(rep[i], Op::FArith(_))
+                );
+                SeqPlan::dispatch(
+                    table,
+                    FETCH_BYTES,
+                    costs::handler_address(&rep[i]),
+                    InstrClass::Branch,
+                    &[costs::dispatch_mix(), costs::op_work_mix(&rep[i])],
+                )
+            }),
+            touches: TOUCHES.map(|(h, store)| {
+                let class = if store {
+                    InstrClass::Store
+                } else {
+                    InstrClass::Load
+                };
+                let heap = SeqDataRef::Heap { store };
+                let pc = costs::handler_address(&rep[h]) + 4;
+                SeqPlan::compile_at(table, FETCH_BYTES, &[(pc, class, heap)])
+            }),
         }
-    }
-
-    /// The plan for handler index `idx`.
-    #[inline]
-    pub fn plan(&self, idx: usize) -> &ChargePlan {
-        &self.plans[idx]
     }
 }
 
@@ -370,8 +372,6 @@ pub struct DecodedMethod {
     pub ops: Vec<DecodedOp>,
     /// Local-variable slots.
     pub nlocals: u16,
-    /// Whether the signature declares a return value.
-    pub ret_is_some: bool,
 }
 
 /// Plain (unfused) decoding of one op.
@@ -509,146 +509,11 @@ pub fn decode_method(method: &Method, callee_arity: &dyn Fn(MethodId) -> u32) ->
         }
     }
 
-    DecodedMethod {
-        ops,
-        nlocals,
-        ret_is_some: method.sig.ret.is_some(),
-    }
+    DecodedMethod { ops, nlocals }
 }
 
 // ---------------------------------------------------------------------
-// Batched interpreter runs
-//
-// A *run* is a maximal straight-line stretch of decoded ops whose
-// charges can be replayed as one merged [`ChargeSeq`] and whose budget
-// bumps can be folded into a single addition, before the per-op
-// semantics execute. Bit-exactness holds because every **interior** op
-// of a run is machine-free (its only machine interaction is the
-// hoisted handler charge) and statically infallible, so the machine
-// event sequence and every possible error point are unchanged; only
-// the **final** op of a run may fail, branch, return, or touch the
-// machine mid-semantics (heap micro-accesses, calls), and by then the
-// hoisted charges exactly equal the per-op charges the reference
-// interpreter would have issued.
-//
-// Infallibility is proved by a conservative forward dataflow analysis
-// over the decoded stream: an abstract stack/locals state of
-// [`STy`]s, met at join points, `Unknown` once depth information is
-// lost. The single soundness caveat is unverified code whose callee
-// returns a value when its signature (or the consistent vtable view)
-// says it does not, or vice versa — the only way the runtime stack
-// depth can diverge from the static model. Every call site therefore
-// carries its expected return presence ([`MethodRuns::call_ret`]);
-// the engine compares it against the actual return and sets a
-// per-frame *taint* flag on mismatch, after which the frame never
-// enters a batched run again and falls back to per-op execution.
-
-/// Sentinel in [`MethodRuns::run_at`]: no batched run starts here.
-pub const NO_RUN: u32 = u32::MAX;
-
-/// One batched straight-line stretch of decoded ops.
-#[derive(Debug)]
-pub struct InterpRun {
-    /// Number of decoded ops covered (≥ 2).
-    pub nops: u32,
-    /// Charged instruction events (budget bumps) for the whole run —
-    /// one per original bytecode, so fused ops contribute 2–3.
-    pub steps: u64,
-    /// The merged charge replay of every covered handler plan.
-    pub seq: ChargeSeq,
-}
-
-/// Batched-run metadata of one decoded method, compiled for one
-/// machine energy table. A derived artifact — keyed by [`MethodId`]
-/// in the VM, rebuilt on demand, never serialized.
-#[derive(Debug)]
-pub struct MethodRuns {
-    /// Index into `runs` of the run starting at each decoded slot
-    /// ([`NO_RUN`] = none).
-    pub run_at: Vec<u32>,
-    /// The batched runs.
-    pub runs: Vec<InterpRun>,
-    /// Expected return presence per call-site slot: 0 = no value,
-    /// 1 = value, 2 = statically unknown (don't care). A runtime
-    /// mismatch taints the frame (see module notes above).
-    pub call_ret: Vec<u8>,
-}
-
-/// Abstract operand type. `Any` is the lattice bottom: a value of
-/// unknown kind. `Int`/`Float` are *guarantees* — every runtime value
-/// in an untainted frame at this position is of that kind.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum STy {
-    Int,
-    Float,
-    Any,
-}
-
-#[inline]
-fn meet(a: STy, b: STy) -> STy {
-    if a == b {
-        a
-    } else {
-        STy::Any
-    }
-}
-
-/// Abstract frame state. `Unknown` (absorbing at joins) means the
-/// stack depth itself is no longer tracked — only unconditionally
-/// infallible ops may join a run from here.
-#[derive(Debug, Clone)]
-enum AState {
-    Known { stack: Vec<STy>, locals: Vec<STy> },
-    Unknown,
-}
-
-/// Static effect of one decoded op.
-struct Eff {
-    /// Cannot raise a [`VmError`] from the analyzed state.
-    infallible: bool,
-    /// Semantics touch the machine (heap micro-charges, allocation
-    /// mixes, calls) — may only be the *final* op of a run.
-    machine_mid: bool,
-    /// Falls through to the next slot.
-    fall: bool,
-    /// Branch-target successor.
-    target: Option<u32>,
-}
-
-const FALL: Eff = Eff {
-    infallible: true,
-    machine_mid: false,
-    fall: true,
-    target: None,
-};
-/// Guaranteed runtime error before any successor.
-const NO_SUCC: Eff = Eff {
-    infallible: false,
-    machine_mid: false,
-    fall: false,
-    target: None,
-};
-const MID: Eff = Eff {
-    infallible: false,
-    machine_mid: true,
-    fall: true,
-    target: None,
-};
-
-#[inline]
-fn fallible_fall(infallible: bool) -> Eff {
-    Eff {
-        infallible,
-        machine_mid: false,
-        fall: true,
-        target: None,
-    }
-}
-
-#[inline]
-fn divrem(b: IBin) -> bool {
-    matches!(b, IBin::Div | IBin::Rem)
-}
+// Segments
 
 /// The branch target of a decoded op, if any.
 fn branch_target(dop: &DOp) -> Option<u32> {
@@ -662,342 +527,31 @@ fn branch_target(dop: &DOp) -> Option<u32> {
     }
 }
 
-/// Return presence of virtual slot `slot` across every class that
-/// provides it: `Some(r)` when all agree (or `Some(false)` when none
-/// provides it — the call site can only raise `BadVSlot`), `None`
-/// when providers disagree (unverified program).
-fn virt_ret(program: &crate::class::Program, slot: u16) -> Option<bool> {
-    let mut ret: Option<bool> = None;
-    for class in &program.classes {
-        if let Some(&t) = class.vtable.get(slot as usize) {
-            let r = program.method(t).sig.ret.is_some();
-            match ret {
-                None => ret = Some(r),
-                Some(p) if p != r => return None,
-                _ => {}
-            }
-        }
-    }
-    Some(ret.unwrap_or(false))
-}
-
-/// Transfer function: mutate `st` by `dop`'s stack effect and report
-/// its static effect.
-fn apply_dop(dop: &DOp, st: &mut AState, program: &crate::class::Program) -> Eff {
-    let (stack, locals) = match st {
-        AState::Unknown => {
-            // Depth unknown: only control flow and the ops that are
-            // infallible from *any* state matter.
-            return match *dop {
-                DOp::Goto(t) => Eff {
-                    infallible: true,
-                    machine_mid: false,
-                    fall: false,
-                    target: Some(t),
-                },
-                DOp::ICmpBr(_, t)
-                | DOp::BrZ(_, t)
-                | DOp::LoadLoadICmpBr(_, _, _, t)
-                | DOp::LoadIConstICmpBr(_, _, _, t) => Eff {
-                    infallible: false,
-                    machine_mid: false,
-                    fall: true,
-                    target: Some(t),
-                },
-                DOp::Ret | DOp::RetVal | DOp::BadLoad(_) | DOp::BadStore(_) => NO_SUCC,
-                DOp::IConst(_)
-                | DOp::FConst(_)
-                | DOp::NullConst
-                | DOp::Load(_)
-                | DOp::Nop
-                | DOp::LoadStore(_, _)
-                | DOp::IConstStore(_, _) => FALL,
-                DOp::NewArr(_)
-                | DOp::ALoad
-                | DOp::AStore
-                | DOp::ArrLen
+/// Whether `dop` ends a segment as its tail: it calls, allocates,
+/// branches or returns, so its semantics may touch the machine or
+/// leave the segment.
+fn is_tail(dop: &DOp) -> bool {
+    branch_target(dop).is_some()
+        || matches!(
+            dop,
+            DOp::NewArr(_)
                 | DOp::New(_)
-                | DOp::GetField(_)
-                | DOp::PutField(_)
                 | DOp::Call { .. }
                 | DOp::CallVirt { .. }
-                | DOp::LoadLoadALoad(_, _) => MID,
-                _ => fallible_fall(false),
-            };
-        }
-        AState::Known { stack, locals } => (stack, locals),
-    };
-
-    macro_rules! pop {
-        () => {
-            match stack.pop() {
-                Some(t) => t,
-                // Guaranteed stack underflow at runtime.
-                None => return NO_SUCC,
-            }
-        };
-    }
-
-    let mut make_unknown = false;
-    let eff = match *dop {
-        DOp::IConst(_) => {
-            stack.push(STy::Int);
-            FALL
-        }
-        DOp::FConst(_) => {
-            stack.push(STy::Float);
-            FALL
-        }
-        DOp::NullConst => {
-            stack.push(STy::Any);
-            FALL
-        }
-        DOp::Load(n) => {
-            stack.push(locals[n as usize]);
-            FALL
-        }
-        DOp::Store(n) => {
-            let v = pop!();
-            locals[n as usize] = v;
-            FALL
-        }
-        DOp::BadLoad(_) | DOp::BadStore(_) => NO_SUCC,
-        DOp::Pop => {
-            pop!();
-            FALL
-        }
-        DOp::Dup => {
-            let t = match stack.last() {
-                Some(&t) => t,
-                None => return NO_SUCC,
-            };
-            stack.push(t);
-            FALL
-        }
-        DOp::Swap => {
-            let a = pop!();
-            let b = pop!();
-            stack.push(a);
-            stack.push(b);
-            FALL
-        }
-        DOp::IArith(b) => {
-            let rb = pop!();
-            let ra = pop!();
-            stack.push(STy::Int);
-            fallible_fall(ra == STy::Int && rb == STy::Int && !divrem(b))
-        }
-        DOp::INeg => {
-            let a = pop!();
-            stack.push(STy::Int);
-            fallible_fall(a == STy::Int)
-        }
-        DOp::ICmp => {
-            let b = pop!();
-            let a = pop!();
-            stack.push(STy::Int);
-            fallible_fall(a == STy::Int && b == STy::Int)
-        }
-        DOp::FArith(_) => {
-            let b = pop!();
-            let a = pop!();
-            stack.push(STy::Float);
-            fallible_fall(a == STy::Float && b == STy::Float)
-        }
-        DOp::FNeg => {
-            let a = pop!();
-            stack.push(STy::Float);
-            fallible_fall(a == STy::Float)
-        }
-        DOp::FCmp => {
-            let b = pop!();
-            let a = pop!();
-            stack.push(STy::Int);
-            fallible_fall(a == STy::Float && b == STy::Float)
-        }
-        DOp::I2F => {
-            let a = pop!();
-            stack.push(STy::Float);
-            fallible_fall(a == STy::Int)
-        }
-        DOp::F2I => {
-            let a = pop!();
-            stack.push(STy::Int);
-            fallible_fall(a == STy::Float)
-        }
-        DOp::Goto(t) => Eff {
-            infallible: true,
-            machine_mid: false,
-            fall: false,
-            target: Some(t),
-        },
-        DOp::ICmpBr(_, t) => {
-            let b = pop!();
-            let a = pop!();
-            Eff {
-                infallible: a == STy::Int && b == STy::Int,
-                machine_mid: false,
-                fall: true,
-                target: Some(t),
-            }
-        }
-        DOp::BrZ(_, t) => {
-            let a = pop!();
-            Eff {
-                infallible: a == STy::Int,
-                machine_mid: false,
-                fall: true,
-                target: Some(t),
-            }
-        }
-        DOp::NewArr(_) => {
-            pop!();
-            stack.push(STy::Any);
-            MID
-        }
-        DOp::ALoad => {
-            pop!();
-            pop!();
-            stack.push(STy::Any);
-            MID
-        }
-        DOp::AStore => {
-            pop!();
-            pop!();
-            pop!();
-            MID
-        }
-        DOp::ArrLen => {
-            pop!();
-            stack.push(STy::Int);
-            MID
-        }
-        DOp::New(_) => {
-            stack.push(STy::Any);
-            MID
-        }
-        DOp::GetField(_) => {
-            pop!();
-            stack.push(STy::Any);
-            MID
-        }
-        DOp::PutField(_) => {
-            pop!();
-            pop!();
-            MID
-        }
-        DOp::Call { target, nargs } => {
-            for _ in 0..nargs {
-                pop!();
-            }
-            if program.method(target).sig.ret.is_some() {
-                stack.push(STy::Any);
-            }
-            MID
-        }
-        DOp::CallVirt { slot, argc, .. } => {
-            for _ in 0..=argc {
-                pop!();
-            }
-            match virt_ret(program, slot) {
-                Some(true) => stack.push(STy::Any),
-                Some(false) => {}
-                None => make_unknown = true,
-            }
-            MID
-        }
-        DOp::Ret => NO_SUCC,
-        DOp::RetVal => {
-            pop!();
-            NO_SUCC
-        }
-        DOp::Nop => FALL,
-
-        DOp::LoadLoadIArith(a, b, op) => {
-            let (ta, tb) = (locals[a as usize], locals[b as usize]);
-            stack.push(STy::Int);
-            fallible_fall(ta == STy::Int && tb == STy::Int && !divrem(op))
-        }
-        DOp::LoadIConstIArith(a, k, op) => {
-            let ta = locals[a as usize];
-            stack.push(STy::Int);
-            fallible_fall(ta == STy::Int && (!divrem(op) || k != 0))
-        }
-        DOp::LoadIArith(b, op) => {
-            let ta = pop!();
-            let tb = locals[b as usize];
-            stack.push(STy::Int);
-            fallible_fall(ta == STy::Int && tb == STy::Int && !divrem(op))
-        }
-        DOp::IConstIArith(k, op) => {
-            let ta = pop!();
-            stack.push(STy::Int);
-            fallible_fall(ta == STy::Int && (!divrem(op) || k != 0))
-        }
-        DOp::LoadStore(s, d) => {
-            locals[d as usize] = locals[s as usize];
-            FALL
-        }
-        DOp::IConstStore(_, d) => {
-            locals[d as usize] = STy::Int;
-            FALL
-        }
-        DOp::LoadLoadICmpBr(a, b, _, t) => Eff {
-            infallible: locals[a as usize] == STy::Int && locals[b as usize] == STy::Int,
-            machine_mid: false,
-            fall: true,
-            target: Some(t),
-        },
-        DOp::LoadIConstICmpBr(a, _, _, t) => Eff {
-            infallible: locals[a as usize] == STy::Int,
-            machine_mid: false,
-            fall: true,
-            target: Some(t),
-        },
-        DOp::LoadLoadALoad(_, _) => {
-            stack.push(STy::Any);
-            MID
-        }
-    };
-    if make_unknown {
-        *st = AState::Unknown;
-    }
-    eff
+                | DOp::Ret
+                | DOp::RetVal
+        )
 }
 
-/// Join `src` into `dst`; true when `dst` changed.
-fn merge_into(dst: &mut Option<AState>, src: &AState) -> bool {
-    match dst {
-        None => {
-            *dst = Some(src.clone());
-            true
-        }
-        Some(AState::Unknown) => false,
-        Some(AState::Known { stack, locals }) => match src {
-            AState::Unknown => {
-                *dst = Some(AState::Unknown);
-                true
-            }
-            AState::Known {
-                stack: s2,
-                locals: l2,
-            } => {
-                if stack.len() != s2.len() {
-                    // Depth disagreement at a join: depth unknown.
-                    *dst = Some(AState::Unknown);
-                    return true;
-                }
-                let mut changed = false;
-                for (a, b) in stack.iter_mut().zip(s2).chain(locals.iter_mut().zip(l2)) {
-                    let m = meet(*a, *b);
-                    if m != *a {
-                        *a = m;
-                        changed = true;
-                    }
-                }
-                changed
-            }
-        },
+/// The [`TOUCHES`] entry of `dop`'s heap touch, if it makes one.
+fn touch_of(dop: &DOp) -> Option<usize> {
+    match dop {
+        DOp::ALoad | DOp::LoadLoadALoad(..) => Some(0),
+        DOp::AStore => Some(1),
+        DOp::ArrLen => Some(2),
+        DOp::GetField(_) => Some(3),
+        DOp::PutField(_) => Some(4),
+        _ => None,
     }
 }
 
@@ -1048,140 +602,103 @@ fn dop_plans(dop: &DOp, out: &mut Vec<usize>) {
     }
 }
 
-/// Partition `dm` into batched runs for one machine energy table.
+/// A stretch of decoded ops charged with one replay: the body ops
+/// `start..body_end` never touch the machine, and when `tail` is set
+/// the op at `body_end` is the segment's tail (see the module docs).
+#[derive(Debug)]
+pub struct Segment {
+    /// First slot.
+    start: u32,
+    /// One past the last body op: the tail's slot, if any.
+    body_end: u32,
+    /// Whether a tail op ends the segment.
+    tail: bool,
+    /// For a branching tail, the segment its target starts; the
+    /// segment count when the target lies past the code.
+    jump: u32,
+    /// Step-budget cost: one per original bytecode, what the reference
+    /// bumps one dispatch at a time.
+    steps: u64,
+    /// Every dispatch and heap touch of the segment, in reference order.
+    plan: SeqPlan,
+}
+
+/// Split `dm` into segments charged with `cc`'s plans.
 ///
-/// Runs begin at branch targets or after a run-terminating op, span
-/// only statically infallible machine-free interiors, and end at the
-/// first fallible / machine-touching / control-transferring op
-/// (inclusive). Single-op stretches get no run (nothing to batch).
+/// Segments depend only on the decoded code and the plans; `_program`
+/// and `_method` are accepted so the decode pipeline keeps one
+/// signature for callers that time it.
 pub fn compile_runs(
-    program: &crate::class::Program,
-    method: MethodId,
+    _program: &Program,
+    _method: MethodId,
     dm: &DecodedMethod,
     cc: &CostCache,
-) -> MethodRuns {
+) -> Vec<Segment> {
     let n = dm.ops.len();
-    let mut run_at = vec![NO_RUN; n];
-    let mut call_ret = vec![2u8; n];
-    let mut runs = Vec::new();
-    if n == 0 {
-        return MethodRuns {
-            run_at,
-            runs,
-            call_ret,
-        };
-    }
-
-    // Branch targets are always run leaders (fusion already
-    // guarantees they are never fused-op interiors).
-    let mut is_target = vec![false; n];
-    for d in &dm.ops {
-        if let Some(t) = branch_target(&d.op) {
-            if let Some(f) = is_target.get_mut(t as usize) {
-                *f = true;
-            }
-        }
-    }
-
-    // Expected return presence of every call site (taint reference).
-    let mut i = 0usize;
+    let mut heads = Vec::new();
+    let mut i = 0;
     while i < n {
-        match &dm.ops[i].op {
-            DOp::Call { target, .. } => {
-                call_ret[i] = u8::from(program.method(*target).sig.ret.is_some());
-            }
-            DOp::CallVirt { slot, .. } => {
-                call_ret[i] = match virt_ret(program, *slot) {
-                    Some(r) => u8::from(r),
-                    None => 2,
-                };
-            }
-            _ => {}
-        }
+        heads.push(i);
         i += dm.ops[i].len as usize;
     }
-
-    // Forward dataflow fixpoint over executable slots. Entry mirrors
-    // the engine: non-argument locals are `Int(0)`, arguments are
-    // caller-supplied (`Any`).
-    let nargs = program
-        .method(method)
-        .invoke_arity()
-        .min(dm.nlocals as usize);
-    let mut entry_locals = vec![STy::Int; dm.nlocals as usize];
-    for l in entry_locals.iter_mut().take(nargs) {
-        *l = STy::Any;
-    }
-    let mut states: Vec<Option<AState>> = vec![None; n];
-    states[0] = Some(AState::Known {
-        stack: Vec::new(),
-        locals: entry_locals,
-    });
-    let mut work = vec![0usize];
-    while let Some(i) = work.pop() {
-        let Some(st0) = states[i].clone() else {
-            continue;
-        };
-        let mut st = st0;
-        let eff = apply_dop(&dm.ops[i].op, &mut st, program);
-        if eff.fall {
-            let next = i + dm.ops[i].len as usize;
-            if next < n && merge_into(&mut states[next], &st) {
-                work.push(next);
-            }
-        }
-        if let Some(t) = eff.target {
-            if (t as usize) < n && merge_into(&mut states[t as usize], &st) {
-                work.push(t as usize);
-            }
+    let mut is_target = vec![false; n];
+    for &i in &heads {
+        let t = branch_target(&dm.ops[i].op);
+        if let Some(flag) = t.and_then(|t| is_target.get_mut(t as usize)) {
+            *flag = true;
         }
     }
 
-    // Greedy maximal runs over the linear head walk.
-    let mut plan_idxs: Vec<usize> = Vec::new();
-    let mut i = 0usize;
-    while i < n {
-        let Some(st0) = &states[i] else {
-            // Unreachable (in untainted frames) — no run.
-            i += dm.ops[i].len as usize;
-            continue;
-        };
-        let mut st = st0.clone();
-        let mut j = i;
-        let mut nops = 0u32;
-        plan_idxs.clear();
-        loop {
-            if j >= n || (j > i && is_target[j]) {
-                break;
-            }
-            let d = &dm.ops[j];
-            let eff = apply_dop(&d.op, &mut st, program);
-            dop_plans(&d.op, &mut plan_idxs);
-            nops += 1;
-            j += d.len as usize;
-            if !eff.infallible || eff.machine_mid || !eff.fall || eff.target.is_some() {
-                break;
-            }
+    // The segment starting at each slot, to resolve branch targets.
+    let mut seg_at = vec![0u32; n];
+    let mut segs: Vec<Segment> = Vec::new();
+    let mut plans: Vec<&SeqPlan> = Vec::new();
+    let mut idxs: Vec<usize> = Vec::new();
+    let (mut start, mut steps, mut nheap) = (0usize, 0u64, 0usize);
+    for (k, &i) in heads.iter().enumerate() {
+        let op = &dm.ops[i].op;
+        idxs.clear();
+        dop_plans(op, &mut idxs);
+        plans.extend(idxs.iter().map(|&p| &cc.plans[p]));
+        steps += idxs.len() as u64;
+        if let Some(t) = touch_of(op) {
+            plans.push(&cc.touches[t]);
+            nheap += 1;
         }
-        if nops >= 2 {
-            let plans: Vec<&ChargePlan> = plan_idxs.iter().map(|&p| cc.plan(p)).collect();
-            run_at[i] = runs.len() as u32;
-            runs.push(InterpRun {
-                nops,
-                steps: plan_idxs.len() as u64,
-                seq: ChargeSeq::merge(&plans),
+        let next = heads.get(k + 1).copied().unwrap_or(n);
+        let tail = is_tail(op);
+        if tail || nheap == SEG_ADDRS || next == n || is_target[next] {
+            seg_at[start] = segs.len() as u32;
+            segs.push(Segment {
+                start: start as u32,
+                body_end: (if tail { i } else { next }) as u32,
+                tail,
+                jump: branch_target(op).unwrap_or(0),
+                steps,
+                plan: SeqPlan::concat(&plans),
             });
-            i = j;
-        } else {
-            i += dm.ops[i].len as usize;
+            plans.clear();
+            (start, steps, nheap) = (next, 0, 0);
         }
     }
-
-    MethodRuns {
-        run_at,
-        runs,
-        call_ret,
+    // Resolve branch targets from slots to the segments they start.
+    let nsegs = segs.len() as u32;
+    for seg in &mut segs {
+        let t = seg.jump as usize;
+        seg.jump = if t < n { seg_at[t] } else { nsegs };
     }
+    segs
+}
+
+/// A bytecode method ready for the fast path: its decoded ops and the
+/// segments that charge them. A derived artifact — built on first use
+/// for one machine energy table, never serialized.
+#[derive(Debug)]
+pub(crate) struct InterpCode {
+    /// The decoded ops.
+    pub(crate) dm: DecodedMethod,
+    /// The segments covering `dm`, in slot order.
+    pub(crate) segs: Vec<Segment>,
 }
 
 /// Execute `method` on the decoded fast path with the given arguments.
@@ -1192,507 +709,212 @@ pub fn compile_runs(
 /// # Errors
 /// Any [`VmError`] raised by the executed code.
 pub fn run(vm: &mut Vm<'_>, method: MethodId, args: Vec<Value>) -> Result<Option<Value>, VmError> {
-    let dm = vm.decoded_code(method);
+    let code = vm.interp_code(method);
     let cc = vm.cost_cache();
-    let mr = vm.decoded_runs(method);
 
     // Locals and operand stack are pooled; the wrapper keeps the
     // recycling off the hot path and covers every exit (returns and
     // errors alike).
     let mut locals = vm.take_buf();
     let mut stack = vm.take_buf();
-    let out = run_inner(vm, &dm, &cc, &mr, args, &mut locals, &mut stack);
+    let frame = Frame {
+        code: &code,
+        cc: &cc,
+    };
+    let out = frame.run(vm, args, &mut locals, &mut stack);
     vm.put_buf(locals);
     vm.put_buf(stack);
     out
 }
 
-/// Where control goes after one op's semantics on the batched path.
-enum Flow {
-    /// Continue at `pc` (already advanced; branch arms overwrote it).
+/// Where control goes after a segment.
+enum Ctl {
+    /// Fall through to the next segment.
     Next,
+    /// Take the tail's branch.
+    Jump,
     /// Method return.
-    Return(Option<Value>),
+    Ret(Option<Value>),
 }
 
-fn run_inner(
-    vm: &mut Vm<'_>,
-    dm: &DecodedMethod,
-    cc: &CostCache,
-    mr: &MethodRuns,
-    args: Vec<Value>,
-    locals: &mut Vec<Value>,
-    stack: &mut Vec<Value>,
-) -> Result<Option<Value>, VmError> {
-    locals.resize(dm.nlocals as usize, Value::Int(0));
-    locals[..args.len()].copy_from_slice(&args);
-    vm.machine.charge_mix(&costs::arg_copy_mix(args.len()));
-    vm.put_buf(args);
+/// One interpreted invocation: its code and the plans its cold paths
+/// charge one dispatch at a time.
+struct Frame<'c> {
+    code: &'c InterpCode,
+    cc: &'c CostCache,
+}
 
-    let mut pc: usize = 0;
-    // Set once a callee's actual return presence contradicts the
-    // static model (unverified code); disables batched runs for the
-    // rest of this frame, whose abstract stack depths are now suspect.
-    let mut tainted = false;
+impl Frame<'_> {
+    /// Run the invocation from slot 0, one segment at a time.
+    fn run(
+        &self,
+        vm: &mut Vm<'_>,
+        args: Vec<Value>,
+        locals: &mut Vec<Value>,
+        stack: &mut Vec<Value>,
+    ) -> Result<Option<Value>, VmError> {
+        let ops = &self.code.dm.ops;
+        locals.resize(self.code.dm.nlocals as usize, Value::Int(0));
+        locals[..args.len()].copy_from_slice(&args);
+        vm.machine.charge_mix(&costs::arg_copy_mix(args.len()));
+        vm.put_buf(args);
 
-    macro_rules! pop {
-        () => {
-            stack.pop().ok_or(VmError::StackUnderflow)?
-        };
-    }
-    // Charge one original bytecode: replay its plan (handler fetch +
-    // dispatch + op work) and bump the step budget — the exact
-    // accounting sequence of the reference interpreter.
-    macro_rules! charge {
-        ($idx:expr) => {
-            vm.machine.step_planned(cc.plan($idx));
-            vm.bump_steps(1)?;
-        };
-    }
-    // Charge a whole fused sequence with one merged replay (bit-exact
-    // with the per-plan sequence — see
-    // [`jem_energy::Machine::step_charge_seq`]) when the remaining
-    // step budget covers it; otherwise fall back to per-plan charging
-    // so a budget error surfaces at the exact reference point with the
-    // exact reference machine state.
-    macro_rules! charge_fused {
-        ($seq:expr, $($idx:expr),+) => {
-            let seq = $seq;
-            if vm.options.step_budget.saturating_sub(vm.steps) >= seq.steps() {
-                vm.machine.step_charge_seq(seq);
-                vm.bump_steps(seq.steps())?;
+        // Heap addresses of the current segment's touches, in order.
+        let mut addrs = [None; SEG_ADDRS];
+        let mut si = 0usize;
+        loop {
+            let seg = self.code.segs.get(si).ok_or(VmError::FellOffEnd)?;
+            let ctl = if vm.options.step_budget.saturating_sub(vm.steps) < seg.steps {
+                self.step_each(vm, seg, locals, stack)?
             } else {
-                $( charge!($idx); )+
-            }
-        };
+                // Body semantics first, recording heap addresses...
+                let (mut pc, mut n) = (seg.start as usize, 0);
+                while pc < seg.body_end as usize {
+                    match plain(&mut vm.heap, locals, stack, &ops[pc].op) {
+                        Ok(None) => {}
+                        Ok(Some(a)) => {
+                            addrs[n] = Some(a);
+                            n += 1;
+                        }
+                        Err(e) => {
+                            self.charge_failed(vm, seg, pc, &addrs[..n])?;
+                            return Err(e);
+                        }
+                    }
+                    pc += ops[pc].len as usize;
+                }
+                // ...then one replay for the whole segment, and the tail.
+                vm.machine.step_seq(&seg.plan, 0, 0, &addrs[..n]);
+                vm.bump_steps(seg.steps)?;
+                if seg.tail {
+                    tail(vm, &ops[pc].op, locals, stack)?
+                } else {
+                    Ctl::Next
+                }
+            };
+            si = match ctl {
+                Ctl::Next => si + 1,
+                Ctl::Jump => seg.jump as usize,
+                Ctl::Ret(v) => return Ok(v),
+            };
+        }
     }
 
-    loop {
-        let d = dm.ops.get(pc).ok_or(VmError::FellOffEnd)?;
-
-        // Batched fast path: one merged charge replay and one budget
-        // bump for the whole straight-line run, then pure semantics
-        // ([`op_sem`]). Requires an untainted frame (exact static
-        // stack model) and enough budget headroom that no mid-run
-        // budget error could have fired on the reference path.
-        if !tainted && mr.run_at[pc] != NO_RUN {
-            let run = &mr.runs[mr.run_at[pc] as usize];
-            if vm.options.step_budget.saturating_sub(vm.steps) >= run.steps {
-                vm.machine.step_charge_seq(&run.seq);
-                vm.bump_steps(run.steps)?;
-                let mut flow = Flow::Next;
-                // Count-based: a final backward branch must not
-                // re-enter this loop (its target's own run, or the
-                // per-op path, handles the next dispatch).
-                for _ in 0..run.nops {
-                    let d = &dm.ops[pc];
-                    let cur = pc;
-                    pc += d.len as usize;
-                    flow = op_sem(
-                        vm,
-                        &d.op,
-                        locals,
-                        stack,
-                        &mut pc,
-                        mr.call_ret[cur],
-                        &mut tainted,
-                    )?;
-                }
-                match flow {
-                    Flow::Next => continue,
-                    Flow::Return(v) => return Ok(v),
-                }
+    /// Run `seg` in reference order, one op at a time: the step budget
+    /// runs out inside it.
+    #[cold]
+    fn step_each(
+        &self,
+        vm: &mut Vm<'_>,
+        seg: &Segment,
+        locals: &mut [Value],
+        stack: &mut Vec<Value>,
+    ) -> Result<Ctl, VmError> {
+        let ops = &self.code.dm.ops;
+        let mut pc = seg.start as usize;
+        while pc < seg.body_end as usize {
+            let op = &ops[pc].op;
+            self.dispatch(vm, op)?;
+            if let Some(a) = plain(&mut vm.heap, locals, stack, op)? {
+                self.touch(vm, op, a);
             }
+            pc += ops[pc].len as usize;
         }
-
-        let cur = pc;
-        pc += d.len as usize;
-        match &d.op {
-            DOp::IConst(v) => {
-                charge!(P_ICONST);
-                stack.push(Value::Int(*v));
-            }
-            DOp::FConst(v) => {
-                charge!(P_FCONST);
-                stack.push(Value::Float(*v));
-            }
-            DOp::NullConst => {
-                charge!(P_NULLCONST);
-                stack.push(Value::Null);
-            }
-            DOp::Load(n) => {
-                charge!(P_LOAD);
-                stack.push(locals[*n as usize]);
-            }
-            DOp::Store(n) => {
-                charge!(P_STORE);
-                let v = pop!();
-                locals[*n as usize] = v;
-            }
-            DOp::BadLoad(n) => {
-                charge!(P_LOAD);
-                return Err(VmError::BadLocal(*n));
-            }
-            DOp::BadStore(n) => {
-                charge!(P_STORE);
-                let _ = pop!();
-                return Err(VmError::BadLocal(*n));
-            }
-            DOp::Pop => {
-                charge!(P_POP);
-                let _ = pop!();
-            }
-            DOp::Dup => {
-                charge!(P_DUP);
-                let v = *stack.last().ok_or(VmError::StackUnderflow)?;
-                stack.push(v);
-            }
-            DOp::Swap => {
-                charge!(P_SWAP);
-                let a = pop!();
-                let b = pop!();
-                stack.push(a);
-                stack.push(b);
-            }
-            DOp::IArith(opk) => {
-                charge!(iarith_plan(*opk));
-                let b = pop!().as_int()?;
-                let a = pop!().as_int()?;
-                stack.push(Value::Int(arith::ibin(*opk, a, b)?));
-            }
-            DOp::INeg => {
-                charge!(P_INEG);
-                let a = pop!().as_int()?;
-                stack.push(Value::Int(a.wrapping_neg()));
-            }
-            DOp::ICmp => {
-                charge!(P_ICMP);
-                let b = pop!().as_int()?;
-                let a = pop!().as_int()?;
-                stack.push(Value::Int(arith::icmp(a, b)));
-            }
-            DOp::FArith(opk) => {
-                charge!(P_FARITH);
-                let b = pop!().as_float()?;
-                let a = pop!().as_float()?;
-                stack.push(Value::Float(arith::fbin(*opk, a, b)));
-            }
-            DOp::FNeg => {
-                charge!(P_FNEG);
-                let a = pop!().as_float()?;
-                stack.push(Value::Float(-a));
-            }
-            DOp::FCmp => {
-                charge!(P_FCMP);
-                let b = pop!().as_float()?;
-                let a = pop!().as_float()?;
-                stack.push(Value::Int(arith::fcmp(a, b)));
-            }
-            DOp::I2F => {
-                charge!(P_I2F);
-                let a = pop!().as_int()?;
-                stack.push(Value::Float(f64::from(a)));
-            }
-            DOp::F2I => {
-                charge!(P_F2I);
-                let a = pop!().as_float()?;
-                stack.push(Value::Int(arith::f2i(a)));
-            }
-            DOp::Goto(t) => {
-                charge!(P_GOTO);
-                pc = *t as usize;
-            }
-            DOp::ICmpBr(cond, t) => {
-                charge!(P_ICMPBR);
-                let b = pop!().as_int()?;
-                let a = pop!().as_int()?;
-                if cond.eval(a, b) {
-                    pc = *t as usize;
-                }
-            }
-            DOp::BrZ(cond, t) => {
-                charge!(P_BRZ);
-                let a = pop!().as_int()?;
-                if cond.eval(a, 0) {
-                    pc = *t as usize;
-                }
-            }
-            DOp::NewArr(ty) => {
-                charge!(P_NEWARR);
-                let len = pop!().as_int()?;
-                if len < 0 {
-                    return Err(VmError::NegativeArrayLength(len));
-                }
-                let bytes = match ty {
-                    Type::Float => 8,
-                    _ => 4,
-                } * len as u64;
-                vm.machine.charge_mix(&costs::alloc_zero_mix(bytes));
-                let h = vm.heap.alloc_array(*ty, len as usize);
-                stack.push(Value::Ref(h));
-            }
-            DOp::ALoad => {
-                charge!(P_ALOAD);
-                let idx = pop!().as_int()?;
-                let arr = pop!().as_ref()?;
-                if idx < 0 {
-                    return Err(VmError::IndexOutOfBounds {
-                        index: usize::MAX,
-                        len: vm.heap.array_len(arr)?,
-                    });
-                }
-                let v = vm.heap.array_get(arr, idx as usize)?;
-                let addr = vm.heap.element_address(arr, idx as usize);
-                vm.machine
-                    .step(aux_pc(P_ALOAD), InstrClass::Load, MemOp::Read(addr));
-                stack.push(v);
-            }
-            DOp::AStore => {
-                charge!(P_ASTORE);
-                let val = pop!();
-                let idx = pop!().as_int()?;
-                let arr = pop!().as_ref()?;
-                if idx < 0 {
-                    return Err(VmError::IndexOutOfBounds {
-                        index: usize::MAX,
-                        len: vm.heap.array_len(arr)?,
-                    });
-                }
-                vm.heap.array_set(arr, idx as usize, val)?;
-                let addr = vm.heap.element_address(arr, idx as usize);
-                vm.machine
-                    .step(aux_pc(P_ASTORE), InstrClass::Store, MemOp::Write(addr));
-            }
-            DOp::ArrLen => {
-                charge!(P_ARRLEN);
-                let arr = pop!().as_ref()?;
-                let len = vm.heap.array_len(arr)?;
-                let addr = vm.heap.address_of(arr);
-                vm.machine
-                    .step(aux_pc(P_ARRLEN), InstrClass::Load, MemOp::Read(addr));
-                stack.push(Value::Int(len as i32));
-            }
-            DOp::New(cid) => {
-                charge!(P_NEW);
-                let class = vm.program.class(*cid);
-                vm.machine
-                    .charge_mix(&costs::alloc_zero_mix(8 * class.field_types.len() as u64));
-                let h = vm.heap.alloc_object(cid.0, &class.field_types);
-                stack.push(Value::Ref(h));
-            }
-            DOp::GetField(slot) => {
-                charge!(P_GETFIELD);
-                let obj = pop!().as_ref()?;
-                let v = vm.heap.field_get(obj, *slot as usize)?;
-                let addr = vm.heap.field_address(obj, *slot as usize);
-                vm.machine
-                    .step(aux_pc(P_GETFIELD), InstrClass::Load, MemOp::Read(addr));
-                stack.push(v);
-            }
-            DOp::PutField(slot) => {
-                charge!(P_PUTFIELD);
-                let val = pop!();
-                let obj = pop!().as_ref()?;
-                vm.heap.field_set(obj, *slot as usize, val)?;
-                let addr = vm.heap.field_address(obj, *slot as usize);
-                vm.machine
-                    .step(aux_pc(P_PUTFIELD), InstrClass::Store, MemOp::Write(addr));
-            }
-            DOp::Call { target, nargs } => {
-                charge!(P_CALL);
-                let nargs = *nargs as usize;
-                if stack.len() < nargs {
-                    return Err(VmError::StackUnderflow);
-                }
-                let split = stack.len() - nargs;
-                let mut cargs = vm.take_buf();
-                cargs.extend_from_slice(&stack[split..]);
-                stack.truncate(split);
-                let ret = vm.invoke(*target, cargs)?;
-                if mr.call_ret[cur] != 2 && u8::from(ret.is_some()) != mr.call_ret[cur] {
-                    tainted = true;
-                }
-                if let Some(v) = ret {
-                    stack.push(v);
-                }
-            }
-            DOp::CallVirt { slot, argc, ic } => {
-                charge!(P_CALLVIRT);
-                let nargs = *argc as usize;
-                if stack.len() < nargs + 1 {
-                    return Err(VmError::StackUnderflow);
-                }
-                let split = stack.len() - nargs - 1;
-                let mut cargs = vm.take_buf();
-                cargs.extend_from_slice(&stack[split..]);
-                stack.truncate(split);
-                let recv = cargs[0].as_ref()?;
-                let class = vm.heap.class_of(recv)?;
-                let (cached_class, cached_target) = ic.get();
-                let target = if cached_class == class {
-                    cached_target
-                } else {
-                    let vtable = &vm.program.class(ClassId(class)).vtable;
-                    let t = *vtable.get(*slot as usize).ok_or(VmError::BadVSlot(*slot))?;
-                    ic.set((class, t));
-                    t
-                };
-                let ret = vm.invoke(target, cargs)?;
-                if mr.call_ret[cur] != 2 && u8::from(ret.is_some()) != mr.call_ret[cur] {
-                    tainted = true;
-                }
-                if let Some(v) = ret {
-                    stack.push(v);
-                }
-            }
-            DOp::Ret => {
-                charge!(P_RET);
-                return Ok(None);
-            }
-            DOp::RetVal => {
-                charge!(P_RETVAL);
-                let v = pop!();
-                debug_assert!(dm.ret_is_some);
-                return Ok(Some(v));
-            }
-            DOp::Nop => {
-                charge!(P_NOP);
-            }
-
-            // ---- fused superinstructions ----
-            //
-            // Each replays its components' charge plans and budget
-            // bumps in original order *before* the combined semantics;
-            // interior components are infallible and chargeless (slots
-            // validated at decode), so error points and machine state
-            // match the reference interpreter exactly.
-            DOp::LoadLoadIArith(a, b, opk) => {
-                charge_fused!(
-                    &cc.ll_iarith[iarith_plan(*opk) - P_IARITH],
-                    P_LOAD,
-                    P_LOAD,
-                    iarith_plan(*opk)
-                );
-                let vb = locals[*b as usize].as_int()?;
-                let va = locals[*a as usize].as_int()?;
-                stack.push(Value::Int(arith::ibin(*opk, va, vb)?));
-            }
-            DOp::LoadIConstIArith(a, k, opk) => {
-                charge_fused!(
-                    &cc.lic_iarith[iarith_plan(*opk) - P_IARITH],
-                    P_LOAD,
-                    P_ICONST,
-                    iarith_plan(*opk)
-                );
-                let va = locals[*a as usize].as_int()?;
-                stack.push(Value::Int(arith::ibin(*opk, va, *k)?));
-            }
-            DOp::LoadIArith(b, opk) => {
-                charge_fused!(
-                    &cc.l_iarith[iarith_plan(*opk) - P_IARITH],
-                    P_LOAD,
-                    iarith_plan(*opk)
-                );
-                let vb = locals[*b as usize].as_int()?;
-                let va = pop!().as_int()?;
-                stack.push(Value::Int(arith::ibin(*opk, va, vb)?));
-            }
-            DOp::IConstIArith(k, opk) => {
-                charge_fused!(
-                    &cc.ic_iarith[iarith_plan(*opk) - P_IARITH],
-                    P_ICONST,
-                    iarith_plan(*opk)
-                );
-                let va = pop!().as_int()?;
-                stack.push(Value::Int(arith::ibin(*opk, va, *k)?));
-            }
-            DOp::LoadStore(src, dst) => {
-                charge_fused!(&cc.load_store, P_LOAD, P_STORE);
-                locals[*dst as usize] = locals[*src as usize];
-            }
-            DOp::IConstStore(k, dst) => {
-                charge_fused!(&cc.iconst_store, P_ICONST, P_STORE);
-                locals[*dst as usize] = Value::Int(*k);
-            }
-            DOp::LoadLoadICmpBr(a, b, cond, t) => {
-                charge_fused!(&cc.ll_icmpbr, P_LOAD, P_LOAD, P_ICMPBR);
-                let vb = locals[*b as usize].as_int()?;
-                let va = locals[*a as usize].as_int()?;
-                if cond.eval(va, vb) {
-                    pc = *t as usize;
-                }
-            }
-            DOp::LoadIConstICmpBr(a, k, cond, t) => {
-                charge_fused!(&cc.lic_icmpbr, P_LOAD, P_ICONST, P_ICMPBR);
-                let va = locals[*a as usize].as_int()?;
-                if cond.eval(va, *k) {
-                    pc = *t as usize;
-                }
-            }
-            DOp::LoadLoadALoad(arr_l, idx_l) => {
-                charge_fused!(&cc.ll_aload, P_LOAD, P_LOAD, P_ALOAD);
-                let idx = locals[*idx_l as usize].as_int()?;
-                let arr = locals[*arr_l as usize].as_ref()?;
-                if idx < 0 {
-                    return Err(VmError::IndexOutOfBounds {
-                        index: usize::MAX,
-                        len: vm.heap.array_len(arr)?,
-                    });
-                }
-                let v = vm.heap.array_get(arr, idx as usize)?;
-                let addr = vm.heap.element_address(arr, idx as usize);
-                vm.machine
-                    .step(aux_pc(P_ALOAD), InstrClass::Load, MemOp::Read(addr));
-                stack.push(v);
-            }
+        if !seg.tail {
+            return Ok(Ctl::Next);
         }
+        self.dispatch(vm, &ops[pc].op)?;
+        tail(vm, &ops[pc].op, locals, stack)
+    }
+
+    /// Charge `seg`'s ops up to and including the body op at `failed`
+    /// one at a time, as the reference has when that op's semantics
+    /// fail: the ops before it with their touches at their `recorded`
+    /// heap addresses, `failed` with none.
+    #[cold]
+    fn charge_failed(
+        &self,
+        vm: &mut Vm<'_>,
+        seg: &Segment,
+        failed: usize,
+        recorded: &[Option<u64>],
+    ) -> Result<(), VmError> {
+        let ops = &self.code.dm.ops;
+        let mut recorded = recorded.iter().flatten();
+        let mut pc = seg.start as usize;
+        while pc < failed {
+            let op = &ops[pc].op;
+            self.dispatch(vm, op)?;
+            if touch_of(op).is_some() {
+                let a = *recorded.next().expect("one address per touch");
+                self.touch(vm, op, a);
+            }
+            pc += ops[pc].len as usize;
+        }
+        self.dispatch(vm, &ops[failed].op)
+    }
+
+    /// Charge `op`'s handler dispatches the reference way, one plan and
+    /// one budget bump each.
+    fn dispatch(&self, vm: &mut Vm<'_>, op: &DOp) -> Result<(), VmError> {
+        let mut idxs = Vec::with_capacity(3);
+        dop_plans(op, &mut idxs);
+        for p in idxs {
+            vm.machine.step_seq(&self.cc.plans[p], 0, 0, &[]);
+            vm.bump_steps(1)?;
+        }
+        Ok(())
+    }
+
+    /// Charge heap op `op`'s touch at `addr`.
+    fn touch(&self, vm: &mut Vm<'_>, op: &DOp, addr: u64) {
+        let t = touch_of(op).expect("heap ops touch the heap");
+        vm.machine
+            .step_seq(&self.cc.touches[t], 0, 0, &[Some(addr)]);
     }
 }
 
-/// The charge-free semantics of one decoded op, used by the batched
-/// run path after the whole run's charges have been hoisted. `pc` has
-/// already been advanced past the op; branch arms overwrite it.
-/// `expect_ret` is the call site's statically expected return
-/// presence (2 = don't care); a runtime mismatch sets `tainted`.
+/// The semantics of a body op: it touches the locals, the operand
+/// stack and the heap, never the machine. Returns the address of its
+/// heap touch, from the same object lookup as the access itself.
 ///
-/// Must mirror the per-op arms of [`run_inner`] exactly, minus the
-/// `charge!`/`charge_fused!` lines — `fastpath_equiv` exercises both
-/// paths against the reference interpreter.
-fn op_sem(
-    vm: &mut Vm<'_>,
-    dop: &DOp,
+/// Always inlined: it runs once per body op in the segment loop.
+#[inline(always)]
+fn plain(
+    heap: &mut Heap,
     locals: &mut [Value],
     stack: &mut Vec<Value>,
-    pc: &mut usize,
-    expect_ret: u8,
-    tainted: &mut bool,
-) -> Result<Flow, VmError> {
+    op: &DOp,
+) -> Result<Option<u64>, VmError> {
     macro_rules! pop {
         () => {
             stack.pop().ok_or(VmError::StackUnderflow)?
         };
     }
+    // Index check shared by array loads and stores: a negative index
+    // reports the array's length.
+    macro_rules! index {
+        ($arr:expr, $idx:expr) => {{
+            if $idx < 0 {
+                return Err(VmError::IndexOutOfBounds {
+                    index: usize::MAX,
+                    len: heap.array_len($arr)?,
+                });
+            }
+            $idx as usize
+        }};
+    }
 
-    match dop {
-        DOp::IConst(v) => {
-            stack.push(Value::Int(*v));
-        }
-        DOp::FConst(v) => {
-            stack.push(Value::Float(*v));
-        }
-        DOp::NullConst => {
-            stack.push(Value::Null);
-        }
-        DOp::Load(n) => {
-            stack.push(locals[*n as usize]);
-        }
+    match op {
+        DOp::IConst(v) => stack.push(Value::Int(*v)),
+        DOp::FConst(v) => stack.push(Value::Float(*v)),
+        DOp::NullConst => stack.push(Value::Null),
+        DOp::Load(n) => stack.push(locals[*n as usize]),
         DOp::Store(n) => {
             let v = pop!();
             locals[*n as usize] = v;
         }
-        DOp::BadLoad(n) => {
-            return Err(VmError::BadLocal(*n));
-        }
+        DOp::BadLoad(n) => return Err(VmError::BadLocal(*n)),
         DOp::BadStore(n) => {
             let _ = pop!();
             return Err(VmError::BadLocal(*n));
@@ -1746,147 +968,35 @@ fn op_sem(
             let a = pop!().as_float()?;
             stack.push(Value::Int(arith::f2i(a)));
         }
-        DOp::Goto(t) => {
-            *pc = *t as usize;
-        }
-        DOp::ICmpBr(cond, t) => {
-            let b = pop!().as_int()?;
-            let a = pop!().as_int()?;
-            if cond.eval(a, b) {
-                *pc = *t as usize;
-            }
-        }
-        DOp::BrZ(cond, t) => {
-            let a = pop!().as_int()?;
-            if cond.eval(a, 0) {
-                *pc = *t as usize;
-            }
-        }
-        DOp::NewArr(ty) => {
-            let len = pop!().as_int()?;
-            if len < 0 {
-                return Err(VmError::NegativeArrayLength(len));
-            }
-            let bytes = match ty {
-                Type::Float => 8,
-                _ => 4,
-            } * len as u64;
-            vm.machine.charge_mix(&costs::alloc_zero_mix(bytes));
-            let h = vm.heap.alloc_array(*ty, len as usize);
-            stack.push(Value::Ref(h));
-        }
         DOp::ALoad => {
             let idx = pop!().as_int()?;
             let arr = pop!().as_ref()?;
-            if idx < 0 {
-                return Err(VmError::IndexOutOfBounds {
-                    index: usize::MAX,
-                    len: vm.heap.array_len(arr)?,
-                });
-            }
-            let v = vm.heap.array_get(arr, idx as usize)?;
-            let addr = vm.heap.element_address(arr, idx as usize);
-            vm.machine
-                .step(aux_pc(P_ALOAD), InstrClass::Load, MemOp::Read(addr));
+            let (v, addr) = heap.array_load(arr, index!(arr, idx))?;
             stack.push(v);
+            return Ok(Some(addr));
         }
         DOp::AStore => {
             let val = pop!();
             let idx = pop!().as_int()?;
             let arr = pop!().as_ref()?;
-            if idx < 0 {
-                return Err(VmError::IndexOutOfBounds {
-                    index: usize::MAX,
-                    len: vm.heap.array_len(arr)?,
-                });
-            }
-            vm.heap.array_set(arr, idx as usize, val)?;
-            let addr = vm.heap.element_address(arr, idx as usize);
-            vm.machine
-                .step(aux_pc(P_ASTORE), InstrClass::Store, MemOp::Write(addr));
+            return heap.array_store(arr, index!(arr, idx), val).map(Some);
         }
         DOp::ArrLen => {
             let arr = pop!().as_ref()?;
-            let len = vm.heap.array_len(arr)?;
-            let addr = vm.heap.address_of(arr);
-            vm.machine
-                .step(aux_pc(P_ARRLEN), InstrClass::Load, MemOp::Read(addr));
+            let len = heap.array_len(arr)?;
             stack.push(Value::Int(len as i32));
-        }
-        DOp::New(cid) => {
-            let class = vm.program.class(*cid);
-            vm.machine
-                .charge_mix(&costs::alloc_zero_mix(8 * class.field_types.len() as u64));
-            let h = vm.heap.alloc_object(cid.0, &class.field_types);
-            stack.push(Value::Ref(h));
+            return Ok(Some(heap.address_of(arr)));
         }
         DOp::GetField(slot) => {
             let obj = pop!().as_ref()?;
-            let v = vm.heap.field_get(obj, *slot as usize)?;
-            let addr = vm.heap.field_address(obj, *slot as usize);
-            vm.machine
-                .step(aux_pc(P_GETFIELD), InstrClass::Load, MemOp::Read(addr));
-            stack.push(v);
+            stack.push(heap.field_get(obj, *slot as usize)?);
+            return Ok(Some(heap.field_address(obj, *slot as usize)));
         }
         DOp::PutField(slot) => {
             let val = pop!();
             let obj = pop!().as_ref()?;
-            vm.heap.field_set(obj, *slot as usize, val)?;
-            let addr = vm.heap.field_address(obj, *slot as usize);
-            vm.machine
-                .step(aux_pc(P_PUTFIELD), InstrClass::Store, MemOp::Write(addr));
-        }
-        DOp::Call { target, nargs } => {
-            let nargs = *nargs as usize;
-            if stack.len() < nargs {
-                return Err(VmError::StackUnderflow);
-            }
-            let split = stack.len() - nargs;
-            let mut cargs = vm.take_buf();
-            cargs.extend_from_slice(&stack[split..]);
-            stack.truncate(split);
-            let ret = vm.invoke(*target, cargs)?;
-            if expect_ret != 2 && u8::from(ret.is_some()) != expect_ret {
-                *tainted = true;
-            }
-            if let Some(v) = ret {
-                stack.push(v);
-            }
-        }
-        DOp::CallVirt { slot, argc, ic } => {
-            let nargs = *argc as usize;
-            if stack.len() < nargs + 1 {
-                return Err(VmError::StackUnderflow);
-            }
-            let split = stack.len() - nargs - 1;
-            let mut cargs = vm.take_buf();
-            cargs.extend_from_slice(&stack[split..]);
-            stack.truncate(split);
-            let recv = cargs[0].as_ref()?;
-            let class = vm.heap.class_of(recv)?;
-            let (cached_class, cached_target) = ic.get();
-            let target = if cached_class == class {
-                cached_target
-            } else {
-                let vtable = &vm.program.class(ClassId(class)).vtable;
-                let t = *vtable.get(*slot as usize).ok_or(VmError::BadVSlot(*slot))?;
-                ic.set((class, t));
-                t
-            };
-            let ret = vm.invoke(target, cargs)?;
-            if expect_ret != 2 && u8::from(ret.is_some()) != expect_ret {
-                *tainted = true;
-            }
-            if let Some(v) = ret {
-                stack.push(v);
-            }
-        }
-        DOp::Ret => {
-            return Ok(Flow::Return(None));
-        }
-        DOp::RetVal => {
-            let v = pop!();
-            return Ok(Flow::Return(Some(v)));
+            heap.field_set(obj, *slot as usize, val)?;
+            return Ok(Some(heap.field_address(obj, *slot as usize)));
         }
         DOp::Nop => {}
 
@@ -1909,40 +1019,126 @@ fn op_sem(
             let va = pop!().as_int()?;
             stack.push(Value::Int(arith::ibin(*opk, va, *k)?));
         }
-        DOp::LoadStore(src, dst) => {
-            locals[*dst as usize] = locals[*src as usize];
-        }
-        DOp::IConstStore(k, dst) => {
-            locals[*dst as usize] = Value::Int(*k);
-        }
-        DOp::LoadLoadICmpBr(a, b, cond, t) => {
-            let vb = locals[*b as usize].as_int()?;
-            let va = locals[*a as usize].as_int()?;
-            if cond.eval(va, vb) {
-                *pc = *t as usize;
-            }
-        }
-        DOp::LoadIConstICmpBr(a, k, cond, t) => {
-            let va = locals[*a as usize].as_int()?;
-            if cond.eval(va, *k) {
-                *pc = *t as usize;
-            }
-        }
+        DOp::LoadStore(src, dst) => locals[*dst as usize] = locals[*src as usize],
+        DOp::IConstStore(k, dst) => locals[*dst as usize] = Value::Int(*k),
         DOp::LoadLoadALoad(arr_l, idx_l) => {
             let idx = locals[*idx_l as usize].as_int()?;
             let arr = locals[*arr_l as usize].as_ref()?;
-            if idx < 0 {
-                return Err(VmError::IndexOutOfBounds {
-                    index: usize::MAX,
-                    len: vm.heap.array_len(arr)?,
-                });
-            }
-            let v = vm.heap.array_get(arr, idx as usize)?;
-            let addr = vm.heap.element_address(arr, idx as usize);
-            vm.machine
-                .step(aux_pc(P_ALOAD), InstrClass::Load, MemOp::Read(addr));
+            let (v, addr) = heap.array_load(arr, index!(arr, idx))?;
             stack.push(v);
+            return Ok(Some(addr));
         }
+
+        DOp::Goto(_)
+        | DOp::ICmpBr(..)
+        | DOp::BrZ(..)
+        | DOp::LoadLoadICmpBr(..)
+        | DOp::LoadIConstICmpBr(..)
+        | DOp::NewArr(_)
+        | DOp::New(_)
+        | DOp::Call { .. }
+        | DOp::CallVirt { .. }
+        | DOp::Ret
+        | DOp::RetVal => unreachable!("tail ops run through `tail`"),
     }
-    Ok(Flow::Next)
+    Ok(None)
+}
+
+/// The semantics of a tail op: a branch, an allocation (which charges
+/// its zeroing mix), a call or a return.
+fn tail(
+    vm: &mut Vm<'_>,
+    op: &DOp,
+    locals: &[Value],
+    stack: &mut Vec<Value>,
+) -> Result<Ctl, VmError> {
+    macro_rules! pop {
+        () => {
+            stack.pop().ok_or(VmError::StackUnderflow)?
+        };
+    }
+    let taken = match op {
+        DOp::Goto(_) => true,
+        DOp::ICmpBr(cond, _) => {
+            let b = pop!().as_int()?;
+            let a = pop!().as_int()?;
+            cond.eval(a, b)
+        }
+        DOp::BrZ(cond, _) => {
+            let a = pop!().as_int()?;
+            cond.eval(a, 0)
+        }
+        DOp::LoadLoadICmpBr(a, b, cond, _) => {
+            let vb = locals[*b as usize].as_int()?;
+            let va = locals[*a as usize].as_int()?;
+            cond.eval(va, vb)
+        }
+        DOp::LoadIConstICmpBr(a, k, cond, _) => {
+            let va = locals[*a as usize].as_int()?;
+            cond.eval(va, *k)
+        }
+        DOp::NewArr(ty) => {
+            let len = pop!().as_int()?;
+            if len < 0 {
+                return Err(VmError::NegativeArrayLength(len));
+            }
+            let bytes = match ty {
+                Type::Float => 8,
+                _ => 4,
+            } * len as u64;
+            vm.machine.charge_mix(&costs::alloc_zero_mix(bytes));
+            stack.push(Value::Ref(vm.heap.alloc_array(*ty, len as usize)));
+            false
+        }
+        DOp::New(cid) => {
+            let class = vm.program.class(*cid);
+            vm.machine
+                .charge_mix(&costs::alloc_zero_mix(8 * class.field_types.len() as u64));
+            stack.push(Value::Ref(vm.heap.alloc_object(cid.0, &class.field_types)));
+            false
+        }
+        DOp::Call { target, nargs } => {
+            let nargs = *nargs as usize;
+            if stack.len() < nargs {
+                return Err(VmError::StackUnderflow);
+            }
+            let split = stack.len() - nargs;
+            let mut cargs = vm.take_buf();
+            cargs.extend_from_slice(&stack[split..]);
+            stack.truncate(split);
+            if let Some(v) = vm.invoke(*target, cargs)? {
+                stack.push(v);
+            }
+            false
+        }
+        DOp::CallVirt { slot, argc, ic } => {
+            let nargs = *argc as usize;
+            if stack.len() < nargs + 1 {
+                return Err(VmError::StackUnderflow);
+            }
+            let split = stack.len() - nargs - 1;
+            let mut cargs = vm.take_buf();
+            cargs.extend_from_slice(&stack[split..]);
+            stack.truncate(split);
+            let recv = cargs[0].as_ref()?;
+            let class = vm.heap.class_of(recv)?;
+            let (cached_class, cached_target) = ic.get();
+            let target = if cached_class == class {
+                cached_target
+            } else {
+                let vtable = &vm.program.class(ClassId(class)).vtable;
+                let t = *vtable.get(*slot as usize).ok_or(VmError::BadVSlot(*slot))?;
+                ic.set((class, t));
+                t
+            };
+            if let Some(v) = vm.invoke(target, cargs)? {
+                stack.push(v);
+            }
+            false
+        }
+        DOp::Ret => return Ok(Ctl::Ret(None)),
+        DOp::RetVal => return Ok(Ctl::Ret(Some(pop!()))),
+        _ => unreachable!("body ops run through `plain`"),
+    };
+    Ok(if taken { Ctl::Jump } else { Ctl::Next })
 }

@@ -12,7 +12,7 @@
 use crate::bytecode::MethodId;
 use crate::class::Program;
 use crate::costs::{NATIVE_CODE_BASE, NATIVE_INSTR_BYTES};
-use crate::decode::{CostCache, DecodedMethod, MethodRuns};
+use crate::decode::{CostCache, InterpCode};
 use crate::emit::NativeCode;
 use crate::heap::Heap;
 use crate::runplan::XCode;
@@ -103,12 +103,10 @@ pub struct Vm<'p> {
     /// Charged instruction events so far (for the step budget).
     pub steps: u64,
     pub(crate) depth: u32,
-    /// Lazily decoded fast-path form of each bytecode method — a
-    /// derived artifact, rebuilt on demand, never serialized.
-    decoded: Vec<Option<Rc<DecodedMethod>>>,
-    /// Lazily compiled batched-run metadata per bytecode method (for
-    /// this machine's energy table) — derived, never serialized.
-    runs: Vec<Option<Rc<MethodRuns>>>,
+    /// Lazily built fast-path form of each bytecode method (decoded
+    /// ops plus segments, for this machine's energy table) — a derived
+    /// artifact, rebuilt on demand, never serialized.
+    interp: Vec<Option<Rc<InterpCode>>>,
     /// Lazily built per-handler charge plans for this machine's
     /// energy table.
     cost_cache: Option<Rc<CostCache>>,
@@ -130,8 +128,7 @@ impl<'p> Vm<'p> {
             next_code_addr: NATIVE_CODE_BASE,
             steps: 0,
             depth: 0,
-            decoded: vec![None; program.methods.len()],
-            runs: vec![None; program.methods.len()],
+            interp: vec![None; program.methods.len()],
             cost_cache: None,
             scratch: Vec::new(),
         }
@@ -244,30 +241,20 @@ impl<'p> Vm<'p> {
         self.depth
     }
 
-    /// The decoded fast-path form of `m`, translating on first use.
-    pub(crate) fn decoded_code(&mut self, m: MethodId) -> Rc<DecodedMethod> {
-        if let Some(d) = &self.decoded[m.0 as usize] {
-            return Rc::clone(d);
+    /// The fast-path form of `m` — decoded ops and their segments —
+    /// built on first use.
+    pub(crate) fn interp_code(&mut self, m: MethodId) -> Rc<InterpCode> {
+        if let Some(c) = &self.interp[m.0 as usize] {
+            return Rc::clone(c);
         }
         let program = self.program;
-        let d = Rc::new(crate::decode::decode_method(program.method(m), &|mid| {
+        let dm = crate::decode::decode_method(program.method(m), &|mid| {
             program.method(mid).sig.arity() as u32
-        }));
-        self.decoded[m.0 as usize] = Some(Rc::clone(&d));
-        d
-    }
-
-    /// The batched-run metadata of `m` for this machine's energy
-    /// table, compiled on first use.
-    pub(crate) fn decoded_runs(&mut self, m: MethodId) -> Rc<MethodRuns> {
-        if let Some(r) = &self.runs[m.0 as usize] {
-            return Rc::clone(r);
-        }
-        let dm = self.decoded_code(m);
-        let cc = self.cost_cache();
-        let r = Rc::new(crate::decode::compile_runs(self.program, m, &dm, &cc));
-        self.runs[m.0 as usize] = Some(Rc::clone(&r));
-        r
+        });
+        let segs = crate::decode::compile_runs(program, m, &dm, &self.cost_cache());
+        let c = Rc::new(InterpCode { dm, segs });
+        self.interp[m.0 as usize] = Some(Rc::clone(&c));
+        c
     }
 
     /// The per-handler charge plans for this machine's energy table,

@@ -5,24 +5,26 @@
 //! energy accounting (total, per-component breakdown, instruction mix,
 //! and cache hit/miss counters).
 //!
-//! Three obligations are checked:
+//! Four obligations are checked:
 //!
 //! 1. **Random verified programs** (proptest): the same DSL program
 //!    generator as `prop_jit_equiv`, extended with float arithmetic
-//!    and a static call so the fused-op, batched-run, conversion and
+//!    and a static call so the fused-op, segment, conversion and
 //!    invoke paths are all exercised.
 //! 2. **Unverified rogue-return programs** (deterministic): hand-built
 //!    bytecode whose callees' runtime return presence contradicts the
-//!    static signature. These invalidate the fast path's dataflow
-//!    assumptions mid-frame; the taint guard must fall back to per-op
-//!    execution and still match the reference engine exactly.
+//!    static signature, so the caller's operand stack ends up deeper
+//!    or shallower than its code expects. The fast path must follow
+//!    the runtime stack as the reference does and match it exactly.
 //! 3. **Step-budget cutoffs**: for every budget value across a run's
 //!    full length, both engines stop at the same instruction with the
-//!    same error and the same machine state — batching must never
-//!    over- or under-charge at the boundary.
+//!    same error and the same machine state — segment charging must
+//!    never over- or under-charge at the boundary. The programs cover
+//!    arithmetic, heap and field traffic, and errors raised inside a
+//!    straight-line stretch after earlier heap accesses.
 //! 4. **Pre-charged machines**: obligations 1 and 3 again with the
 //!    client's Core accumulator already holding a realistic 1e6–1e10 nJ,
-//!    where batched charges fold into one exact add per replay instead
+//!    where segment replays fold into one exact add per replay instead
 //!    of starting from zero.
 
 mod common;
@@ -256,7 +258,7 @@ proptest! {
 }
 
 // ---------------------------------------------------------------
-// 2. Unverified rogue-return programs (taint guard)
+// 2. Unverified rogue-return programs (return-shape mismatches)
 // ---------------------------------------------------------------
 
 fn attrs() -> MethodAttrs {
@@ -267,9 +269,9 @@ fn attrs() -> MethodAttrs {
     }
 }
 
-/// A caller that interleaves batched straight-line stretches with a
-/// call to `callee`, inside a loop so tainted frames re-execute the
-/// same run sites. Locals: 0 = loop counter, 1 = accumulator.
+/// A caller that interleaves straight-line stretches with a call to
+/// `callee`, inside a loop so the same segments re-execute after a
+/// mismatched return. Locals: 0 = loop counter, 1 = accumulator.
 fn rogue_caller_body(callee: MethodId) -> Vec<Op> {
     let mut code = vec![
         Op::IConst(0),
@@ -327,10 +329,9 @@ fn rogue_missing_return_matches_reference() {
 }
 
 /// Virtual dispatch where every override *declares* `-> int` (so the
-/// static vtable scan confidently predicts a push), but the subclass
-/// override returns nothing at runtime. The prediction is violated
-/// only when a `Sub` receiver flows through the call site — the taint
-/// guard must catch it there.
+/// signatures promise a push), but the subclass override returns
+/// nothing at runtime. The promise is broken only when a `Sub`
+/// receiver flows through the call site.
 #[test]
 fn rogue_virtual_missing_return_matches_reference() {
     let mut b = ProgramBuilder::new();
@@ -404,8 +405,8 @@ fn rogue_virtual_missing_return_matches_reference() {
 }
 
 /// Virtual dispatch with *inconsistent* override return behaviour:
-/// one override returns a value, the other does not, so the static
-/// analysis cannot predict the stack effect of the call site at all.
+/// one override returns a value, the other does not, so the call
+/// site's stack effect depends on the receiver.
 #[test]
 fn rogue_inconsistent_virtual_matches_reference() {
     let mut b = ProgramBuilder::new();
@@ -484,17 +485,85 @@ fn rogue_inconsistent_virtual_matches_reference() {
 
 /// Both engines must stop at exactly the same instruction, with the
 /// same error and bit-identical machine state, for *every* budget
-/// value from 0 to past the program's full length. The fast path may
-/// only take a batched run when the whole run fits in the remaining
-/// budget, so each cutoff lands inside per-op execution.
+/// value from 0 to past the program's full length. The fast path takes
+/// a segment whole only when the remaining budget covers it, so each
+/// cutoff lands inside per-op execution.
 #[test]
 fn step_budget_cutoffs_match_reference() {
     assert_cutoffs_match_reference(0.0);
 }
 
 /// Both engines agree at every step budget on a client whose Core
-/// accumulator starts at `core_nj`.
+/// accumulator starts at `core_nj`, for every [`cutoff_inputs`]
+/// program.
 fn assert_cutoffs_match_reference(core_nj: f64) {
+    for input in cutoff_inputs() {
+        let CutoffInput {
+            name,
+            program: p,
+            id,
+            args,
+            fails_with,
+        } = input;
+
+        // Full length first, to know where "past the end" is.
+        let (full_res, full_fp) = run_engine_from(&p, id, &args, true, u64::MAX, core_nj);
+        match &fails_with {
+            None => assert!(
+                full_res.is_ok(),
+                "{name}: reference run succeeds: {full_res:?}"
+            ),
+            Some(e) => assert_eq!(full_res, Err(e.clone()), "{name}: reference run fails"),
+        }
+        let total = full_fp.steps;
+        assert!(
+            total > 40,
+            "{name}: program long enough to slice ({total} steps)"
+        );
+
+        for budget in 0..=total + 2 {
+            let (slow_res, slow_fp) = run_engine_from(&p, id, &args, true, budget, core_nj);
+            let (fast_res, fast_fp) = run_engine_from(&p, id, &args, false, budget, core_nj);
+            assert_eq!(
+                fast_res, slow_res,
+                "{name}: result diverged at budget {budget}"
+            );
+            assert_eq!(
+                fast_fp, slow_fp,
+                "{name}: machine state diverged at budget {budget}"
+            );
+            if budget < total {
+                assert_eq!(
+                    slow_res,
+                    Err(VmError::StepBudgetExceeded),
+                    "{name}: budget {budget} should cut the run short"
+                );
+            }
+        }
+    }
+}
+
+/// A program the cutoff obligation runs at every step budget.
+struct CutoffInput {
+    name: &'static str,
+    program: Program,
+    id: MethodId,
+    args: Vec<Value>,
+    /// The error the full run ends with (`None`: it returns).
+    fails_with: Option<VmError>,
+}
+
+/// The cutoff obligation's programs: arithmetic with calls and floats,
+/// heap and field traffic, and one program per error raised inside a
+/// straight-line stretch after earlier heap accesses.
+fn cutoff_inputs() -> Vec<CutoffInput> {
+    let mut inputs = vec![arith_program(), heap_program()];
+    inputs.extend(failing_programs());
+    inputs
+}
+
+/// Integer and float arithmetic around a static call in a loop.
+fn arith_program() -> CutoffInput {
     let mut m = ModuleBuilder::new();
     m.func(
         "g",
@@ -530,30 +599,206 @@ fn assert_cutoffs_match_reference(core_nj: f64) {
     let p = m.compile().expect("compiles");
     verify_program(&p).expect("verifies");
     let id = p.find_method(MODULE_CLASS, "f").expect("f exists");
-    let args = [Value::Int(9)];
-
-    // Full length first, to know where "past the end" is.
-    let (full_res, full_fp) = run_engine_from(&p, id, &args, true, u64::MAX, core_nj);
-    assert!(full_res.is_ok(), "reference run succeeds: {full_res:?}");
-    let total = full_fp.steps;
-    assert!(total > 40, "program long enough to slice ({total} steps)");
-
-    for budget in 0..=total + 2 {
-        let (slow_res, slow_fp) = run_engine_from(&p, id, &args, true, budget, core_nj);
-        let (fast_res, fast_fp) = run_engine_from(&p, id, &args, false, budget, core_nj);
-        assert_eq!(fast_res, slow_res, "result diverged at budget {budget}");
-        assert_eq!(
-            fast_fp, slow_fp,
-            "machine state diverged at budget {budget}"
-        );
-        if budget < total {
-            assert_eq!(
-                slow_res,
-                Err(VmError::StepBudgetExceeded),
-                "budget {budget} should cut the run short"
-            );
-        }
+    CutoffInput {
+        name: "arith",
+        program: p,
+        id,
+        args: vec![Value::Int(9)],
+        fails_with: None,
     }
+}
+
+/// Array and field read-modify-writes, `ArrLen`, a static and a
+/// virtual call, and a straight-line stretch of 18 array reads: more
+/// heap accesses than one segment holds.
+fn heap_program() -> CutoffInput {
+    let mut m = ModuleBuilder::new();
+    m.class("Cell", None, &[("v", DType::Int)]);
+    m.virtual_method(
+        "Cell",
+        "bump",
+        vec![("x", DType::Int)],
+        Some(DType::Int),
+        vec![
+            set_field(var("this"), "v", var("this").field("v").add(var("x"))),
+            ret(var("this").field("v")),
+        ],
+    );
+    m.func(
+        "g",
+        vec![("x", DType::Int)],
+        Some(DType::Int),
+        vec![ret(var("x").mul(iconst(3)).add(iconst(1)))],
+    );
+    let mut reads = var("acc");
+    for k in 0..18 {
+        reads = reads.add(var("a").index(iconst(k)));
+    }
+    m.func(
+        "f",
+        vec![("v0", DType::Int)],
+        Some(DType::Int),
+        vec![
+            let_("a", new_arr(DType::Int, iconst(18))),
+            let_("c", new_obj("Cell")),
+            let_("acc", iconst(0)),
+            for_(
+                "i",
+                iconst(0),
+                iconst(3),
+                vec![
+                    set_index(
+                        var("a"),
+                        var("i"),
+                        var("a")
+                            .index(var("i"))
+                            .add(call("g", vec![var("i").add(var("v0"))])),
+                    ),
+                    set_field(
+                        var("c"),
+                        "v",
+                        var("c").field("v").bitxor(var("a").index(var("i"))),
+                    ),
+                    assign("acc", reads.clone().add(var("a").len())),
+                    assign(
+                        "acc",
+                        var("acc").add(var("c").vcall("bump", vec![var("i")])),
+                    ),
+                ],
+            ),
+            ret(var("acc").bitxor(var("c").field("v"))),
+        ],
+    );
+    let p = m.compile().expect("compiles");
+    verify_program(&p).expect("verifies");
+    let id = p.find_method(MODULE_CLASS, "f").expect("f exists");
+    CutoffInput {
+        name: "heap",
+        program: p,
+        id,
+        args: vec![Value::Int(5)],
+        fails_with: None,
+    }
+}
+
+/// One unverified program per error a straight-line stretch can raise
+/// after earlier heap accesses. Each allocates an 8-element int array
+/// (local 0) and a one-field object (local 1), then sums `reads`
+/// element reads, a field read and the array length in one stretch
+/// before the failing ops.
+fn failing_programs() -> Vec<CutoffInput> {
+    use jem_jvm::{Cond, IBin};
+    let cases: [(&'static str, usize, Vec<Op>, VmError); 6] = [
+        (
+            "index past the end",
+            12,
+            vec![Op::Load(0), Op::IConst(9), Op::ALoad(Type::Int)],
+            VmError::IndexOutOfBounds { index: 9, len: 8 },
+        ),
+        (
+            "negative index",
+            15,
+            vec![
+                Op::Load(0),
+                Op::IConst(-1),
+                Op::IConst(3),
+                Op::AStore(Type::Int),
+            ],
+            VmError::IndexOutOfBounds {
+                index: usize::MAX,
+                len: 8,
+            },
+        ),
+        (
+            "null array",
+            19,
+            vec![Op::Load(3), Op::Load(2), Op::ALoad(Type::Int)],
+            VmError::NullDeref,
+        ),
+        (
+            "null object",
+            8,
+            vec![Op::Load(3), Op::GetField(0, Type::Int)],
+            VmError::NullDeref,
+        ),
+        (
+            "divide by zero",
+            17,
+            vec![Op::IConst(0), Op::IArith(IBin::Div)],
+            VmError::DivByZero,
+        ),
+        (
+            "negative array length",
+            14,
+            vec![Op::IConst(-3), Op::NewArr(Type::Int)],
+            VmError::NegativeArrayLength(-3),
+        ),
+    ];
+    cases
+        .into_iter()
+        .map(|(name, reads, fail, err)| {
+            let mut b = ProgramBuilder::new();
+            let c = b.add_class("Cell", None, &[("v", Type::Int)]);
+            // Locals: 0 = array, 1 = object, 2 = index, 3 = null.
+            let mut code = vec![
+                Op::IConst(8),
+                Op::NewArr(Type::Int),
+                Op::Store(0),
+                Op::New(c),
+                Op::Store(1),
+                Op::IConst(1),
+                Op::Store(2),
+                Op::NullConst,
+                Op::Store(3),
+                // A loop over one element store, so the stretch below
+                // starts at a branch target's successor.
+                Op::Load(0),
+                Op::Load(2),
+                Op::Load(2),
+                Op::AStore(Type::Int),
+                Op::Load(2),
+                Op::IConst(1),
+                Op::IArith(IBin::Add),
+                Op::Store(2),
+                Op::Load(2),
+                Op::IConst(8),
+                Op::ICmpBr(Cond::Lt, 9),
+                // The stretch: a field read, the length, then reads.
+                Op::IConst(5),
+                Op::Store(2),
+                Op::Load(1),
+                Op::GetField(0, Type::Int),
+                Op::Load(0),
+                Op::ArrLen,
+                Op::IArith(IBin::Add),
+            ];
+            for k in 0..reads {
+                if k % 2 == 0 {
+                    code.extend([Op::Load(0), Op::IConst(k as i32 % 8), Op::ALoad(Type::Int)]);
+                } else {
+                    code.extend([Op::Load(0), Op::Load(2), Op::ALoad(Type::Int)]);
+                }
+                code.push(Op::IArith(IBin::Add));
+            }
+            code.extend(fail);
+            code.push(Op::RetVal);
+            let main = b.add_static_method(
+                c,
+                "main",
+                MethodSig::new(vec![], Some(Type::Int)),
+                4,
+                code,
+                attrs(),
+            );
+            CutoffInput {
+                name,
+                program: b.finish(),
+                id: main,
+                args: vec![],
+                fails_with: Some(err),
+            }
+        })
+        .collect()
 }
 
 // ---------------------------------------------------------------

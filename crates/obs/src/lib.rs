@@ -26,7 +26,7 @@
 //!   block index footer for cheap skipping, and one decoder behind
 //!   every reader (streaming, follow-mode, whole-file and crash
 //!   salvage), lossless back to [`trace::TraceEvent`],
-//! * [`query`] — a streaming filter / project / aggregate engine over
+//! * [`query`](mod@query) — a streaming filter / project / aggregate engine over
 //!   traces (`jem-query`), reconciling bit-exactly with [`profile`],
 //! * [`monitor`] — online invariant monitors (energy conservation,
 //!   negative deltas, retry storms, breaker flap, predictor regret,

@@ -131,7 +131,7 @@ const REPORT_ALERT_CAP: usize = 64;
 /// The end-of-run verdict of a monitored stream.
 #[derive(Debug, Clone, Default)]
 pub struct HealthReport {
-    /// Fired alerts, stream order, capped at [`REPORT_ALERT_CAP`].
+    /// Fired alerts, stream order, capped at `REPORT_ALERT_CAP`.
     pub alerts: Vec<AlertRecord>,
     /// Total alerts per monitor (uncapped).
     pub counts: BTreeMap<String, u64>,

@@ -19,7 +19,7 @@
 //!   [`Monitor`] fed with every published event,
 //! * `/series?name=..[&window=a:b]` — windowed samples of one
 //!   timeline series (same catalogue as `.jts` files; `a:b` in
-//!   sim-ms), sampled by an embedded timeline [`Sampler`],
+//!   sim-ms), sampled by an embedded timeline `Sampler`,
 //! * `/events` — a Server-Sent-Events tail of the trace event ring
 //!   (`id:` is the publish ordinal, `data:` the event JSON).
 //!

@@ -783,7 +783,7 @@ impl<W: Write> JtbWriter<W> {
     }
 
     /// Append one event. Blocks are cut at invocation starts once
-    /// [`BLOCK_EVENTS`] are buffered (hard cap [`BLOCK_EVENTS_MAX`]).
+    /// `BLOCK_EVENTS` are buffered (hard cap `BLOCK_EVENTS_MAX`).
     ///
     /// # Errors
     /// Propagates the underlying write error.
