@@ -115,6 +115,10 @@ fn run_al_unit(
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
+    jem_bench::reject_unknown_flags(
+        &args,
+        &[&[("--runs", true)], ObsArgs::FLAGS, CkptArgs::FLAGS],
+    );
     let runs = arg_usize(&args, "--runs", 120);
     let obs = ObsArgs::parse(&args);
     let ckpt = CkptArgs::parse(&args);

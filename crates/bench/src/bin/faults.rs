@@ -42,6 +42,15 @@ const LOSS_SEVERITIES: [f64; 5] = [0.0, 0.25, 0.5, 0.75, 0.9];
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
+    jem_bench::reject_unknown_flags(
+        &args,
+        &[
+            &[("--runs", true), ("--seed", true)],
+            ObsArgs::FLAGS,
+            CkptArgs::FLAGS,
+            jem_bench::ENGINE_FLAGS,
+        ],
+    );
     jem_bench::apply_engine_flag(&args);
     let runs = arg_usize(&args, "--runs", 300);
     let seed = arg_usize(&args, "--seed", 7) as u64;

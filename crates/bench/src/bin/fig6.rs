@@ -36,6 +36,15 @@ use jem_sim::{Scenario, Situation, SizeDist};
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
+    jem_bench::reject_unknown_flags(
+        &args,
+        &[
+            &[("--full", false)],
+            ObsArgs::FLAGS,
+            CkptArgs::FLAGS,
+            jem_bench::ENGINE_FLAGS,
+        ],
+    );
     jem_bench::apply_engine_flag(&args);
     let full = arg_flag(&args, "--full");
     let obs = ObsArgs::parse(&args);

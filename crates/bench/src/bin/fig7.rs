@@ -36,6 +36,10 @@ use jem_sim::{parallel::sweep, Scenario, Situation};
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
+    jem_bench::reject_unknown_flags(
+        &args,
+        &[&[("--runs", true)], ObsArgs::FLAGS, CkptArgs::FLAGS],
+    );
     let runs = arg_usize(&args, "--runs", 300);
     let obs = ObsArgs::parse(&args);
     // The parallel grid shards its trace through per-cell ring sinks,

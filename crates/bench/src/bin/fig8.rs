@@ -34,6 +34,7 @@ use jem_radio::ChannelClass;
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
+    jem_bench::reject_unknown_flags(&args, &[ObsArgs::FLAGS, CkptArgs::FLAGS]);
     let obs = ObsArgs::parse(&args);
     let ckpt = CkptArgs::parse(&args);
     ckpt.validate(&obs);

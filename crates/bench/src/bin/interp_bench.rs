@@ -176,6 +176,13 @@ fn float_kernel() -> Kernel {
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
+    jem_bench::reject_unknown_flags(
+        &args,
+        &[
+            &[("--n", true), ("--reps", true), ("--json-out", true)],
+            jem_bench::ENGINE_FLAGS,
+        ],
+    );
     jem_bench::apply_engine_flag(&args);
     let n = arg_usize(&args, "--n", 600) as i32;
     let reps = arg_usize(&args, "--reps", 4);

@@ -12,13 +12,16 @@
 //! cleanly with an explicit `recovered` marker.
 //!
 //! Usage: `jem-chaos [--bin faults] [--kills 3] [--seed 1] [--runs
-//! 300] [--bench-seed 7] [--ckpt-every 25] [--dir DIR] [--keep]
+//! N] [--bench-seed S] [--ckpt-every 25] [--dir DIR] [--keep]
 //! [--verbose]`
 //!
+//! `--runs N` and `--bench-seed S` reach the target bin as `--runs N
+//! --seed S`, and only when given: without them it runs at its own
+//! defaults, so a bin that takes neither flag runs too.
+//!
 //! The target bin must live next to `jem-chaos` in the build tree
-//! (any of the checkpoint-aware bench bins works; `faults` is the
-//! default — long scenario runs, fault injection, and a `.jtb` trace
-//! exercise every piece of checkpointed state).
+//! (`faults` is the default — long scenario runs, fault injection, and
+//! a `.jtb` trace exercise every piece of checkpointed state).
 
 use jem_obs::{load_trace_bytes, salvage_jtb};
 use rand::rngs::SmallRng;
@@ -31,8 +34,8 @@ struct Opts {
     bin: String,
     kills: usize,
     seed: u64,
-    runs: usize,
-    bench_seed: usize,
+    /// `--runs`/`--seed` for the target bin, as given.
+    bin_args: Vec<String>,
     every: usize,
     dir: Option<String>,
     keep: bool,
@@ -60,12 +63,7 @@ fn sibling_bin(name: &str) -> PathBuf {
 
 fn command(opts: &Opts, bin: &Path, dir: &Path, extra: &[String]) -> Command {
     let mut c = Command::new(bin);
-    c.arg("--runs")
-        .arg(opts.runs.to_string())
-        .arg("--seed")
-        .arg(opts.bench_seed.to_string())
-        .args(extra)
-        .current_dir(dir);
+    c.args(&opts.bin_args).args(extra).current_dir(dir);
     if opts.verbose {
         c.stdout(Stdio::inherit()).stderr(Stdio::inherit());
     } else {
@@ -110,12 +108,32 @@ fn read(path: &Path) -> Vec<u8> {
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().collect();
+    jem_bench::reject_unknown_flags(
+        &args,
+        &[&[
+            ("--bin", true),
+            ("--kills", true),
+            ("--seed", true),
+            ("--runs", true),
+            ("--bench-seed", true),
+            ("--ckpt-every", true),
+            ("--dir", true),
+            ("--keep", false),
+            ("--verbose", false),
+        ]],
+    );
+    let mut bin_args = Vec::new();
+    for (flag, to) in [("--runs", "--runs"), ("--bench-seed", "--seed")] {
+        if jem_bench::arg_flag(&args, flag) {
+            let n = jem_bench::arg_usize(&args, flag, 0);
+            bin_args.extend([to.to_string(), n.to_string()]);
+        }
+    }
     let opts = Opts {
         bin: jem_bench::arg_str(&args, "--bin").unwrap_or_else(|| "faults".to_string()),
         kills: jem_bench::arg_usize(&args, "--kills", 3),
         seed: jem_bench::arg_usize(&args, "--seed", 1) as u64,
-        runs: jem_bench::arg_usize(&args, "--runs", 300),
-        bench_seed: jem_bench::arg_usize(&args, "--bench-seed", 7),
+        bin_args,
         every: jem_bench::arg_usize(&args, "--ckpt-every", 25),
         dir: jem_bench::arg_str(&args, "--dir"),
         keep: jem_bench::arg_flag(&args, "--keep"),
@@ -131,8 +149,9 @@ fn main() -> ExitCode {
 
     // Golden uninterrupted run — the byte-equality oracle.
     println!(
-        "golden: {} --runs {} --seed {} (uninterrupted)",
-        opts.bin, opts.runs, opts.bench_seed
+        "golden: {} {} (uninterrupted)",
+        opts.bin,
+        opts.bin_args.join(" ")
     );
     let golden_start = Instant::now();
     let status = command(

@@ -25,6 +25,10 @@ use jem_sim::{Scenario, Situation, SizeDist};
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
+    jem_bench::reject_unknown_flags(
+        &args,
+        &[ObsArgs::FLAGS, CkptArgs::FLAGS, jem_bench::ENGINE_FLAGS],
+    );
     jem_bench::apply_engine_flag(&args);
     let obs = ObsArgs::parse(&args);
     let ckpt = CkptArgs::parse(&args);

@@ -177,6 +177,7 @@ fn tables_json() -> Json {
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
+    jem_bench::reject_unknown_flags(&args, &[ObsArgs::FLAGS, CkptArgs::FLAGS]);
     let obs = ObsArgs::parse(&args);
     let ckpt = CkptArgs::parse(&args);
     ckpt.validate(&obs);

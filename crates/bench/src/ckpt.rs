@@ -46,6 +46,10 @@ fn fail(msg: &str) -> ! {
 }
 
 impl CkptArgs {
+    /// The flags [`CkptArgs::parse`] reads.
+    pub const FLAGS: &'static [crate::Flag] =
+        &[("--ckpt", true), ("--resume", true), ("--ckpt-every", true)];
+
     /// Parse the checkpoint flags from argv.
     pub fn parse(args: &[String]) -> CkptArgs {
         let ckpt = crate::arg_str(args, "--ckpt");

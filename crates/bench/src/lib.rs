@@ -118,6 +118,50 @@ pub fn arg_str(args: &[String], flag: &str) -> Option<String> {
         .cloned()
 }
 
+/// A flag a bin accepts: its name and whether a value follows it.
+pub type Flag = (&'static str, bool);
+
+/// The flag [`apply_engine_flag`] reads.
+pub const ENGINE_FLAGS: &[Flag] = &[("--slow-interp", false)];
+
+/// The first argument after the program name that starts with `--` and
+/// is none of `accepted`. The value after a flag that takes one is
+/// skipped, whatever it looks like.
+pub fn unknown_flag<'a>(args: &'a [String], accepted: &[&[Flag]]) -> Option<&'a str> {
+    let mut rest = args.iter().skip(1);
+    while let Some(a) = rest.next() {
+        if !a.starts_with("--") {
+            continue;
+        }
+        match accepted
+            .iter()
+            .flat_map(|f| f.iter())
+            .find(|(name, _)| name == a)
+        {
+            Some((_, true)) => {
+                rest.next();
+            }
+            Some((_, false)) => {}
+            None => return Some(a),
+        }
+    }
+    None
+}
+
+/// Exit 2 before anything runs, naming the flag and listing the
+/// accepted ones, when argv holds a `--` flag that is none of
+/// `accepted` (see [`unknown_flag`]).
+pub fn reject_unknown_flags(args: &[String], accepted: &[&[Flag]]) {
+    if let Some(flag) = unknown_flag(args, accepted) {
+        let names: Vec<&str> = accepted
+            .iter()
+            .flat_map(|f| f.iter().map(|f| f.0))
+            .collect();
+        eprintln!("error: unknown flag {flag} (accepted: {})", names.join(" "));
+        std::process::exit(2);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -132,6 +176,20 @@ mod tests {
         assert_eq!(arg_usize(&args, "--missing", 7), 7);
         assert!(arg_flag(&args, "--full"));
         assert!(!arg_flag(&args, "--quick"));
+    }
+
+    #[test]
+    fn unknown_flags_are_found_and_values_skipped() {
+        let argv = |a: &[&str]| a.iter().map(|s| s.to_string()).collect::<Vec<_>>();
+        let own: &[Flag] = &[("--runs", true), ("--full", false)];
+        let accepted = [own, ENGINE_FLAGS];
+        let ok = argv(&["faults", "fig1", "--runs", "--x", "--full", "--slow-interp"]);
+        assert_eq!(unknown_flag(&ok, &accepted), None);
+        let typo = argv(&["faults", "--run", "3"]);
+        assert_eq!(unknown_flag(&typo, &accepted), Some("--run"));
+        let after_bool = argv(&["faults", "--full", "--runz"]);
+        assert_eq!(unknown_flag(&after_bool, &accepted), Some("--runz"));
+        assert_eq!(unknown_flag(&argv(&["--runz"]), &accepted), None);
     }
 
     #[test]

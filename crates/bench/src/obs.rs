@@ -222,6 +222,20 @@ fn split_composite_state(state: &[u8]) -> SplitState<'_> {
 }
 
 impl ObsArgs {
+    /// The flags [`ObsArgs::parse`] reads.
+    pub const FLAGS: &'static [crate::Flag] = &[
+        ("--trace", true),
+        ("--sample-every", true),
+        ("--flush-every", true),
+        ("--timeline", true),
+        ("--serve", true),
+        ("--monitor", false),
+        ("--health-out", true),
+        ("--metrics-out", true),
+        ("--json-out", true),
+        ("--archive", true),
+    ];
+
     /// Parse the output flags from argv.
     pub fn parse(args: &[String]) -> ObsArgs {
         let trace = crate::arg_str(args, "--trace");

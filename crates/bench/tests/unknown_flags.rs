@@ -1,0 +1,79 @@
+//! An argument that starts with `--` and is not a flag the bin accepts
+//! is rejected loudly (exit 2, naming it) before anything runs or is
+//! written, instead of being ignored while the bin runs at its
+//! defaults.
+
+use jem_obs::scratch_dir;
+use std::process::Command;
+
+/// Each bin with flags it accepts that keep a run short, should a
+/// misspelt flag be ignored, and the misspelt flag.
+const CORPUS: &[(&str, &[&str], &str)] = &[
+    (env!("CARGO_BIN_EXE_ablation"), &["--runs", "1"], "--run"),
+    (env!("CARGO_BIN_EXE_estfit"), &[], "--seed"),
+    (env!("CARGO_BIN_EXE_faults"), &["--runs", "1"], "--run"),
+    (env!("CARGO_BIN_EXE_fig6"), &[], "--ful"),
+    (env!("CARGO_BIN_EXE_fig7"), &["--runs", "1"], "--threads"),
+    (env!("CARGO_BIN_EXE_fig8"), &[], "--runs"),
+    (
+        env!("CARGO_BIN_EXE_interp-bench"),
+        &["--n", "1", "--reps", "1"],
+        "--slow_interp",
+    ),
+    (env!("CARGO_BIN_EXE_speedup"), &[], "--tracee"),
+    (env!("CARGO_BIN_EXE_tables"), &["fig1"], "--ckpt-evry"),
+];
+
+#[test]
+fn misspelt_flags_exit_2_and_write_nothing() {
+    for &(bin, args, misspelt) in CORPUS {
+        let dir = scratch_dir();
+        let json = dir.join("BENCH.json");
+        let out = Command::new(bin)
+            .args(args)
+            .args([misspelt, "3", "--json-out"])
+            .arg(&json)
+            .current_dir(&dir)
+            .output()
+            .unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        let ctx = format!("{bin} {args:?} {misspelt}: {stderr}");
+        assert_eq!(out.status.code(), Some(2), "{ctx}");
+        assert!(
+            stderr.contains(&format!("unknown flag {misspelt} ")),
+            "{ctx}"
+        );
+        assert!(!json.exists(), "a rejected run wrote output: {ctx}");
+        assert_eq!(std::fs::read_dir(&dir).unwrap().count(), 0, "{ctx}");
+    }
+}
+
+#[test]
+fn chaos_rejects_misspelt_flags_before_its_golden_run() {
+    let dir = scratch_dir().join("chaos");
+    let out = Command::new(env!("CARGO_BIN_EXE_jem-chaos"))
+        .args(["--kills", "0", "--runs", "1", "--dir"])
+        .arg(&dir)
+        .arg("--kill")
+        .output()
+        .unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert!(stderr.contains("unknown flag --kill "), "{stderr}");
+    assert!(!dir.exists(), "a rejected run wrote output");
+}
+
+/// The value after a flag that takes one is not checked as a flag, and
+/// a positional argument is not a flag.
+#[test]
+fn flag_values_and_positionals_are_accepted() {
+    let dir = scratch_dir();
+    let out = Command::new(env!("CARGO_BIN_EXE_tables"))
+        .args(["fig1", "--json-out", "--tables.json"])
+        .current_dir(&dir)
+        .output()
+        .unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "{stderr}");
+    assert!(dir.join("--tables.json").exists());
+}

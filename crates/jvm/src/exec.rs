@@ -12,10 +12,11 @@
 //! The hot loop interprets compact fixed-size [`XOp`]s rather than the
 //! NIR itself: register numbers are pre-narrowed, operators pre-split
 //! into per-op variants, inline-cache slots precomputed, so dispatch
-//! is one match on a 24-byte op with no nested decoding. Charging is
-//! per [`Segment`](crate::runplan::Segment): the body's semantics run
-//! first, then one replay charges the whole segment, then the tail runs
-//! (see [`crate::runplan`] for why that is bit-exact with charging each
+//! is one match on a 24-byte op with no nested decoding. It runs one
+//! [`Segment`](crate::runplan::Segment) after another: the body's
+//! semantics first (a `Jmp` the segment runs on through is a no-op),
+//! then one replay charges the whole segment, then the tail runs (see
+//! [`crate::runplan`] for why that is bit-exact with charging each
 //! instruction before its semantics).
 //!
 //! Results are bit-identical to the interpreter's: both engines share
@@ -96,7 +97,7 @@ struct Frame<'c> {
 }
 
 impl Frame<'_> {
-    /// Run the invocation from block 0, one segment at a time.
+    /// Run the invocation from block 0's entry, one segment at a time.
     fn run(
         &self,
         vm: &mut Vm<'_>,
@@ -108,114 +109,105 @@ impl Frame<'_> {
         vm.machine.charge_mix(&costs::arg_copy_mix(args.len()));
         vm.put_buf(args);
 
+        let ops = &self.x.ops;
         // Heap addresses of the current segment's heap micros, in issue
         // order.
         let mut addrs = [None; SEG_ADDRS];
-        let mut block = 0usize;
-
-        'blocks: loop {
-            let xb = &self.x.blocks[block];
-            for seg in &xb.segs {
-                let (start, end) = (seg.start as usize, seg.end as usize);
-                let ctl = if vm.options.step_budget.saturating_sub(vm.steps) < seg.steps {
-                    self.step_each(vm, regs, block, start..end)?
-                } else {
-                    // Body semantics first, recording heap addresses...
-                    let mut n = 0;
-                    for (k, op) in xb.ops[start..end - 1].iter().enumerate() {
-                        match plain(&mut vm.heap, regs, op) {
-                            Ok(None) => {}
-                            Ok(Some(a)) => {
-                                addrs[n] = Some(a);
-                                n += 1;
-                            }
-                            Err(e) => {
-                                self.charge_failed(vm, regs, block, start, start + k, &addrs[..n])?;
-                                return Err(e);
-                            }
+        let mut si = self.x.entry[0] as usize;
+        loop {
+            let seg = &self.x.segs[si];
+            let (start, end) = (seg.start as usize, seg.end as usize);
+            let ctl = if vm.options.step_budget.saturating_sub(vm.steps) < seg.steps {
+                self.step_each(vm, regs, start..end)?
+            } else {
+                // Body semantics first, recording heap addresses...
+                let mut n = 0;
+                for (k, op) in ops[start..end - 1].iter().enumerate() {
+                    match plain(&mut vm.heap, regs, op) {
+                        Ok(None) => {}
+                        Ok(Some(a)) => {
+                            addrs[n] = Some(a);
+                            n += 1;
+                        }
+                        Err(e) => {
+                            self.charge_failed(vm, regs, start, start + k, &addrs[..n])?;
+                            return Err(e);
                         }
                     }
-                    // ...then the tail's address, one replay for the
-                    // whole segment, and the tail.
-                    let tail = &xb.ops[end - 1];
-                    if tail.touches_heap() {
-                        addrs[n] = heap_addr(&vm.heap, regs, tail);
-                        n += 1;
-                    }
-                    vm.machine
-                        .step_seq(&seg.plan, self.base, self.frame_base, &addrs[..n]);
-                    vm.bump_steps(seg.steps)?;
-                    semantics(vm, regs, tail, self.ics, &self.x.args_pool)?
-                };
-                match ctl {
-                    Ctl::Next => {}
-                    Ctl::Jump(b) => {
-                        block = b as usize;
-                        continue 'blocks;
-                    }
-                    Ctl::Ret(v) => return Ok(v),
                 }
-            }
-            unreachable!("NIR blocks end in a terminator");
+                // ...then the tail's address, one replay for the
+                // whole segment, and the tail.
+                let tail = &ops[end - 1];
+                if tail.touches_heap() {
+                    addrs[n] = heap_addr(&vm.heap, regs, tail);
+                    n += 1;
+                }
+                vm.machine
+                    .step_seq(&seg.plan, self.base, self.frame_base, &addrs[..n]);
+                vm.bump_steps(seg.steps)?;
+                semantics(vm, regs, tail, self.ics, &self.x.args_pool)?
+            };
+            si = match ctl {
+                Ctl::Next => seg.next as usize,
+                Ctl::Jump(b) => self.x.entry[b as usize] as usize,
+                Ctl::Ret(v) => return Ok(v),
+            };
         }
     }
 
-    /// Run ops `range` of `block` in reference order, one instruction
-    /// at a time: the step budget runs out inside this segment.
+    /// Run ops `range` in reference order, one instruction at a time:
+    /// the step budget runs out inside this segment. Only the tail's
+    /// control transfer is taken; a `Jmp` before it leads to the next
+    /// op.
     #[cold]
     fn step_each(
         &self,
         vm: &mut Vm<'_>,
         regs: &mut [Value],
-        block: usize,
         range: Range<usize>,
     ) -> Result<Ctl, VmError> {
         let mut ctl = Ctl::Next;
-        for ii in range {
-            let op = &self.x.blocks[block].ops[ii];
-            self.charge(vm, block, ii, heap_addr(&vm.heap, regs, op))?;
+        for i in range {
+            let op = &self.x.ops[i];
+            self.charge(vm, i, heap_addr(&vm.heap, regs, op))?;
             ctl = semantics(vm, regs, op, self.ics, &self.x.args_pool)?;
         }
         Ok(ctl)
     }
 
-    /// Charge ops `start..=failed` of `block` one at a time, as the
-    /// reference has when op `failed`'s semantics fail: the ops before
-    /// it at their `recorded` heap addresses, `failed` at the address
-    /// its operands give.
+    /// Charge ops `start..=failed` one at a time, as the reference has
+    /// when op `failed`'s semantics fail: the ops before it at their
+    /// `recorded` heap addresses, `failed` at the address its operands
+    /// give.
     #[cold]
     fn charge_failed(
         &self,
         vm: &mut Vm<'_>,
         regs: &[Value],
-        block: usize,
         start: usize,
         failed: usize,
         recorded: &[Option<u64>],
     ) -> Result<(), VmError> {
-        let ops = &self.x.blocks[block].ops;
+        let ops = &self.x.ops;
         let mut recorded = recorded.iter().copied();
-        for (ii, op) in ops.iter().enumerate().take(failed).skip(start) {
+        for (i, op) in ops.iter().enumerate().take(failed).skip(start) {
             let a = if op.touches_heap() {
                 recorded.next().flatten()
             } else {
                 None
             };
-            self.charge(vm, block, ii, a)?;
+            self.charge(vm, i, a)?;
         }
-        self.charge(vm, block, failed, heap_addr(&vm.heap, regs, &ops[failed]))
+        self.charge(vm, failed, heap_addr(&vm.heap, regs, &ops[failed]))
     }
 
-    /// Charge instruction `ii` of `block` the reference way — one
-    /// [`Machine::step`](jem_energy::Machine::step) per emitted micro,
-    /// every heap micro at `heap_addr` — and bump its steps.
-    fn charge(
-        &self,
-        vm: &mut Vm<'_>,
-        block: usize,
-        ii: usize,
-        heap_addr: Option<u64>,
-    ) -> Result<(), VmError> {
+    /// Charge op `i` the reference way — one
+    /// [`Machine::step`](jem_energy::Machine::step) per micro its
+    /// origin emitted, every heap micro at `heap_addr` — and bump its
+    /// steps.
+    fn charge(&self, vm: &mut Vm<'_>, i: usize, heap_addr: Option<u64>) -> Result<(), VmError> {
+        let (block, ii) = self.x.origins[i];
+        let (block, ii) = (block as usize, ii as usize);
         let seq = &self.code.micros[block][ii];
         let mut pc = self.base + u64::from(self.code.offsets[block][ii]) * NATIVE_INSTR_BYTES;
         let mut spill_cursor = 0u64;
@@ -360,10 +352,10 @@ fn semantics(
     Ok(Ctl::Next)
 }
 
-/// The semantics of an op that does not end a segment: it touches
-/// registers and the heap only, never the machine. Returns the heap
-/// address its heap micro accessed, from the same object lookup as the
-/// access itself.
+/// The semantics of a body op: it touches registers and the heap only,
+/// never the machine, and a `Jmp` the segment runs on through does
+/// nothing. Returns the heap address its heap micro accessed, from the
+/// same object lookup as the access itself.
 ///
 /// Always inlined: a call per body op cost fig7-grid about 13% of its
 /// throughput.
@@ -508,11 +500,11 @@ fn plain(heap: &mut Heap, regs: &mut [Value], op: &XOp) -> Result<Option<u64>, V
             heap.field_set(h, *slot as usize, regs[*val as usize])?;
             return Ok(Some(heap.field_address(h, *slot as usize)));
         }
+        XOp::Jmp { .. } => {}
         XOp::NewArr { .. }
         | XOp::NewObj { .. }
         | XOp::Call { .. }
         | XOp::CallVirt { .. }
-        | XOp::Jmp { .. }
         | XOp::Br { .. }
         | XOp::Ret { .. } => unreachable!("segment-ending ops run through `semantics`"),
     }

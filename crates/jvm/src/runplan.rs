@@ -12,10 +12,15 @@
 //!    operators split into per-op variants (no inner operator match at
 //!    run time), call argument lists pooled into one flat side table,
 //!    and each virtual call's inline-cache slot index precomputed.
-//! 2. **Segments** ([`Segment`]) — each block split into stretches
-//!    that end after every call, allocation or control transfer, and
-//!    at the block end, each with one merged [`SeqPlan`] charging all
-//!    of its instructions' emitted micros.
+//! 2. **Segments** ([`Segment`]) — stretches of ops charged with one
+//!    merged [`SeqPlan`] each. Every block is cut into *pieces* that
+//!    end after every call, allocation or control transfer. A segment
+//!    starts at every piece and, while its last op is a `Jmp`, runs on
+//!    into the first piece of the jump's target block, so a loop body,
+//!    its jump back and the header's test are one segment. It stops at
+//!    a block it already holds, or where the target's piece would push
+//!    its heap accesses past `SEG_ADDRS`. A segment's ops are copied
+//!    into one flat array, each with its origin in the [`NativeCode`].
 //!
 //! # Why deferred segment charging is bit-exact
 //!
@@ -45,6 +50,12 @@
 //!   moving one simulator's accesses ahead of the other's changes no
 //!   bit ([`Machine::step_seq`](jem_energy::Machine::step_seq) relies
 //!   on the same argument inside one instruction).
+//! * A `Jmp` inside a segment touches neither the heap nor the
+//!   machine. The reference charges its micros and then runs the
+//!   target's instructions, and the merged plan replays exactly that
+//!   order. When the target's first fetch lands in the line the `Jmp`
+//!   was fetched from, it is a guaranteed hit, as for any two
+//!   consecutive fetches in one line.
 //! * If a body instruction's semantics fail, the executor charges the
 //!   instructions up to and including it one at a time and returns the
 //!   error: exactly the prefix the reference charged.
@@ -440,25 +451,24 @@ impl XOp {
 /// from the [`NativeCode`], never serialized.
 #[derive(Debug)]
 pub struct XCode {
-    /// Per-block executable form.
-    pub blocks: Vec<XBlock>,
+    /// Every segment's ops, segment by segment. A block's ops appear
+    /// once per segment that holds them.
+    pub ops: Vec<XOp>,
+    /// Each op's origin `(block, index)` in the [`NativeCode`]: where
+    /// its emitted micros and their offset are.
+    pub origins: Vec<(u32, u32)>,
+    /// The segments, one starting at each piece.
+    pub segs: Vec<Segment>,
+    /// Each block's entry segment: the one starting at its first op.
+    pub entry: Vec<u32>,
     /// Pooled call-argument registers (see [`XOp::Call`]).
     pub args_pool: Vec<u16>,
 }
 
-/// One basic block of an [`XCode`]: its decoded ops and the segments
-/// that partition them, in order.
-#[derive(Debug)]
-pub struct XBlock {
-    /// Pre-decoded instructions.
-    pub ops: Vec<XOp>,
-    /// Segments covering `ops`, in order.
-    pub segs: Vec<Segment>,
-}
-
-/// A stretch of ops `start..end` charged with one replay: the body
-/// `start..end - 1` is machine-free, the tail `end - 1` may call,
-/// allocate or leave the block (see the module docs).
+/// A stretch of ops `start..end` of [`XCode::ops`] charged with one
+/// replay: the body `start..end - 1` is machine-free (a `Jmp` in it
+/// continues into the next op), the tail `end - 1` may call, allocate
+/// or leave the segment (see the module docs).
 #[derive(Debug)]
 pub struct Segment {
     /// First op.
@@ -468,6 +478,9 @@ pub struct Segment {
     /// Step-budget cost of the whole segment: `Σ max(1, micros_i)`,
     /// what the reference bumps one instruction at a time.
     pub steps: u64,
+    /// The segment that follows when the tail falls through (after a
+    /// call, an allocation or a heap-cap split); unused otherwise.
+    pub next: u32,
     /// The merged charge plan of every op's emitted micros.
     pub plan: SeqPlan,
 }
@@ -652,60 +665,254 @@ pub fn compile(config: &MachineConfig, code: &NativeCode) -> XCode {
         "register file too large to pre-decode"
     );
     let line_bytes = config.icache.map_or(32, |c| c.line_bytes).min(32);
-    let mut scratch: Vec<(u64, InstrClass, SeqDataRef)> = Vec::new();
     let mut args_pool: Vec<u16> = Vec::new();
-    let blocks = code
+    let blocks: Vec<Vec<XOp>> = code
         .func
         .blocks
         .iter()
-        .enumerate()
-        .map(|(b, block)| {
-            let seqs = &code.micros[b];
-            let offs = &code.offsets[b];
-            let ops: Vec<XOp> = block
+        .zip(&code.offsets)
+        .map(|(block, offs)| {
+            block
                 .insts
                 .iter()
                 .zip(offs)
                 .map(|(inst, &off)| decode_op(inst, off, &mut args_pool))
-                .collect();
-
-            // The segment `range`: its merged plan and step cost.
-            let mut segment = |range: Range<usize>| {
-                scratch.clear();
-                let mut steps = 0u64;
-                for ii in range.clone() {
-                    inst_micros(&seqs[ii], offs[ii], &mut scratch);
-                    steps += (seqs[ii].len() as u64).max(1);
-                }
-                Segment {
-                    start: range.start as u32,
-                    end: range.end as u32,
-                    steps,
-                    plan: SeqPlan::compile_at(&config.table, line_bytes, &scratch),
-                }
-            };
-            let mut segs = Vec::new();
-            let (mut start, mut nheap) = (0usize, 0usize);
-            for (ii, op) in ops.iter().enumerate() {
-                let heap = usize::from(op.touches_heap());
-                assert_eq!(
-                    seqs[ii].iter().filter(|m| m.mem == MicroMem::Heap).count(),
-                    heap,
-                    "one heap micro per heap-touching instruction"
-                );
-                if nheap + heap > SEG_ADDRS {
-                    segs.push(segment(start..ii));
-                    (start, nheap) = (ii, 0);
-                }
-                nheap += heap;
-                if op.ends_segment() || ii + 1 == ops.len() {
-                    segs.push(segment(start..ii + 1));
-                    (start, nheap) = (ii + 1, 0);
-                }
-            }
-            XBlock { ops, segs }
+                .collect()
         })
         .collect();
 
-    XCode { blocks, args_pool }
+    // Cut every block into pieces `(block, ops, heap micros)`, in block
+    // order; a block's first piece is its entry.
+    let mut pieces: Vec<(usize, Range<usize>, usize)> = Vec::new();
+    let mut entry = Vec::with_capacity(blocks.len());
+    for (b, ops) in blocks.iter().enumerate() {
+        entry.push(pieces.len() as u32);
+        let (mut start, mut nheap) = (0usize, 0usize);
+        for (ii, op) in ops.iter().enumerate() {
+            let heap = usize::from(op.touches_heap());
+            assert_eq!(
+                code.micros[b][ii]
+                    .iter()
+                    .filter(|m| m.mem == MicroMem::Heap)
+                    .count(),
+                heap,
+                "one heap micro per heap-touching instruction"
+            );
+            if nheap + heap > SEG_ADDRS {
+                pieces.push((b, start..ii, nheap));
+                (start, nheap) = (ii, 0);
+            }
+            nheap += heap;
+            if op.ends_segment() || ii + 1 == ops.len() {
+                pieces.push((b, start..ii + 1, nheap));
+                (start, nheap) = (ii + 1, 0);
+            }
+        }
+    }
+
+    // One segment per piece, running on through every `Jmp` it can.
+    let mut ops = Vec::new();
+    let mut origins = Vec::new();
+    let mut segs = Vec::with_capacity(pieces.len());
+    let mut held: Vec<usize> = Vec::new();
+    let mut scratch: Vec<(u64, InstrClass, SeqDataRef)> = Vec::new();
+    for p in 0..pieces.len() {
+        let start = ops.len() as u32;
+        let (mut q, mut nheap, mut steps) = (p, pieces[p].2, 0u64);
+        held.clear();
+        scratch.clear();
+        loop {
+            let (b, range, _) = &pieces[q];
+            held.push(*b);
+            for ii in range.clone() {
+                let seq = &code.micros[*b][ii];
+                inst_micros(seq, code.offsets[*b][ii], &mut scratch);
+                steps += (seq.len() as u64).max(1);
+                ops.push(blocks[*b][ii].clone());
+                origins.push((*b as u32, ii as u32));
+            }
+            match ops.last() {
+                Some(&XOp::Jmp { t }) => {
+                    let e = entry[t as usize] as usize;
+                    if held.contains(&(t as usize)) || nheap + pieces[e].2 > SEG_ADDRS {
+                        break;
+                    }
+                    nheap += pieces[e].2;
+                    q = e;
+                }
+                _ => break,
+            }
+        }
+        segs.push(Segment {
+            start,
+            end: ops.len() as u32,
+            steps,
+            next: (q + 1) as u32,
+            plan: SeqPlan::compile_at(&config.table, line_bytes, &scratch),
+        });
+    }
+
+    XCode {
+        ops,
+        origins,
+        segs,
+        entry,
+        args_pool,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::dsl::*;
+    use crate::emit::OptLevel;
+    use crate::jit;
+
+    /// Nested loops around an if/else and a call, then a loop whose
+    /// header's heap accesses do not fit beside its body's.
+    fn program() -> crate::Program {
+        let mut m = ModuleBuilder::new();
+        m.func(
+            "g",
+            vec![("x", DType::Int)],
+            Some(DType::Int),
+            vec![ret(var("x").mul(iconst(3)))],
+        );
+        let heavy = (0..12).fold(iconst(0), |e, k| e.add(var("a").index(iconst(k))));
+        let arm = |k: i32| {
+            vec![set_index(
+                var("a"),
+                var("j"),
+                var("a").index(iconst(k)).add(var("i")),
+            )]
+        };
+        m.func(
+            "f",
+            vec![("n", DType::Int)],
+            Some(DType::Int),
+            vec![
+                let_("a", new_arr(DType::Int, iconst(16))),
+                for_(
+                    "i",
+                    iconst(0),
+                    var("n"),
+                    vec![
+                        for_(
+                            "j",
+                            iconst(0),
+                            var("i"),
+                            vec![if_else(var("j").lt(iconst(3)), arm(1), arm(2))],
+                        ),
+                        set_index(var("a"), iconst(0), call("g", vec![var("i")])),
+                    ],
+                ),
+                while_(
+                    heavy.clone().lt(var("n")),
+                    (0..6)
+                        .map(|k| set_index(var("a"), iconst(k), var("n").add(iconst(k))))
+                        .collect(),
+                ),
+                ret(heavy),
+            ],
+        );
+        m.compile().unwrap()
+    }
+
+    /// `spin(n)`: `loop { n = g(n) }`, a cycle of jumps around a call
+    /// (it ends when `g` fails).
+    fn spin() -> crate::Program {
+        use crate::bytecode::Op;
+        use crate::class::{MethodAttrs, MethodSig, ProgramBuilder};
+        use crate::value::Type;
+        let attrs = || MethodAttrs {
+            potential: false,
+            local_only: false,
+            size_param: None,
+        };
+        let sig = || MethodSig::new(vec![Type::Int], Some(Type::Int));
+        let mut b = ProgramBuilder::new();
+        let c = b.add_class(MODULE_CLASS, None, &[]);
+        let g = b.add_static_method(c, "g", sig(), 1, vec![Op::Load(0), Op::RetVal], attrs());
+        let body = vec![Op::Load(0), Op::Call(g), Op::Store(0), Op::Goto(0)];
+        b.add_static_method(c, "spin", sig(), 1, body, attrs());
+        b.finish()
+    }
+
+    /// Ops `range` of `x` from block `b` at the start of the range: the
+    /// block's piece there.
+    fn run_of(x: &XCode, range: Range<usize>, b: u32) -> impl Iterator<Item = usize> + '_ {
+        range.take_while(move |&i| x.origins[i].0 == b)
+    }
+
+    /// Check every segment of `code` compiled for `config`: it holds no
+    /// block twice and at most `SEG_ADDRS` heap micros, each op's
+    /// origin is right, a `Jmp` inside it is followed by its target's
+    /// first op and one ending it stopped for a held block or the heap
+    /// cap, and a falling-through tail continues with the next op of
+    /// its block. Returns how many `Jmp`s were followed, stopped at a
+    /// held block, and stopped at the heap cap.
+    fn check(config: &MachineConfig, code: &NativeCode, ctx: &str) -> [usize; 3] {
+        let x = compile(config, code);
+        let heap =
+            |r: &mut dyn Iterator<Item = usize>| r.filter(|&i| x.ops[i].touches_heap()).count();
+        for (b, &e) in x.entry.iter().enumerate() {
+            let seg = &x.segs[e as usize];
+            assert_eq!(x.origins[seg.start as usize], (b as u32, 0), "{ctx}");
+        }
+        let mut stops = [0; 3];
+        for seg in &x.segs {
+            let range = seg.start as usize..seg.end as usize;
+            let mut held: Vec<u32> = Vec::new();
+            for i in range.clone() {
+                let (b, ii) = x.origins[i];
+                if held.last() != Some(&b) {
+                    assert!(!held.contains(&b), "{ctx}: block {b} held twice");
+                    held.push(b);
+                }
+                let seq = &code.micros[b as usize][ii as usize];
+                let heap_micros = seq.iter().filter(|m| m.mem == MicroMem::Heap).count();
+                assert_eq!(heap_micros, usize::from(x.ops[i].touches_heap()), "{ctx}");
+            }
+            assert!(heap(&mut range.clone()) <= SEG_ADDRS, "{ctx}");
+            for i in range.clone() {
+                let XOp::Jmp { t } = x.ops[i] else { continue };
+                if i + 1 < range.end {
+                    assert_eq!(x.origins[i + 1], (t, 0), "{ctx}");
+                    stops[0] += 1;
+                } else if held.contains(&t) {
+                    stops[1] += 1;
+                } else {
+                    let e = x.segs[x.entry[t as usize] as usize].start as usize;
+                    let piece = heap(&mut run_of(&x, e..x.ops.len(), t));
+                    assert!(heap(&mut range.clone()) + piece > SEG_ADDRS, "{ctx}");
+                    stops[2] += 1;
+                }
+            }
+            let tail = &x.ops[range.end - 1];
+            if !matches!(tail, XOp::Jmp { .. } | XOp::Br { .. } | XOp::Ret { .. }) {
+                let (b, ii) = x.origins[range.end - 1];
+                let next = &x.segs[seg.next as usize];
+                assert_eq!(x.origins[next.start as usize], (b, ii + 1), "{ctx}");
+            }
+        }
+        stops
+    }
+
+    #[test]
+    fn segments_follow_jumps_up_to_a_held_block_or_the_heap_cap() {
+        let (p, q) = (program(), spin());
+        let f = p.find_method(MODULE_CLASS, "f").unwrap();
+        let s = q.find_method(MODULE_CLASS, "spin").unwrap();
+        for config in [
+            MachineConfig::mobile_client(),
+            MachineConfig::sparc_server(),
+        ] {
+            for level in OptLevel::ALL {
+                let [followed, _, capped] = check(&config, &jit::compile(&p, f, level).code, "f");
+                assert!(followed > 0 && capped > 0, "{level}: {followed} {capped}");
+                let [_, looped, _] = check(&config, &jit::compile(&q, s, level).code, "spin");
+                assert!(looped > 0, "{level}");
+            }
+        }
+    }
 }

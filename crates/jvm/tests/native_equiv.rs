@@ -13,17 +13,24 @@
 //! itself and keeps its own step-budget, call-depth and arity checks.
 //!
 //! Three obligations are checked, at Local1, Local2 and Local3, with
-//! every method of the program compiled:
+//! every method of the program compiled, on the mobile client and on
+//! the 750 MHz server (64 KB caches, a 40-cycle miss penalty) that runs
+//! L3 code for remote invocations and calibration:
 //!
 //! 1. **Random programs** (proptest) with array loads and stores, an
 //!    object field read-modify-write, static and virtual calls, enough
 //!    long-lived values to spill, and inputs that divide by zero or
-//!    index an array below zero or past its end.
+//!    index an array below zero or past its end. Fixed inputs pin the
+//!    jumps a segment runs on through: an if-arm with heap accesses
+//!    jumping into a join block that fails after more heap accesses,
+//!    and a join block that opens with enough heap accesses to stop
+//!    the arm's segment at the jump.
 //! 2. **Step-budget cutoffs**: for every budget value across the full
-//!    length of one fixed heap-and-call program, both executors stop
-//!    at the same instruction with the same error and machine state.
+//!    length of two fixed heap-and-call programs (one a loop nest with
+//!    an if/else in the inner body), both executors stop at the same
+//!    instruction with the same error and machine state.
 //! 3. **Pre-charged machines**: obligations 1 and 2 again with the
-//!    client's Core accumulator already holding 1e6–1e10 nJ, where
+//!    machine's Core accumulator already holding 1e6–1e10 nJ, where
 //!    batched charges fold into one exact add per replay.
 //!
 //! Of the random runs, about 45% return normally, 20% divide by zero
@@ -32,7 +39,7 @@
 mod common;
 
 use common::{fingerprint, precharge, Fingerprint};
-use jem_energy::{InstrClass, MemOp};
+use jem_energy::{InstrClass, Machine, MachineConfig, MemOp};
 use jem_jvm::arith;
 use jem_jvm::costs::{self, NATIVE_INSTR_BYTES};
 use jem_jvm::dsl::*;
@@ -49,11 +56,16 @@ use std::rc::Rc;
 // The per-micro reference executor
 // ---------------------------------------------------------------
 
-/// Invoke `m` the reference way: arity and depth checks, then the
-/// native code installed for it. `depth` is the number of frames
-/// already active.
+/// Each method's native code and the base address `install_native`
+/// lays it out at, indexed by method id.
+type Natives = [(Rc<NativeCode>, u64)];
+
+/// Invoke `m` the reference way: arity and depth checks, then its
+/// native code from `natives`. `depth` is the number of frames already
+/// active.
 fn ref_invoke(
     vm: &mut Vm,
+    natives: &Natives,
     m: MethodId,
     args: Vec<Value>,
     depth: u32,
@@ -68,16 +80,14 @@ fn ref_invoke(
     if depth >= vm.options.max_call_depth {
         return Err(VmError::CallDepthExceeded);
     }
-    let (code, base) = match vm.code_of(m) {
-        MethodCode::Native { code, base, .. } => (Rc::clone(code), *base),
-        MethodCode::Bytecode => panic!("the reference runs all-native programs only"),
-    };
-    ref_run(vm, &code, base, args, depth + 1)
+    let (code, base) = &natives[m.0 as usize];
+    ref_run(vm, natives, code, *base, args, depth + 1)
 }
 
 /// Run `code` (installed at `base`) in the frame at `depth`.
 fn ref_run(
     vm: &mut Vm,
+    natives: &Natives,
     code: &NativeCode,
     base: u64,
     args: Vec<Value>,
@@ -226,7 +236,7 @@ fn ref_run(
             }
             NInst::CallOp { d, target, args } => {
                 let argv = args.iter().map(|r| regs[r.0 as usize]).collect();
-                let ret = ref_invoke(vm, *target, argv, depth)?;
+                let ret = ref_invoke(vm, natives, *target, argv, depth)?;
                 d.zip(ret)
             }
             NInst::CallVirtOp {
@@ -245,7 +255,7 @@ fn ref_run(
                     .ok_or(VmError::BadVSlot(*slot))?;
                 let mut argv = vec![Value::Ref(h)];
                 argv.extend(args.iter().map(|r| regs[r.0 as usize]));
-                let ret = ref_invoke(vm, target, argv, depth)?;
+                let ret = ref_invoke(vm, natives, target, argv, depth)?;
                 d.zip(ret)
             }
             NInst::Jmp { target } => {
@@ -282,39 +292,53 @@ fn ref_run(
 // Running both executors
 // ---------------------------------------------------------------
 
-/// Every method of a program compiled at one level.
+/// Every method of a program compiled at one level, with the base
+/// address each is installed at.
 struct Compiled<'p> {
     program: &'p Program,
-    code: Vec<Rc<NativeCode>>,
+    code: Vec<(Rc<NativeCode>, u64)>,
 }
 
 impl<'p> Compiled<'p> {
     fn new(program: &'p Program, level: OptLevel) -> Self {
+        let mut vm = Vm::client(program);
         let code = (0..program.methods.len() as u32)
-            .map(|m| Rc::new(compile(program, MethodId(m), level).code))
+            .map(|m| {
+                let code = Rc::new(compile(program, MethodId(m), level).code);
+                vm.install_native(MethodId(m), Rc::clone(&code));
+                match vm.code_of(MethodId(m)) {
+                    MethodCode::Native { base, .. } => (code, *base),
+                    MethodCode::Bytecode => unreachable!("just installed"),
+                }
+            })
             .collect();
         Compiled { program, code }
     }
 
-    /// Run `id(args)` on a fresh client VM with every method installed
-    /// and the Core accumulator at `core_nj`, through the executor
-    /// (`reference == false`) or the reference.
+    /// Run `id(args)` on a fresh VM on `config` with the Core
+    /// accumulator at `core_nj`, through the executor with every method
+    /// installed (`reference == false`) or through the reference, which
+    /// takes each method's code and base from `self` and leaves the VM's
+    /// code table alone (installing costs more than most cutoff runs).
     fn run(
         &self,
+        config: &MachineConfig,
         id: MethodId,
         args: &[Value],
         budget: u64,
         core_nj: f64,
         reference: bool,
     ) -> (Result<Option<Value>, VmError>, Fingerprint) {
-        let mut vm = Vm::client(self.program);
-        for (m, code) in self.code.iter().enumerate() {
-            vm.install_native(MethodId(m as u32), Rc::clone(code));
+        let mut vm = Vm::new(self.program, Machine::new(config.clone()));
+        if !reference {
+            for (m, (code, _)) in self.code.iter().enumerate() {
+                vm.install_native(MethodId(m as u32), Rc::clone(code));
+            }
         }
         precharge(&mut vm, core_nj);
         vm.options.step_budget = budget;
         let got = if reference {
-            ref_invoke(&mut vm, id, args.to_vec(), 0)
+            ref_invoke(&mut vm, &self.code, id, args.to_vec(), 0)
         } else {
             vm.invoke(id, args.to_vec())
         };
@@ -322,18 +346,28 @@ impl<'p> Compiled<'p> {
     }
 }
 
-/// Assert both executors agree on result and machine state, and
-/// return the result and the step count.
+/// The machines native code runs on: the mobile client, and the
+/// server that runs offloaded calls and calibrations.
+fn machines() -> [MachineConfig; 2] {
+    [
+        MachineConfig::mobile_client(),
+        MachineConfig::sparc_server(),
+    ]
+}
+
+/// Assert both executors agree on result and machine state on
+/// `config`, and return the result and the step count.
 fn assert_agree(
     c: &Compiled,
+    config: &MachineConfig,
     id: MethodId,
     args: &[Value],
     budget: u64,
     core_nj: f64,
     ctx: &str,
 ) -> (Result<Option<Value>, VmError>, u64) {
-    let (want, want_fp) = c.run(id, args, budget, core_nj, true);
-    let (got, got_fp) = c.run(id, args, budget, core_nj, false);
+    let (want, want_fp) = c.run(config, id, args, budget, core_nj, true);
+    let (got, got_fp) = c.run(config, id, args, budget, core_nj, false);
     assert_eq!(got, want, "result diverged: {ctx}");
     assert_eq!(got_fp, want_fp, "machine state diverged: {ctx}");
     (want, want_fp.steps)
@@ -596,11 +630,32 @@ fn param() -> impl Strategy<Value = i32> {
     -2i32..18
 }
 
+/// Obligation 1 for one program and its arguments: every level and
+/// machine, on a fresh machine and on one whose Core accumulator
+/// starts at `core_nj`.
+fn assert_program_agrees(stmts: &[S], args: [i32; 3], core_nj: f64) {
+    let (program, id) = build(stmts);
+    let args = args.map(Value::Int);
+    for level in OptLevel::ALL {
+        let compiled = Compiled::new(&program, level);
+        for config in machines() {
+            for core_nj in [0.0, core_nj] {
+                let ctx = format!(
+                    "{level}, {} MHz, core {core_nj:e} nJ, args {args:?}, stmts {stmts:?}",
+                    config.clock_hz / 1e6
+                );
+                let _ = assert_agree(&compiled, &config, id, &args, 5_000_000, core_nj, &ctx);
+            }
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 64 })]
 
-    /// Every random program at every level, on a fresh machine and on
-    /// one whose Core accumulator starts at `10^e` nJ.
+    /// Every random program at every level on both machines, on a
+    /// fresh machine and on one whose Core accumulator starts at
+    /// `10^e` nJ.
     fn executor_matches_reference(
         stmts in prop::collection::vec(stmt_strategy(), 1..5),
         a in param(),
@@ -608,15 +663,58 @@ proptest! {
         c in param(),
         e in 6.0f64..10.0,
     ) {
-        let (program, id) = build(&stmts);
-        let args = [Value::Int(a), Value::Int(b), Value::Int(c)];
-        for level in OptLevel::ALL {
-            let compiled = Compiled::new(&program, level);
-            for core_nj in [0.0, 10f64.powf(e)] {
-                let ctx = format!("{level}, core {core_nj:e} nJ, args {args:?}, stmts {stmts:?}");
-                let _ = assert_agree(&compiled, id, &args, 5_000_000, core_nj, &ctx);
-            }
+        assert_program_agrees(&stmts, [a, b, c], 10f64.powf(e));
+    }
+}
+
+fn bx(e: E) -> Box<E> {
+    Box::new(e)
+}
+
+/// Obligation 1's fixed inputs for the jumps a segment runs on
+/// through, with both arms of each if/else taken.
+///
+/// The first program's arms touch the heap and jump into a join block
+/// that loads, divides by `v2` and then indexes `arr[v2]`, so the
+/// failure path charges across the arm's jump: `v2 = 0` divides by
+/// zero, `16` indexes past the end and `-1` below zero. A loop after
+/// them ends the join block early, so arm and join fit in one segment.
+///
+/// In the second, the join block is the function's fold, which opens
+/// with more than 16 heap accesses: the arm that stores stops at its
+/// jump, the arm without heap accesses runs on into the join.
+#[test]
+fn jump_traces_match_reference() {
+    let fail_in_join = [
+        S::If(
+            E::Var(0),
+            E::Var(1),
+            vec![S::Store(E::Var(3), E::Load(bx(E::Var(4))))],
+            vec![S::Bump(E::Len)],
+        ),
+        S::Assign(
+            5,
+            E::Add(
+                bx(E::Load(bx(E::Var(5)))),
+                bx(E::Div(bx(E::Var(1)), bx(E::Var(2)))),
+            ),
+        ),
+        S::Assign(4, E::Add(bx(E::Field), bx(E::LoadAt(2)))),
+        S::Loop(1, vec![S::Assign(3, E::Const(1))]),
+    ];
+    for (v0, v1) in [(1, 5), (5, 1)] {
+        for v2 in [3, 0, 16, -1] {
+            assert_program_agrees(&fail_in_join, [v0, v1, v2], 2.5e9);
         }
+    }
+    let heavy_join = [S::If(
+        E::Var(0),
+        E::Var(1),
+        vec![S::Store(E::Var(3), E::Load(bx(E::Var(4))))],
+        vec![S::Assign(0, E::Const(1))],
+    )];
+    for (v0, v1) in [(1, 5), (5, 1)] {
+        assert_program_agrees(&heavy_join, [v0, v1, 7], 3.7e7);
     }
 }
 
@@ -632,23 +730,26 @@ fn random_programs_cover_errors() {
     let (program, id) = build(&stmts);
     for level in OptLevel::ALL {
         let compiled = Compiled::new(&program, level);
-        let outcome = |a, b, c| {
-            let args = [Value::Int(a), Value::Int(b), Value::Int(c)];
-            assert_agree(&compiled, id, &args, u64::MAX, 0.0, &format!("{level}")).0
-        };
-        assert!(matches!(outcome(1, 5, 3), Ok(Some(_))));
-        assert_eq!(outcome(1, 5, 0), Err(VmError::DivByZero));
-        assert_eq!(
-            outcome(1, 5, -1),
-            Err(VmError::IndexOutOfBounds {
-                index: usize::MAX,
-                len: 16
-            })
-        );
-        assert_eq!(
-            outcome(1, 5, 16),
-            Err(VmError::IndexOutOfBounds { index: 16, len: 16 })
-        );
+        for config in machines() {
+            let outcome = |a, b, c| {
+                let args = [Value::Int(a), Value::Int(b), Value::Int(c)];
+                let ctx = format!("{level}, {} MHz", config.clock_hz / 1e6);
+                assert_agree(&compiled, &config, id, &args, u64::MAX, 0.0, &ctx).0
+            };
+            assert!(matches!(outcome(1, 5, 3), Ok(Some(_))));
+            assert_eq!(outcome(1, 5, 0), Err(VmError::DivByZero));
+            assert_eq!(
+                outcome(1, 5, -1),
+                Err(VmError::IndexOutOfBounds {
+                    index: usize::MAX,
+                    len: 16
+                })
+            );
+            assert_eq!(
+                outcome(1, 5, 16),
+                Err(VmError::IndexOutOfBounds { index: 16, len: 16 })
+            );
+        }
     }
 }
 
@@ -656,52 +757,79 @@ fn random_programs_cover_errors() {
 // 2. Step-budget cutoffs
 // ---------------------------------------------------------------
 
-/// At every budget from 0 to past the full run, both executors stop at
-/// the same instruction with the same error and machine state.
-fn assert_cutoffs_agree(core_nj: f64) {
-    let stmts = [
-        S::Loop(
-            3,
-            vec![
-                S::Store(
-                    E::Var(3),
-                    E::Add(
-                        Box::new(E::Load(Box::new(E::Var(4)))),
-                        Box::new(E::Call(Box::new(E::Var(0)))),
-                    ),
-                ),
-                S::Bump(E::VCall(false, Box::new(E::Len))),
-                S::Assign(
-                    3,
-                    E::Rem(
-                        Box::new(E::VCall(true, Box::new(E::Field))),
-                        Box::new(E::Const(7)),
-                    ),
-                ),
-            ],
-        ),
-        S::Assign(1, E::LoadAt(2)),
-    ];
-    let (program, id) = build(&stmts);
-    let args = [Value::Int(3), Value::Int(9), Value::Int(11)];
+/// At every budget from 0 to past the full run of `stmts(args)`, on
+/// every level and machine, both executors stop at the same
+/// instruction with the same error and machine state.
+fn assert_cutoffs_agree(stmts: &[S], args: [i32; 3], core_nj: f64) {
+    let (program, id) = build(stmts);
+    let args = args.map(Value::Int);
     for level in OptLevel::ALL {
         let compiled = Compiled::new(&program, level);
-        let (full, total) = assert_agree(&compiled, id, &args, u64::MAX, core_nj, "full run");
-        assert!(full.is_ok(), "{level}: the full run succeeds: {full:?}");
-        assert!(total > 200, "{level}: long enough to slice ({total} steps)");
-        for budget in 0..=total + 2 {
-            let ctx = format!("{level}, core {core_nj:e} nJ, budget {budget}");
-            let (res, _) = assert_agree(&compiled, id, &args, budget, core_nj, &ctx);
-            if budget < total {
-                assert_eq!(res, Err(VmError::StepBudgetExceeded), "{ctx}");
+        for config in machines() {
+            let name = format!("{} MHz", config.clock_hz / 1e6);
+            let (full, total) =
+                assert_agree(&compiled, &config, id, &args, u64::MAX, core_nj, "full run");
+            assert!(
+                full.is_ok(),
+                "{level}, {name}: the full run succeeds: {full:?}"
+            );
+            assert!(total > 200, "{level}: long enough to slice ({total} steps)");
+            for budget in 0..=total + 2 {
+                let ctx = format!("{level}, {name}, core {core_nj:e} nJ, budget {budget}");
+                let (res, _) = assert_agree(&compiled, &config, id, &args, budget, core_nj, &ctx);
+                if budget < total {
+                    assert_eq!(res, Err(VmError::StepBudgetExceeded), "{ctx}");
+                }
             }
         }
     }
 }
 
+/// A loop around heap accesses and static and virtual calls.
+fn call_loop() -> Vec<S> {
+    vec![
+        S::Loop(
+            3,
+            vec![
+                S::Store(
+                    E::Var(3),
+                    E::Add(bx(E::Load(bx(E::Var(4)))), bx(E::Call(bx(E::Var(0))))),
+                ),
+                S::Bump(E::VCall(false, bx(E::Len))),
+                S::Assign(3, E::Rem(bx(E::VCall(true, bx(E::Field))), bx(E::Const(7)))),
+            ],
+        ),
+        S::Assign(1, E::LoadAt(2)),
+    ]
+}
+
+/// A loop nested in a loop, with an if/else in the inner body whose
+/// arms touch the heap and jump to a join block that calls `g`. At
+/// arguments `(3, 9, 11)` the first inner iteration takes the else arm
+/// and the rest the then arm.
+fn loop_nest() -> Vec<S> {
+    vec![S::Loop(
+        2,
+        vec![S::Loop(
+            2,
+            vec![
+                S::If(
+                    E::Var(3),
+                    E::Var(4),
+                    vec![S::Store(E::Var(3), E::Load(bx(E::Var(5))))],
+                    vec![S::Bump(E::Load(bx(E::Var(3))))],
+                ),
+                S::Assign(3, E::Rem(bx(E::Call(bx(E::Var(3)))), bx(E::Const(7)))),
+            ],
+        )],
+    )]
+}
+
 #[test]
 fn step_budget_cutoffs_match_reference() {
-    assert_cutoffs_agree(0.0);
+    for stmts in [call_loop(), loop_nest()] {
+        assert_cutoffs_agree(&stmts, [3, 9, 11], 0.0);
+    }
 }
 
 // ---------------------------------------------------------------
@@ -709,10 +837,13 @@ fn step_budget_cutoffs_match_reference() {
 // ---------------------------------------------------------------
 
 /// Obligation 2 with the Core accumulator already at 1e6–1e10 nJ
-/// (obligation 1 runs every case pre-charged too).
+/// (obligation 1 runs every case pre-charged too). The loop nest runs
+/// at one of them: each value installs the program for every cutoff
+/// on both machines, and the file should stay near 5 s.
 #[test]
 fn step_budget_cutoffs_match_reference_on_precharged_machines() {
     for core_nj in [1.0e6, 3.7e7, 2.5e9, 9.9e9] {
-        assert_cutoffs_agree(core_nj);
+        assert_cutoffs_agree(&call_loop(), [3, 9, 11], core_nj);
     }
+    assert_cutoffs_agree(&loop_nest(), [3, 9, 11], 2.5e9);
 }
