@@ -15,17 +15,18 @@
 //! [--json-out BENCH_ablation.json] [--ckpt out.jck] [--resume
 //! out.jck]` (default 120 runs). `--trace` records every variant's
 //! runs in order. Checkpointing is variant-level (the ablation loops
-//! bypass the resumable scenario runner), so `--ckpt` excludes
-//! `--trace` and `--timeline`.
+//! bypass the resumable scenario runner): each completed variant saves
+//! its result with the `.jtb`/`.jts` writer state, and a killed
+//! variant reruns from its start.
 
 use jem_apps::workload_by_name;
 use jem_bench::ckpt::{CkptArgs, SweepSession};
-use jem_bench::obs::ObsArgs;
+use jem_bench::obs::{BenchSink, ObsArgs};
 use jem_bench::{arg_usize, print_table};
 use jem_core::runtime::decision_mix;
 use jem_core::{EnergyAwareVm, MethodState, Profile, Strategy};
 use jem_energy::MachineConfig;
-use jem_obs::{Json, NullSink, TraceSink, Tracer};
+use jem_obs::{Json, TraceSink, Tracer};
 use jem_radio::ChannelClass;
 use jem_sim::{Scenario, Situation};
 use rand::rngs::SmallRng;
@@ -74,16 +75,6 @@ fn run_al(
     (total, vm.client.machine.mix().total())
 }
 
-fn target<'a>(
-    sink: &'a mut Option<jem_bench::obs::BenchSink>,
-    null: &'a mut NullSink,
-) -> &'a mut dyn TraceSink {
-    match sink.as_mut() {
-        Some(s) => s,
-        None => null,
-    }
-}
-
 /// [`run_al`] behind a variant-level checkpoint unit: a completed
 /// variant replays its stored `(energy, instructions)` pair instead
 /// of re-running.
@@ -97,9 +88,9 @@ fn run_al_unit(
     state: MethodState,
     power_down: bool,
     force_class: Option<ChannelClass>,
-    sink: &mut dyn TraceSink,
+    sink: Option<&mut BenchSink>,
 ) -> (f64, u64) {
-    let payload = session.unit(name, || {
+    let payload = session.unit(name, sink, |sink| {
         let (e, instr) = run_al(w, p, scenario, state, power_down, force_class, sink);
         let mut v = e.to_bits().to_le_bytes().to_vec();
         v.extend_from_slice(&instr.to_le_bytes());
@@ -117,15 +108,26 @@ fn main() {
     let args: Vec<String> = std::env::args().collect();
     jem_bench::reject_unknown_flags(
         &args,
-        &[&[("--runs", true)], ObsArgs::FLAGS, CkptArgs::FLAGS],
+        &[
+            &[("--runs", true)],
+            ObsArgs::RESULT_FLAGS,
+            ObsArgs::EVENT_FLAGS,
+            ObsArgs::FLUSH_FLAGS,
+            CkptArgs::UNIT_FLAGS,
+        ],
     );
     let runs = arg_usize(&args, "--runs", 120);
     let obs = ObsArgs::parse(&args);
     let ckpt = CkptArgs::parse(&args);
-    ckpt.validate_no_trace(&obs);
-    let mut session = SweepSession::open(&ckpt, format!("ablation runs={runs}"));
-    let mut sink = obs.trace_sink();
-    let mut null = NullSink;
+    ckpt.validate(&obs);
+    let mut session = SweepSession::open(
+        &ckpt,
+        format!(
+            "ablation runs={runs} trace={:?} timeline={:?}",
+            obs.trace, obs.timeline
+        ),
+    );
+    let mut sink = obs.trace_sink_resumed(session.writer_state());
 
     let w = workload_by_name("fe").expect("fe");
     eprintln!("building profile...");
@@ -146,7 +148,7 @@ fn main() {
             MethodState::with_weights(u, u),
             true,
             None,
-            target(&mut sink, &mut null),
+            sink.as_mut(),
         );
         total_instructions += instr;
         json_ewma.push(Json::object().with("u", u).with("total_nj", e));
@@ -168,7 +170,7 @@ fn main() {
         MethodState::new(),
         true,
         None,
-        target(&mut sink, &mut null),
+        sink.as_mut(),
     );
     let (off, off_instr) = run_al_unit(
         &mut session,
@@ -179,7 +181,7 @@ fn main() {
         MethodState::new(),
         false,
         None,
-        target(&mut sink, &mut null),
+        sink.as_mut(),
     );
     total_instructions += on_instr + off_instr;
     print_table(
@@ -204,7 +206,7 @@ fn main() {
         MethodState::new(),
         true,
         None,
-        target(&mut sink, &mut null),
+        sink.as_mut(),
     );
     let (fixed, fixed_instr) = run_al_unit(
         &mut session,
@@ -215,7 +217,7 @@ fn main() {
         MethodState::new(),
         true,
         Some(ChannelClass::C1),
-        target(&mut sink, &mut null),
+        sink.as_mut(),
     );
     total_instructions += tracked_instr + fixed_instr;
     print_table(

@@ -2,9 +2,9 @@
 //! baselines.
 //!
 //! ```text
-//! bench-history record <bin> [--k N] [--out path] [--archive DIR] [-- <bin args>...]
-//! bench-history check <baseline.json> [--rel-tol x] [--threshold x]
-//!                     [--fail-on-throughput] [--report out.json] [--archive DIR]
+//! bench-history record <bin> [--k N] [--out path] [-- <bin args>...]
+//! bench-history check <baseline.json> [--k N] [--rel-tol x] [--threshold x]
+//!                     [--min-instr N] [--fail-on-throughput] [--report out.json]
 //! ```
 //!
 //! `record` runs a sibling bench binary (located next to this
@@ -26,22 +26,14 @@
 //!   the simulator — so the throughput comparison is reported but
 //!   never gated, no matter the flags.
 //!
-//! Baselines also record an `environment` block (`rustc --version`
-//! and the git revision when available) so archived history entries
-//! are attributable to the toolchain and commit that produced them.
-//! The block is metadata only — the regression gate diffs `results`,
-//! never the environment.
-//!
 //! `check` re-runs the binary with the args recorded in the baseline
 //! and diffs the fresh results against it with the same noise-aware
-//! policy `jem-diff` uses. Exit status: 0 clean, 1 regression, 2
-//! usage error.
-//!
-//! With `--archive DIR` both modes also ingest the (fresh) baseline
-//! document into the `jem-lab` experiment archive at DIR as a
-//! `bench-history` artifact, so repeated CI runs accumulate a
-//! queryable per-fingerprint history that `jem-lab check` can apply
-//! its throughput changepoint tests to.
+//! policy `jem-diff` uses. It is the one regression gate on simulated
+//! results: CI runs it over every committed
+//! `bench/baselines/BENCH_*.json`. Exit status: 0 clean, 1
+//! regression, 2 usage error (including a flag the subcommand does
+//! not accept; the arguments after `record`'s `--` belong to the bin
+//! and are not checked).
 
 use jem_bench::{arg_parse, arg_usize};
 use jem_obs::diff::{diff_json, DiffPolicy, DiffReport};
@@ -50,17 +42,35 @@ use std::path::{Path, PathBuf};
 use std::process::{Command, ExitCode, Stdio};
 use std::time::Instant;
 
-const USAGE: &str = "usage: bench-history record <bin> [--k N] [--out path] [--archive DIR] \
+const USAGE: &str = "usage: bench-history record <bin> [--k N] [--out path] \
                      [-- <bin args>...]\n\
                      \x20      bench-history check <baseline.json> [--k N] [--rel-tol x] \
-                     [--threshold x] [--min-instr N] [--fail-on-throughput] [--report out.json] \
-                     [--archive DIR]";
+                     [--threshold x] [--min-instr N] [--fail-on-throughput] [--report out.json]";
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    // Each subcommand rejects a flag it does not read before anything
+    // runs; `args[0]`, the subcommand, is skipped like a program name.
     match args.first().map(String::as_str) {
-        Some("record") => record(&args[1..]),
-        Some("check") => check(&args[1..]),
+        Some("record") => {
+            let own = args.split(|a| a == "--").next().unwrap_or_default();
+            jem_bench::reject_unknown_flags(own, &[&[("--k", true), ("--out", true)]]);
+            record(&args[1..])
+        }
+        Some("check") => {
+            jem_bench::reject_unknown_flags(
+                &args,
+                &[&[
+                    ("--k", true),
+                    ("--rel-tol", true),
+                    ("--threshold", true),
+                    ("--min-instr", true),
+                    ("--fail-on-throughput", false),
+                    ("--report", true),
+                ]],
+            );
+            check(&args[1..])
+        }
         _ => {
             eprintln!("{USAGE}");
             ExitCode::from(2)
@@ -126,47 +136,6 @@ fn run_k(bin: &str, extra: &[String], k: usize) -> Result<(Json, Vec<f64>), Stri
     Ok((results.expect("k >= 1"), walls))
 }
 
-/// Toolchain/commit attribution for recorded history entries. Both
-/// probes degrade gracefully: a missing `rustc` records "unknown", a
-/// missing git repo (or binary) just omits the revision.
-fn environment_json() -> Json {
-    let probe = |cmd: &str, args: &[&str]| -> Option<String> {
-        let out = Command::new(cmd).args(args).output().ok()?;
-        if !out.status.success() {
-            return None;
-        }
-        let text = String::from_utf8_lossy(&out.stdout).trim().to_string();
-        (!text.is_empty()).then_some(text)
-    };
-    let mut env = Json::object().with(
-        "rustc",
-        probe("rustc", &["--version"]).unwrap_or_else(|| "unknown".to_string()),
-    );
-    if let Some(rev) = probe("git", &["rev-parse", "HEAD"]) {
-        env = env.with("git_revision", rev);
-    }
-    env
-}
-
-/// Ingest a baseline-shaped document into the `--archive` experiment
-/// archive as a `bench-history` artifact under the fingerprint of
-/// (bin, recorded args).
-fn ingest_history(root: &str, bin: &str, extra: &[String], doc: &Json) -> Result<String, String> {
-    let mut argv = vec![bin.to_string()];
-    argv.extend(extra.iter().cloned());
-    let meta = jem_obs::RunMeta::from_argv(&argv);
-    let archive = jem_obs::Archive::open_or_create(root)?;
-    let record = archive.ingest_bytes(
-        &meta,
-        &[(
-            "bench-history".to_string(),
-            format!("BENCH_{bin}.json"),
-            format!("{}\n", doc.render_pretty()).into_bytes(),
-        )],
-    )?;
-    Ok(record.label())
-}
-
 fn median(samples: &[f64]) -> f64 {
     let mut s = samples.to_vec();
     s.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
@@ -218,7 +187,6 @@ fn record(args: &[String]) -> ExitCode {
             "args",
             Json::Arr(extra.iter().map(|a| Json::Str(a.clone())).collect()),
         )
-        .with("environment", environment_json())
         .with("results", results.clone())
         .with("throughput", throughput_json(&results, k, &walls));
     if let Err(e) =
@@ -231,15 +199,6 @@ fn record(args: &[String]) -> ExitCode {
         "bench-history: {out}: recorded ({k} runs, median {:.2}s)",
         median(&walls)
     );
-    if let Some(root) = jem_bench::arg_str(own, "--archive") {
-        match ingest_history(&root, bin, extra, &baseline) {
-            Ok(label) => eprintln!("bench-history: archived {label} into {root}"),
-            Err(e) => {
-                eprintln!("bench-history: --archive {root}: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
-    }
     ExitCode::SUCCESS
 }
 
@@ -356,7 +315,7 @@ fn check(args: &[String]) -> ExitCode {
             .to_json()
             .with("baseline", baseline_path.as_str())
             .with("bin", bin)
-            .with("throughput", fresh_tp.clone());
+            .with("throughput", fresh_tp);
         if let Err(e) =
             jem_obs::write_atomic(&path, format!("{}\n", doc.render_pretty()).as_bytes())
         {
@@ -364,28 +323,6 @@ fn check(args: &[String]) -> ExitCode {
             return ExitCode::FAILURE;
         }
         eprintln!("bench-history: wrote report to {path}");
-    }
-    if let Some(root) = jem_bench::arg_str(args, "--archive") {
-        // Archive this check's fresh measurement as a new generation
-        // on the (bin, args) fingerprint line, so repeated CI checks
-        // build the history jem-lab's changepoint tests need.
-        let fresh_doc = Json::object()
-            .with("schema", "bench-history/v1")
-            .with("bin", bin)
-            .with(
-                "args",
-                Json::Arr(extra.iter().map(|a| Json::Str(a.clone())).collect()),
-            )
-            .with("environment", environment_json())
-            .with("results", fresh.clone())
-            .with("throughput", fresh_tp.clone());
-        match ingest_history(&root, bin, &extra, &fresh_doc) {
-            Ok(label) => eprintln!("bench-history: archived {label} into {root}"),
-            Err(e) => {
-                eprintln!("bench-history: --archive {root}: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
     }
     if report.has_changes() {
         eprintln!("bench-history: {bin}: REGRESSION vs {baseline_path}");

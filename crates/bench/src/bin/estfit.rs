@@ -13,7 +13,7 @@
 //! estimators.
 //!
 //! Usage: `estfit [--metrics-out out.prom]
-//! [--json-out BENCH_estfit.json] [--serve ADDR]`.
+//! [--json-out BENCH_estfit.json] [--archive DIR]`.
 //!
 //! Fit and held-out evaluation are seeded and profile-driven — no
 //! scenario runs, so the `--json-out` document is fully deterministic
@@ -21,7 +21,6 @@
 //! `total_sim_instructions` throughput denominator.
 
 use jem_apps::all_workloads;
-use jem_bench::ckpt::CkptArgs;
 use jem_bench::obs::ObsArgs;
 use jem_bench::{build_profiles, print_table};
 use jem_jvm::{OptLevel, Vm};
@@ -31,11 +30,8 @@ use rand::{Rng, SeedableRng};
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
-    jem_bench::reject_unknown_flags(&args, &[ObsArgs::FLAGS, CkptArgs::FLAGS]);
+    jem_bench::reject_unknown_flags(&args, &[ObsArgs::RESULT_FLAGS, ObsArgs::METRICS_FLAGS]);
     let obs = ObsArgs::parse(&args);
-    let ckpt = CkptArgs::parse(&args);
-    ckpt.validate(&obs);
-    ckpt.note_stateless();
     let workloads = all_workloads();
     eprintln!("building profiles...");
     let profiles = build_profiles(&workloads, 42);

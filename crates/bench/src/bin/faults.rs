@@ -46,8 +46,12 @@ fn main() {
         &args,
         &[
             &[("--runs", true), ("--seed", true)],
-            ObsArgs::FLAGS,
-            CkptArgs::FLAGS,
+            ObsArgs::RESULT_FLAGS,
+            ObsArgs::METRICS_FLAGS,
+            ObsArgs::EVENT_FLAGS,
+            ObsArgs::FLUSH_FLAGS,
+            CkptArgs::UNIT_FLAGS,
+            CkptArgs::EVERY_FLAGS,
             jem_bench::ENGINE_FLAGS,
         ],
     );

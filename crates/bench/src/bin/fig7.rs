@@ -16,15 +16,20 @@
 //! 10% and 22% savings vs the best static), and AA saves more than AL.
 //!
 //! Usage: `fig7 [--runs N] [--trace out.jtb] [--metrics-out out.prom]
-//! [--timeline out.jts [--sample-every SIM_MS]]
-//! [--serve ADDR] [--flush-every SIM_MS]
-//! [--json-out BENCH_fig7.json]` (default 300 runs, the paper's
-//! count). `--timeline` replays the collected shards through the
-//! `.jts` sampler at export time (delta-sum mode; see DESIGN.md §14). `--trace` records the AA strategy of *every* grid cell:
-//! each parallel cell collects into its own `RingSink` shard, and the
-//! shards are merged in deterministic cell order into one multi-shard
-//! `.jtb` trace (`jtb_bytes`), so the traced sweep is
-//! byte-identical run-to-run even with the grid running on all cores.
+//! [--timeline out.jts [--sample-every SIM_MS]] [--serve ADDR]
+//! [--json-out BENCH_fig7.json] [--ckpt out.jck [--ckpt-every N]]
+//! [--resume out.jck]` (default 300 runs, the paper's count).
+//! `--trace` records the AA strategy of *every* grid cell, one `.jtb`
+//! shard per cell (`<bench>/<situation>`) in cell order. The parallel
+//! grid collects each cell into its own `RingSink` shard and merges
+//! the shards at exit (`jtb_bytes`), so the traced sweep is
+//! byte-identical run-to-run even with the grid running on all cores;
+//! `--timeline` replays the merged shards through the `.jts` sampler
+//! (delta-sum mode; see DESIGN.md §14). Under `--ckpt` the grid runs
+//! sequentially, one resumable unit per (cell, strategy), and streams
+//! the same shards through the run's sink: its `.jtb` is
+//! byte-identical to the parallel grid's. A streamed timeline would
+//! sample the live ledger instead, so `--ckpt` refuses `--timeline`.
 
 use jem_apps::all_workloads;
 use jem_bench::ckpt::{CkptArgs, SweepSession};
@@ -38,16 +43,26 @@ fn main() {
     let args: Vec<String> = std::env::args().collect();
     jem_bench::reject_unknown_flags(
         &args,
-        &[&[("--runs", true)], ObsArgs::FLAGS, CkptArgs::FLAGS],
+        &[
+            &[("--runs", true)],
+            ObsArgs::RESULT_FLAGS,
+            ObsArgs::METRICS_FLAGS,
+            ObsArgs::EVENT_FLAGS,
+            CkptArgs::UNIT_FLAGS,
+            CkptArgs::EVERY_FLAGS,
+        ],
     );
     let runs = arg_usize(&args, "--runs", 300);
     let obs = ObsArgs::parse(&args);
-    // The parallel grid shards its trace through per-cell ring sinks,
-    // which cannot be checkpointed mid-stream — `--ckpt` therefore
-    // excludes `--trace` here and runs the grid sequentially, one
-    // resumable unit per (cell, strategy).
     let ckpt = CkptArgs::parse(&args);
-    ckpt.validate_no_trace(&obs);
+    ckpt.validate(&obs);
+    if ckpt.enabled() && obs.timeline.is_some() {
+        eprintln!(
+            "error: --ckpt and --timeline cannot be combined in fig7: the parallel grid \
+             samples its merged shards, a checkpointed run would sample the live ledger"
+        );
+        std::process::exit(1);
+    }
     let tracing = obs.wants_events();
 
     let workloads = all_workloads();
@@ -76,8 +91,10 @@ fn main() {
         u64,
         Option<TraceShard>,
     );
-    let results: Vec<Cell> = if ckpt.enabled() {
-        let mut session = SweepSession::open(&ckpt, format!("fig7 runs={runs}"));
+    let (results, ckpt_sink): (Vec<Cell>, _) = if ckpt.enabled() {
+        let mut session =
+            SweepSession::open(&ckpt, format!("fig7 runs={runs} trace={:?}", obs.trace));
+        let mut sink = obs.trace_sink_resumed(session.writer_state());
         let mut out = Vec::with_capacity(cells.len());
         for &(wi, sit) in &cells {
             let w = workloads[wi].as_ref();
@@ -86,14 +103,29 @@ fn main() {
             let mut trackers: Vec<(Strategy, AccuracyTracker)> = Vec::new();
             let mut instructions = 0u64;
             for &s in &Strategy::ALL {
+                let unit = format!("{}/{}/{}", w.name(), sit.key(), s.key());
+                // The cell's AA unit streams into the cell's shard. A
+                // completed unit's bytes are already on disk and an
+                // in-flight one's shard record is inside its
+                // checkpointed writer state, so only a fresh unit
+                // starts the shard.
+                let unit_sink = match sink.as_mut() {
+                    Some(sink) if s == Strategy::AdaptiveAdaptive => {
+                        if session.is_fresh(&unit) {
+                            sink.begin_shard(&format!("{}/{}", w.name(), sit.key()));
+                        }
+                        Some(sink)
+                    }
+                    _ => None,
+                };
                 let result = session.run_unit(
-                    &format!("{}/{}/{}", w.name(), sit.key(), s.key()),
+                    &unit,
                     w,
                     &profiles[wi],
                     &scenario,
                     s,
                     &ResilienceConfig::default(),
-                    None,
+                    unit_sink,
                 );
                 energies.push(result.total_energy.nanojoules());
                 instructions += result.instructions;
@@ -103,9 +135,9 @@ fn main() {
             }
             out.push((wi, sit, energies, trackers, instructions, None));
         }
-        out
+        (out, sink)
     } else {
-        sweep(&cells, 0, |&(wi, sit)| {
+        let out = sweep(&cells, 0, |&(wi, sit)| {
             let w = workloads[wi].as_ref();
             let scenario = Scenario::paper(sit, &w.sizes(), 1000 + wi as u64).with_runs(runs);
             let mut energies = Vec::with_capacity(Strategy::ALL.len());
@@ -142,7 +174,8 @@ fn main() {
                 }
             }
             (wi, sit, energies, trackers, instructions, shard)
-        })
+        });
+        (out, None)
     };
 
     // Per-strategy predictor accuracy, merged across the whole grid
@@ -256,7 +289,9 @@ fn main() {
             .with("accuracy_aa", aa_tracker.to_json()),
     );
 
-    if tracing {
+    if ckpt.enabled() {
+        obs.finish_trace(ckpt_sink);
+    } else if tracing {
         // `sweep` preserves input order, so the shard sequence — and
         // therefore the merged document — is deterministic regardless
         // of thread scheduling.

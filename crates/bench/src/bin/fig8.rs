@@ -16,7 +16,7 @@
 //!   hence cheaper download (the paper's sort L2→L3 case) — whether
 //!   that occurs here is reported from the measured code sizes.
 //!
-//! Usage: `fig8 [--json-out BENCH_fig8.json] [--serve ADDR]`.
+//! Usage: `fig8 [--json-out BENCH_fig8.json] [--archive DIR]`.
 //!
 //! The figures here are derived purely from calibrated profiles — no
 //! scenario runs, so the `--json-out` document is fully deterministic
@@ -24,7 +24,6 @@
 //! `total_sim_instructions` throughput denominator.
 
 use jem_apps::all_workloads;
-use jem_bench::ckpt::CkptArgs;
 use jem_bench::obs::ObsArgs;
 use jem_bench::{build_profiles, fmt_norm, print_table};
 use jem_core::Strategy;
@@ -34,11 +33,8 @@ use jem_radio::ChannelClass;
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
-    jem_bench::reject_unknown_flags(&args, &[ObsArgs::FLAGS, CkptArgs::FLAGS]);
+    jem_bench::reject_unknown_flags(&args, &[ObsArgs::RESULT_FLAGS]);
     let obs = ObsArgs::parse(&args);
-    let ckpt = CkptArgs::parse(&args);
-    ckpt.validate(&obs);
-    ckpt.note_stateless();
     // The paper's Fig 8 lists seven applications (jess is absent).
     let workloads: Vec<_> = all_workloads()
         .into_iter()

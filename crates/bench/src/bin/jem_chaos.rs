@@ -12,16 +12,20 @@
 //! cleanly with an explicit `recovered` marker.
 //!
 //! Usage: `jem-chaos [--bin faults] [--kills 3] [--seed 1] [--runs
-//! N] [--bench-seed S] [--ckpt-every 25] [--dir DIR] [--keep]
+//! N] [--bench-seed S] [--ckpt-every N] [--dir DIR] [--keep]
 //! [--verbose]`
 //!
 //! `--runs N` and `--bench-seed S` reach the target bin as `--runs N
-//! --seed S`, and only when given: without them it runs at its own
-//! defaults, so a bin that takes neither flag runs too.
+//! --seed S`, and `--ckpt-every N` reaches its checkpointed runs, each
+//! only when given: without them the bin runs at its own defaults, so
+//! a bin that takes none of them (`ablation` has no `--seed` and no
+//! `--ckpt-every`) runs too.
 //!
-//! The target bin must live next to `jem-chaos` in the build tree
-//! (`faults` is the default — long scenario runs, fault injection, and
-//! a `.jtb` trace exercise every piece of checkpointed state).
+//! The target bin must live next to `jem-chaos` in the build tree and
+//! take `--trace`, `--json-out`, `--ckpt` and `--resume`: `faults`
+//! (the default — long scenario runs, fault injection, and a `.jtb`
+//! trace exercise every piece of checkpointed state), `fig6`, `fig7`,
+//! `speedup` or `ablation`.
 
 use jem_obs::{load_trace_bytes, salvage_jtb};
 use rand::rngs::SmallRng;
@@ -36,7 +40,8 @@ struct Opts {
     seed: u64,
     /// `--runs`/`--seed` for the target bin, as given.
     bin_args: Vec<String>,
-    every: usize,
+    /// `--ckpt-every` for the checkpointed runs, as given.
+    every: Option<usize>,
     dir: Option<String>,
     keep: bool,
     verbose: bool,
@@ -134,7 +139,8 @@ fn main() -> ExitCode {
         kills: jem_bench::arg_usize(&args, "--kills", 3),
         seed: jem_bench::arg_usize(&args, "--seed", 1) as u64,
         bin_args,
-        every: jem_bench::arg_usize(&args, "--ckpt-every", 25),
+        every: jem_bench::arg_flag(&args, "--ckpt-every")
+            .then(|| jem_bench::arg_usize(&args, "--ckpt-every", 0)),
         dir: jem_bench::arg_str(&args, "--dir"),
         keep: jem_bench::arg_flag(&args, "--keep"),
         verbose: jem_bench::arg_flag(&args, "--verbose"),
@@ -183,9 +189,10 @@ fn main() -> ExitCode {
             "chaos.json".into(),
             "--trace".into(),
             "chaos.jtb".into(),
-            "--ckpt-every".into(),
-            opts.every.to_string(),
         ];
+        if let Some(every) = opts.every {
+            v.extend(["--ckpt-every".into(), every.to_string()]);
+        }
         v.push(if resume { "--resume" } else { "--ckpt" }.into());
         v.push("chaos.jck".into());
         v

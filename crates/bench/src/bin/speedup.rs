@@ -27,7 +27,14 @@ fn main() {
     let args: Vec<String> = std::env::args().collect();
     jem_bench::reject_unknown_flags(
         &args,
-        &[ObsArgs::FLAGS, CkptArgs::FLAGS, jem_bench::ENGINE_FLAGS],
+        &[
+            ObsArgs::RESULT_FLAGS,
+            ObsArgs::EVENT_FLAGS,
+            ObsArgs::FLUSH_FLAGS,
+            CkptArgs::UNIT_FLAGS,
+            CkptArgs::EVERY_FLAGS,
+            jem_bench::ENGINE_FLAGS,
+        ],
     );
     jem_bench::apply_engine_flag(&args);
     let obs = ObsArgs::parse(&args);

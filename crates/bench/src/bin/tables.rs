@@ -2,7 +2,7 @@
 //! (radio component powers), Fig 3 (benchmarks), Fig 5 (strategies).
 //!
 //! Usage: `tables [fig1|fig2|fig3|fig5] [--json-out BENCH_tables.json]
-//! [--serve ADDR]`
+//! [--archive DIR]`
 //! — no figure argument prints all; `--json-out` always writes all
 //! four tables machine-readably.
 //!
@@ -12,7 +12,6 @@
 //! throughput denominator.
 
 use jem_apps::all_workloads;
-use jem_bench::ckpt::CkptArgs;
 use jem_bench::obs::ObsArgs;
 use jem_bench::print_table;
 use jem_core::Strategy;
@@ -177,11 +176,8 @@ fn tables_json() -> Json {
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
-    jem_bench::reject_unknown_flags(&args, &[ObsArgs::FLAGS, CkptArgs::FLAGS]);
+    jem_bench::reject_unknown_flags(&args, &[ObsArgs::RESULT_FLAGS]);
     let obs = ObsArgs::parse(&args);
-    let ckpt = CkptArgs::parse(&args);
-    ckpt.validate(&obs);
-    ckpt.note_stateless();
     match args.get(1).map(String::as_str) {
         Some("fig1") => fig1(),
         Some("fig2") => fig2(),

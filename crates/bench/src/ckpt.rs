@@ -1,14 +1,17 @@
 //! Sweep-level checkpoint/resume for the bench bins.
 //!
-//! Every bin accepts:
+//! The sweep bins (`fig6`, `fig7`, `faults`, `speedup`, `ablation`)
+//! accept:
 //!
 //! * `--ckpt out.jck` — write a checkpoint after every completed
 //!   sweep unit and, inside long scenario runs, every `--ckpt-every`
-//!   invocations (default 25);
+//!   invocations (default 25; `ablation`'s variant units have no
+//!   in-run checkpoints, so it does not take the flag);
 //! * `--resume out.jck` — continue a killed run: completed units are
 //!   replayed from their stored results (no re-execution), the
 //!   in-flight unit restarts from its invocation-boundary snapshot,
-//!   and a `.jtb` trace stream reopens at its checkpointed offset.
+//!   and the `.jtb` trace and `.jts` timeline streams reopen at their
+//!   checkpointed offsets.
 //!
 //! The contract is **bit-identical output**: a run that is killed and
 //! resumed any number of times writes the same `BENCH_*.json` and the
@@ -26,7 +29,7 @@ use jem_core::ckpt::{
     decode_result, encode_result, run_scenario_ckpt, CkptFile, InflightCkpt, RunSnapshot,
 };
 use jem_core::{Profile, ResilienceConfig, ScenarioResult, Strategy, Workload};
-use jem_obs::{write_atomic, TraceSink};
+use jem_obs::{write_atomic, NullSink, TraceSink};
 use jem_sim::Scenario;
 
 /// The checkpoint flags (`--ckpt`, `--ckpt-every`, `--resume`).
@@ -46,9 +49,12 @@ fn fail(msg: &str) -> ! {
 }
 
 impl CkptArgs {
-    /// The flags [`CkptArgs::parse`] reads.
-    pub const FLAGS: &'static [crate::Flag] =
-        &[("--ckpt", true), ("--resume", true), ("--ckpt-every", true)];
+    /// `--ckpt` and `--resume`: every bin that checkpoints its units.
+    pub const UNIT_FLAGS: &'static [crate::Flag] = &[("--ckpt", true), ("--resume", true)];
+
+    /// `--ckpt-every`: bins whose units are scenario runs, checkpointed
+    /// inside the run ([`SweepSession::run_unit`]).
+    pub const EVERY_FLAGS: &'static [crate::Flag] = &[("--ckpt-every", true)];
 
     /// Parse the checkpoint flags from argv.
     pub fn parse(args: &[String]) -> CkptArgs {
@@ -89,31 +95,6 @@ impl CkptArgs {
             fail(
                 "--ckpt and --flush-every cannot be combined: resume truncates back to \
                  the checkpointed offset, which assumes the default block cadence",
-            );
-        }
-    }
-
-    /// Stricter gate for bins whose traced runs bypass the resumable
-    /// scenario loop: checkpointing is unit-level only, so `--trace`
-    /// cannot be continued across a crash.
-    pub fn validate_no_trace(&self, obs: &ObsArgs) {
-        self.validate(obs);
-        if self.enabled() && obs.trace.is_some() {
-            fail("--ckpt and --trace cannot be combined in this bin");
-        }
-        if self.enabled() && obs.timeline.is_some() {
-            fail("--ckpt and --timeline cannot be combined in this bin");
-        }
-    }
-
-    /// For bins with no scenario state (constant tables, profile-only
-    /// figures): the flags are accepted, and `--resume` is simply a
-    /// deterministic rerun (atomic output writes make that safe).
-    pub fn note_stateless(&self) {
-        if self.enabled() {
-            eprintln!(
-                "checkpointing: this bin is stateless and sub-second; --resume reruns it \
-                 from scratch (outputs are atomic and deterministic)"
             );
         }
     }
@@ -181,6 +162,26 @@ impl SweepSession {
     /// [`ObsArgs::trace_sink_resumed`].
     pub fn writer_state(&self) -> Option<&[u8]> {
         self.sink_state.as_deref()
+    }
+
+    /// Whether unit `name` runs from its start: it is neither a
+    /// completed unit nor the in-flight unit of the resumed checkpoint.
+    pub fn is_fresh(&self, name: &str) -> bool {
+        !self.completed.iter().any(|(n, _)| n == name)
+            && self.inflight.as_ref().is_none_or(|inf| inf.unit != name)
+    }
+
+    /// Record unit `name` as completed with `payload`, together with
+    /// the writer state of the `sink` it recorded into, and save.
+    fn complete(&mut self, name: &str, payload: Vec<u8>, sink: Option<&mut BenchSink>) {
+        if self.path.is_none() {
+            return;
+        }
+        self.completed.push((name.to_string(), payload));
+        if let Some(ws) = sink.and_then(|s| s.ckpt_state()) {
+            self.sink_state = Some(ws);
+        }
+        self.save(None);
     }
 
     fn save(&self, inflight: Option<InflightCkpt>) {
@@ -275,22 +276,21 @@ impl SweepSession {
             Err(e) => fail(&format!("unit `{name}` failed: {e}")),
         };
 
-        if self.path.is_some() {
-            self.completed
-                .push((name.to_string(), encode_result(&result)));
-            if let Some(s) = sink.as_mut() {
-                if let Some(ws) = TraceSink::ckpt_state(&mut **s) {
-                    self.sink_state = Some(ws);
-                }
-            }
-            self.save(None);
-        }
+        self.complete(name, encode_result(&result), sink);
         result
     }
 
     /// Run one opaque unit (unit-level granularity): the payload of a
-    /// completed unit is returned without re-running `f`.
-    pub fn unit(&mut self, name: &str, f: impl FnOnce() -> Vec<u8>) -> Vec<u8> {
+    /// completed unit is returned without re-running `f`. `f` records
+    /// into `sink` (a [`NullSink`] when there is none), whose writer
+    /// state is saved with the completed unit, as
+    /// [`SweepSession::run_unit`] does.
+    pub fn unit(
+        &mut self,
+        name: &str,
+        mut sink: Option<&mut BenchSink>,
+        f: impl FnOnce(&mut dyn TraceSink) -> Vec<u8>,
+    ) -> Vec<u8> {
         if let Some((_, payload)) = self.completed.iter().find(|(n, _)| n == name) {
             return payload.clone();
         }
@@ -304,11 +304,11 @@ impl SweepSession {
             }
             // Opaque units carry no snapshot; restart the unit.
         }
-        let payload = f();
-        if self.path.is_some() {
-            self.completed.push((name.to_string(), payload.clone()));
-            self.save(None);
-        }
+        let payload = match sink.as_deref_mut() {
+            Some(s) => f(s),
+            None => f(&mut NullSink),
+        };
+        self.complete(name, payload.clone(), sink);
         payload
     }
 }

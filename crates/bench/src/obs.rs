@@ -1,6 +1,17 @@
 //! Shared observability plumbing for the bench bins.
 //!
-//! Every bin accepts these optional flags:
+//! The optional output flags come in groups, and each bin accepts
+//! exactly the groups it reads; any other `--` flag exits 2 before the
+//! run starts ([`crate::reject_unknown_flags`]):
+//!
+//! | group | flags | bins |
+//! |---|---|---|
+//! | [`ObsArgs::RESULT_FLAGS`] | `--json-out` `--archive` | all |
+//! | [`ObsArgs::METRICS_FLAGS`] | `--metrics-out` | `fig6` `fig7` `faults` `estfit` |
+//! | [`ObsArgs::EVENT_FLAGS`] | `--trace` `--timeline` `--sample-every` `--serve` `--monitor` `--health-out` | `fig6` `fig7` `faults` `speedup` `ablation` |
+//! | [`ObsArgs::FLUSH_FLAGS`] | `--flush-every` | `fig6` `faults` `speedup` `ablation` |
+//!
+//! The flags:
 //!
 //! * `--trace out.jtb` — stream a `.jtb` trace of the scenario runs to
 //!   disk in bounded memory. Any other extension exits 2: Chrome
@@ -104,6 +115,13 @@ pub struct BenchSink {
 }
 
 impl BenchSink {
+    /// Start a new shard named `name` in the `--trace` stream.
+    pub fn begin_shard(&mut self, name: &str) {
+        if let Some(file) = self.file.as_mut() {
+            file.begin_shard(name);
+        }
+    }
+
     /// Forward one event down the (tee ->) file chain.
     fn forward(&mut self, event: TraceEvent) {
         match (&mut self.tee, &mut self.file) {
@@ -222,19 +240,27 @@ fn split_composite_state(state: &[u8]) -> SplitState<'_> {
 }
 
 impl ObsArgs {
-    /// The flags [`ObsArgs::parse`] reads.
-    pub const FLAGS: &'static [crate::Flag] = &[
+    /// `--json-out` and `--archive`: every bin writes a results
+    /// document and can archive it.
+    pub const RESULT_FLAGS: &'static [crate::Flag] = &[("--json-out", true), ("--archive", true)];
+
+    /// `--metrics-out`: bins that fill a metrics registry.
+    pub const METRICS_FLAGS: &'static [crate::Flag] = &[("--metrics-out", true)];
+
+    /// The event-stream flags: bins whose scenario runs record into a
+    /// [`BenchSink`].
+    pub const EVENT_FLAGS: &'static [crate::Flag] = &[
         ("--trace", true),
-        ("--sample-every", true),
-        ("--flush-every", true),
         ("--timeline", true),
+        ("--sample-every", true),
         ("--serve", true),
         ("--monitor", false),
         ("--health-out", true),
-        ("--metrics-out", true),
-        ("--json-out", true),
-        ("--archive", true),
     ];
+
+    /// `--flush-every`: bins whose `--trace`/`--timeline` stream
+    /// through [`ObsArgs::trace_sink`] as the run goes.
+    pub const FLUSH_FLAGS: &'static [crate::Flag] = &[("--flush-every", true)];
 
     /// Parse the output flags from argv.
     pub fn parse(args: &[String]) -> ObsArgs {

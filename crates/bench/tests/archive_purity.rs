@@ -1,25 +1,23 @@
 //! `--archive` is a pure observer: a run that ingests its artifacts
 //! into a jem-lab archive produces byte-identical `.jtb` and `.jts`
 //! outputs to a bare run of the same seed, the archived copies are
-//! bit-exact, an identical-seed rerun raises zero regression flags,
-//! and the archive answers timeline queries with the same numbers the
-//! `.jts` file carries.
+//! bit-exact, an identical-seed rerun stores byte-identical artifacts
+//! as the next generation of the same line, and the archive answers
+//! timeline queries with the same numbers the `.jts` file carries.
 
 use jem_apps::workload_by_name;
 use jem_bench::obs::ObsArgs;
 use jem_core::{run_scenario_traced, Profile, ResilienceConfig, Strategy};
-use jem_obs::{
-    check, query, scratch_path, CheckConfig, LabGroupBy, LabQuery, LabSelector, Timeline,
-};
+use jem_obs::{query, scratch_path, Json, LabGroupBy, LabQuery, LabSelector, Timeline};
 use jem_sim::{Scenario, Situation};
 
-fn obs_args(jtb: &str, jts: &str, archive: Option<String>) -> ObsArgs {
+fn obs_args(json: &str, jtb: &str, jts: &str, archive: Option<String>) -> ObsArgs {
     ObsArgs {
         trace: Some(jtb.to_string()),
         monitor: false,
         health_out: None,
         metrics_out: None,
-        json_out: None,
+        json_out: Some(json.to_string()),
         timeline: Some(jts.to_string()),
         sample_every_ms: 1.0,
         serve: None,
@@ -29,19 +27,21 @@ fn obs_args(jtb: &str, jts: &str, archive: Option<String>) -> ObsArgs {
     }
 }
 
-/// Run the faulty fe scenario through a full BenchSink stack, ingest
-/// into `archive` when given, and return the (`.jtb`, `.jts`) bytes.
+/// Run the faulty fe scenario through a full BenchSink stack, write
+/// its results document, ingest into `archive` when given, and return
+/// the (`.jtb`, `.jts`) bytes.
 fn run_stack(tag: &str, archive: Option<String>) -> (Vec<u8>, Vec<u8>) {
+    let json = scratch_path(&format!("{tag}.json"));
     let jtb = scratch_path(&format!("{tag}.jtb"));
     let jts = scratch_path(&format!("{tag}.jts"));
-    let obs = obs_args(&jtb, &jts, archive);
+    let obs = obs_args(&json, &jtb, &jts, archive);
 
     let w = workload_by_name("fe").expect("known workload");
     let profile = Profile::build(w.as_ref(), 42);
     let scenario =
         Scenario::paper_degraded(Situation::GoodDominant, &w.sizes(), 1234, 0.6).with_runs(40);
     let mut sink = obs.trace_sink().expect("sink configured");
-    run_scenario_traced(
+    let result = run_scenario_traced(
         w.as_ref(),
         &profile,
         &scenario,
@@ -51,6 +51,11 @@ fn run_stack(tag: &str, archive: Option<String>) -> (Vec<u8>, Vec<u8>) {
     )
     .expect("scenario run failed");
     obs.finish_trace(Some(sink));
+    obs.write_json(
+        &Json::object()
+            .with("total_energy_nj", result.total_energy.nanojoules())
+            .with("total_sim_instructions", result.instructions),
+    );
     // The same explicit post-run ingest call every bench bin makes.
     obs.archive_run(&[
         "bench-faults".to_string(),
@@ -60,6 +65,7 @@ fn run_stack(tag: &str, archive: Option<String>) -> (Vec<u8>, Vec<u8>) {
 
     let jtb_bytes = std::fs::read(&jtb).unwrap();
     let jts_bytes = std::fs::read(&jts).unwrap();
+    std::fs::remove_file(&json).ok();
     std::fs::remove_file(&jtb).ok();
     std::fs::remove_file(&jts).ok();
     (jtb_bytes, jts_bytes)
@@ -99,19 +105,25 @@ fn archiving_is_a_pure_observer() {
     assert_eq!(stored_jts, bare_jts);
 
     // An identical-seed rerun lands as generation 1 of the same
-    // fingerprint line and the detector raises zero flags.
+    // fingerprint line, and every artifact it stores is byte-identical
+    // to generation 0's.
     let (rerun_jtb, _) = run_stack("rerun", Some(root.clone()));
     assert_eq!(rerun_jtb, bare_jtb);
     let runs = archive.runs().unwrap();
     assert_eq!(runs.len(), 2);
     assert_eq!(runs[0].fingerprint, runs[1].fingerprint);
     assert_eq!((runs[0].gen, runs[1].gen), (0, 1));
-    let report = check(&archive, &CheckConfig::default()).unwrap();
-    assert!(
-        !report.flagged(),
-        "identical-seed rerun must raise zero flags, got: {}",
-        report.render_text()
-    );
+    for kind in ["bench", "trace", "timeline"] {
+        let stored = |gen: usize| {
+            let artifact = runs[gen].artifact(kind).expect("artifact archived");
+            archive.read_artifact(artifact).unwrap()
+        };
+        assert_eq!(
+            stored(0),
+            stored(1),
+            "generation 1's {kind} differs from generation 0's"
+        );
+    }
 
     // A series query against the archive reproduces the timeline's
     // own window-end value, Welford-pooled across both generations.

@@ -23,8 +23,7 @@
 //! `--batch` compares the baseline against each candidate in turn and
 //! emits one combined `jem-diff/v1` report with a `batch` table
 //! (per-candidate outcomes) instead of requiring N separate
-//! invocations. The `jem-lab` regression detector's per-line compare
-//! path emits the same combined shape.
+//! invocations.
 //!
 //! Exit status: 0 when no failing difference was found (notes inside
 //! the noisy tolerance are fine), 1 when the runs differ (any

@@ -5,11 +5,7 @@
 //! jem-lab ls <archive>
 //! jem-lab query <archive> (--series <name> | --column <path>)
 //!               [--window a:b] [--group-by fingerprint|bin|args] [--json]
-//! jem-lab check <archive> [--rel-tol <x>] [--noisy-rel-tol <x>]
-//!               [--throughput-threshold <x>] [--json-out <path>]
-//!               [--schema <schema.json>]
-//! jem-lab report <archive> --out <report.html> [--json-out <path>]
-//!               [--schema <schema.json>]
+//! jem-lab report <archive> --out <report.html>
 //! jem-lab verify <archive>
 //! ```
 //!
@@ -23,35 +19,28 @@
 //!   or a JSON column path (with `*` wildcards) across every archived
 //!   run, grouped and reduced with Welford summaries. `--window` is in
 //!   sim-ms, like `jem-timeline`.
-//! * `check` runs the regression detector (strict rel-1e-9 energy gate
-//!   between consecutive generations of each fingerprint line,
-//!   throughput threshold + changepoint tests over the line's
-//!   history) and writes a `jem-lab/v1` report. `--schema` validates
-//!   the emitted document against `schemas/lab-report.schema.json`
-//!   before writing (the CI self-check).
 //! * `report` renders the self-contained static HTML report (inline
 //!   SVG only, no external resources).
 //! * `verify` recomputes every manifest fingerprint and blob hash.
 //!
-//! Exit status: 0 on success (for `check`: no regressions; for
-//! `verify`: archive intact), 1 when regressions were flagged / the
-//! archive is damaged / an operation failed, 2 on usage errors.
+//! The archive gates nothing: `bench-history check` gates simulated
+//! results against the committed baselines, and `jem-diff` compares
+//! any two documents.
+//!
+//! Exit status: 0 on success (for `verify`: archive intact), 1 when
+//! the archive is damaged or an operation failed, 2 on usage errors.
 
 use jem_obs::json::Json;
-use jem_obs::lab::{
-    check, html_report, query, Archive, CheckConfig, LabGroupBy, LabQuery, LabSelector, RunMeta,
-};
+use jem_obs::lab::{html_report, query, Archive, LabGroupBy, LabQuery, LabSelector, RunMeta};
 use jem_obs::tui::fmt_si;
 use std::process::ExitCode;
 
-const USAGE: &str = "usage: jem-lab <ingest|ls|query|check|report|verify> <archive> [options]\n\
+const USAGE: &str = "usage: jem-lab <ingest|ls|query|report|verify> <archive> [options]\n\
   ingest <archive> --bin <name> [--run-args \"<args>\"] <kind>=<path>...\n\
   ls     <archive>\n\
   query  <archive> (--series <name> | --column <path>) [--window a:b] \
 [--group-by fingerprint|bin|args] [--json]\n\
-  check  <archive> [--rel-tol <x>] [--noisy-rel-tol <x>] [--throughput-threshold <x>] \
-[--json-out <path>] [--schema <schema.json>]\n\
-  report <archive> --out <report.html> [--json-out <path>] [--schema <schema.json>]\n\
+  report <archive> --out <report.html>\n\
   verify <archive>";
 
 fn usage_err(msg: &str) -> ExitCode {
@@ -73,7 +62,6 @@ fn main() -> ExitCode {
         "ingest" => cmd_ingest(root, rest),
         "ls" => cmd_ls(root),
         "query" => cmd_query(root, rest),
-        "check" => cmd_check(root, rest),
         "report" => cmd_report(root, rest),
         "verify" => cmd_verify(root),
         "--help" | "-h" => {
@@ -288,117 +276,8 @@ fn cmd_query(root: &str, rest: &[String]) -> ExitCode {
     }
 }
 
-/// Validate a rendered report against a schema file; `Ok` when it
-/// conforms.
-fn check_schema(doc: &Json, schema_path: &str) -> Result<(), String> {
-    let text = std::fs::read_to_string(schema_path)
-        .map_err(|e| format!("cannot read schema {schema_path}: {e}"))?;
-    let schema = Json::parse(&text).map_err(|e| format!("schema {schema_path}: {e}"))?;
-    let errors = jem_obs::schema::validate(doc, &schema);
-    if errors.is_empty() {
-        return Ok(());
-    }
-    let mut msg = format!("report fails schema validation against {schema_path}:");
-    for e in errors.iter().take(10) {
-        msg.push_str(&format!("\n  {e}"));
-    }
-    if errors.len() > 10 {
-        msg.push_str(&format!("\n  … and {} more", errors.len() - 10));
-    }
-    Err(msg)
-}
-
-fn parse_check_args(
-    rest: &[String],
-) -> Result<(CheckConfig, Option<String>, Option<String>), String> {
-    let mut cfg = CheckConfig::default();
-    let mut json_out = None;
-    let mut schema = None;
-    let mut i = 0;
-    while i < rest.len() {
-        let num = |v: Option<&String>| -> Result<f64, String> {
-            v.and_then(|v| v.parse().ok())
-                .ok_or_else(|| format!("{} needs a number", rest[i]))
-        };
-        match rest[i].as_str() {
-            "--rel-tol" => {
-                cfg.rel_tol = num(rest.get(i + 1))?;
-                i += 2;
-            }
-            "--noisy-rel-tol" => {
-                cfg.noisy_rel_tol = num(rest.get(i + 1))?;
-                i += 2;
-            }
-            "--throughput-threshold" => {
-                cfg.throughput_threshold = num(rest.get(i + 1))?;
-                i += 2;
-            }
-            "--json-out" => {
-                json_out = Some(
-                    rest.get(i + 1)
-                        .cloned()
-                        .ok_or("--json-out needs a path".to_string())?,
-                );
-                i += 2;
-            }
-            "--schema" => {
-                schema = Some(
-                    rest.get(i + 1)
-                        .cloned()
-                        .ok_or("--schema needs a path".to_string())?,
-                );
-                i += 2;
-            }
-            other => return Err(format!("unknown check option '{other}'")),
-        }
-    }
-    Ok((cfg, json_out, schema))
-}
-
-fn cmd_check(root: &str, rest: &[String]) -> ExitCode {
-    let (cfg, json_out, schema) = match parse_check_args(rest) {
-        Ok(v) => v,
-        Err(e) => return usage_err(&e),
-    };
-    let archive = match open(root) {
-        Ok(a) => a,
-        Err(code) => return code,
-    };
-    match check(&archive, &cfg) {
-        Ok(report) => {
-            print!("{}", report.render_text());
-            if let Some(schema_path) = &schema {
-                if let Err(e) = check_schema(&report.to_json(), schema_path) {
-                    eprintln!("jem-lab: {e}");
-                    return ExitCode::FAILURE;
-                }
-                eprintln!("jem-lab: report validates against {schema_path}");
-            }
-            if let Some(path) = json_out {
-                if let Err(e) =
-                    jem_obs::write_atomic(&path, report.to_json().render_pretty().as_bytes())
-                {
-                    eprintln!("jem-lab: cannot write {path}: {e}");
-                    return ExitCode::FAILURE;
-                }
-            }
-            if report.flagged() {
-                ExitCode::FAILURE
-            } else {
-                ExitCode::SUCCESS
-            }
-        }
-        Err(e) => {
-            eprintln!("jem-lab: {e}");
-            ExitCode::FAILURE
-        }
-    }
-}
-
 fn cmd_report(root: &str, rest: &[String]) -> ExitCode {
     let mut out = None;
-    let mut json_out = None;
-    let mut schema = None;
     let mut i = 0;
     while i < rest.len() {
         match rest[i].as_str() {
@@ -407,20 +286,6 @@ fn cmd_report(root: &str, rest: &[String]) -> ExitCode {
                     return usage_err("--out needs a path");
                 };
                 out = Some(v.clone());
-                i += 2;
-            }
-            "--json-out" => {
-                let Some(v) = rest.get(i + 1) else {
-                    return usage_err("--json-out needs a path");
-                };
-                json_out = Some(v.clone());
-                i += 2;
-            }
-            "--schema" => {
-                let Some(v) = rest.get(i + 1) else {
-                    return usage_err("--schema needs a path");
-                };
-                schema = Some(v.clone());
                 i += 2;
             }
             other => return usage_err(&format!("unknown report option '{other}'")),
@@ -433,37 +298,13 @@ fn cmd_report(root: &str, rest: &[String]) -> ExitCode {
         Ok(a) => a,
         Err(code) => return code,
     };
-    let report = match check(&archive, &CheckConfig::default()) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("jem-lab: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    if let Some(schema_path) = &schema {
-        if let Err(e) = check_schema(&report.to_json(), schema_path) {
-            eprintln!("jem-lab: {e}");
-            return ExitCode::FAILURE;
-        }
-        eprintln!("jem-lab: report validates against {schema_path}");
-    }
-    if let Some(path) = json_out {
-        if let Err(e) = jem_obs::write_atomic(&path, report.to_json().render_pretty().as_bytes()) {
-            eprintln!("jem-lab: cannot write {path}: {e}");
-            return ExitCode::FAILURE;
-        }
-    }
-    match html_report(&archive, &report) {
+    match html_report(&archive) {
         Ok(html) => {
             if let Err(e) = jem_obs::write_atomic(&out, html.as_bytes()) {
                 eprintln!("jem-lab: cannot write {out}: {e}");
                 return ExitCode::FAILURE;
             }
-            println!(
-                "wrote {out} ({} line(s), {} flag(s))",
-                report.lines.len(),
-                report.flags.len()
-            );
+            println!("wrote {out}");
             ExitCode::SUCCESS
         }
         Err(e) => {

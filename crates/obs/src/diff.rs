@@ -324,8 +324,8 @@ fn join(path: &str, key: &str) -> String {
 /// candidate's entries with the candidate name prefixed onto the
 /// path (so the combined document is itself a valid, readable
 /// `jem-diff/v1` report), and a `batch` table records the baseline
-/// plus per-candidate outcome counts. Shared by `jem-diff --batch`
-/// and the `jem-lab` regression detector's per-line compare path.
+/// plus per-candidate outcome counts. The document `jem-diff --batch`
+/// emits.
 pub fn combine_batch(baseline: &str, parts: &[(String, DiffReport)]) -> Json {
     let mut combined = DiffReport::default();
     let mut candidates = Vec::with_capacity(parts.len());

@@ -1,8 +1,8 @@
-//! `jem-lab` — a cross-run experiment archive with regression
-//! analytics and self-contained HTML reports.
+//! `jem-lab` — a cross-run experiment archive with queries and
+//! self-contained HTML reports.
 //!
 //! Every other observability layer in this crate looks at *one* run;
-//! this module turns N runs into an experiment. It provides
+//! this module keeps N runs side by side. It provides
 //!
 //! * a **content-addressed, file-based archive**: a run's artifacts
 //!   (`BENCH_*.json`, `.jtb` traces, `.jts` timelines, `jem-health/v1`
@@ -17,18 +17,16 @@
 //!   args, and reduce with Welford summaries — per-run summaries are
 //!   folded into group summaries with [`Summary::merge`], the same
 //!   parallel reduction the sweep harness uses;
-//! * a **regression detector** ([`check`]): within each fingerprint
-//!   line it applies the strict rel-1e-9 energy gate between
-//!   consecutive generations (via [`crate::diff`]) plus a
-//!   threshold/changepoint test on the recorded throughput history,
-//!   and emits a `jem-lab/v1` report
-//!   (`schemas/lab-report.schema.json`);
 //! * a **self-contained HTML report** ([`html_report`]): per-run
-//!   energy breakdowns, cross-run trend lines, decision-mix tables and
-//!   flagged regressions, with inline SVG sparklines rendered by the
-//!   same series-resampling logic as the terminal dashboards
+//!   energy breakdowns, per-line energy trend lines and decision-mix
+//!   tables, with inline SVG sparklines rendered by the same
+//!   series-resampling logic as the terminal dashboards
 //!   ([`crate::tui::svg_sparkline`]). The document references nothing
 //!   external — no scripts, no stylesheets, no fonts.
+//!
+//! The archive gates nothing: simulated results are gated against the
+//! committed baselines by `bench-history check`, and any two documents
+//! compare with `jem-diff`.
 //!
 //! Archiving is a **pure observer**: bench bins ingest their artifacts
 //! *after* writing them, by reading the already-written files back, so
@@ -37,7 +35,6 @@
 //!
 //! [`Summary::merge`]: jem_sim::Summary::merge
 
-use crate::diff::{combine_batch, diff_json, DiffPolicy, DiffReport};
 use crate::json::Json;
 use crate::timeline::Timeline;
 use crate::tui::{fmt_si, svg_sparkline};
@@ -129,9 +126,9 @@ pub fn sha256_hex(bytes: &[u8]) -> String {
 // ---------------------------------------------------------------
 
 /// The artifact kinds the archive understands, with the schema id
-/// each one is validated/compared under. Part of the fingerprint, so
-/// a schema revision starts a fresh history line instead of diffing
-/// incompatible documents against each other.
+/// each one is recorded under. Part of the fingerprint, so a schema
+/// revision starts a fresh history line instead of mixing
+/// incompatible documents in one.
 pub fn schema_versions() -> Vec<(&'static str, &'static str)> {
     vec![
         ("bench", "bench-json/v1"),
@@ -478,7 +475,7 @@ impl Archive {
     /// stored fingerprint disagrees with the fingerprint recomputed
     /// from its own metadata, or one filed under a different line's
     /// directory (a collision or a tamper), is rejected rather than
-    /// silently compared against the wrong history.
+    /// silently joining the wrong history.
     pub fn runs(&self) -> Result<Vec<RunRecord>, String> {
         let mut out = Vec::new();
         for finding in self.scan() {
@@ -686,9 +683,9 @@ fn load_manifest(line_dir: &Path, gen_dir: &Path) -> Result<RunRecord, String> {
     // Fingerprint integrity: the stored fingerprint, the fingerprint
     // recomputed from the stored metadata, and the directory the
     // manifest lives under must all agree. A disagreement means the
-    // manifest was tampered with, mis-filed, or collided — comparing
-    // it against the line's history would corrupt the analytics, so
-    // it is rejected outright.
+    // manifest was tampered with, mis-filed, or collided — pooling it
+    // with the line's history would corrupt queries and trends, so it
+    // is rejected outright.
     let recomputed = meta.fingerprint();
     if recomputed != fingerprint {
         return Err(format!(
@@ -961,398 +958,6 @@ pub fn query(archive: &Archive, query: &LabQuery) -> Result<Vec<GroupResult>, St
 }
 
 // ---------------------------------------------------------------
-// Regression detector
-// ---------------------------------------------------------------
-
-/// Detector thresholds.
-#[derive(Debug, Clone)]
-pub struct CheckConfig {
-    /// Strict relative tolerance on deterministic (energy) figures
-    /// between consecutive generations of a line. Default `1e-9` —
-    /// the same gate `bench-history` applies to committed baselines.
-    pub rel_tol: f64,
-    /// Tolerance for wall-clock-noisy keys inside the structural diff
-    /// before they fail it (they are separately covered by the
-    /// throughput tests). Default `0.5`.
-    pub noisy_rel_tol: f64,
-    /// Relative drop in recorded throughput that raises a flag, for
-    /// both the latest-vs-median threshold test and the changepoint
-    /// split test. Default `0.5`.
-    pub throughput_threshold: f64,
-}
-
-impl Default for CheckConfig {
-    fn default() -> Self {
-        CheckConfig {
-            rel_tol: 1e-9,
-            noisy_rel_tol: 0.5,
-            throughput_threshold: 0.5,
-        }
-    }
-}
-
-/// One raised regression flag.
-#[derive(Debug, Clone)]
-pub struct LabFlag {
-    /// The fingerprint line the flag belongs to.
-    pub fingerprint: String,
-    /// The line's bench binary.
-    pub bin: String,
-    /// Flag family: `energy-regression`, `throughput-threshold`,
-    /// `throughput-changepoint`, or `health-regression`.
-    pub kind: String,
-    /// Earlier generation of the offending comparison.
-    pub from_gen: u64,
-    /// Later generation of the offending comparison.
-    pub to_gen: u64,
-    /// Locus (diff path, or the throughput series name).
-    pub path: String,
-    /// Human-readable description.
-    pub detail: String,
-}
-
-/// Per-line history summary inside a [`LabReport`].
-#[derive(Debug, Clone)]
-pub struct LabLine {
-    /// The line's fingerprint.
-    pub fingerprint: String,
-    /// The line's bench binary.
-    pub bin: String,
-    /// Identity args of the line.
-    pub args: Vec<String>,
-    /// Generations present, in order.
-    pub gens: Vec<u64>,
-    /// Recorded throughput history (`sim_instructions_per_sec` from
-    /// `bench-history` artifacts), one entry per generation that
-    /// carried one.
-    pub throughput: Vec<f64>,
-    /// Combined first-vs-rest diff document (`jem-diff/v1` with a
-    /// `batch` table — the same shape `jem-diff --batch` emits).
-    pub diff: Json,
-}
-
-/// The full detector outcome over an archive.
-#[derive(Debug, Clone, Default)]
-pub struct LabReport {
-    /// Per-line histories.
-    pub lines: Vec<LabLine>,
-    /// Raised flags, in line order.
-    pub flags: Vec<LabFlag>,
-}
-
-impl LabReport {
-    /// Whether any regression was flagged.
-    pub fn flagged(&self) -> bool {
-        !self.flags.is_empty()
-    }
-
-    /// The machine-readable `jem-lab/v1` document
-    /// (`schemas/lab-report.schema.json`).
-    pub fn to_json(&self) -> Json {
-        let lines: Vec<Json> = self
-            .lines
-            .iter()
-            .map(|l| {
-                Json::object()
-                    .with("fingerprint", l.fingerprint.as_str())
-                    .with("bin", l.bin.as_str())
-                    .with(
-                        "args",
-                        Json::Arr(l.args.iter().map(|a| Json::Str(a.clone())).collect()),
-                    )
-                    .with(
-                        "gens",
-                        Json::Arr(l.gens.iter().map(|&g| Json::Num(g as f64)).collect()),
-                    )
-                    .with(
-                        "throughput",
-                        Json::Arr(l.throughput.iter().map(|&v| Json::Num(v)).collect()),
-                    )
-                    .with(
-                        "flags",
-                        self.flags
-                            .iter()
-                            .filter(|f| f.fingerprint == l.fingerprint)
-                            .count() as u64,
-                    )
-                    .with("diff", l.diff.clone())
-            })
-            .collect();
-        let flags: Vec<Json> = self
-            .flags
-            .iter()
-            .map(|f| {
-                Json::object()
-                    .with("fingerprint", f.fingerprint.as_str())
-                    .with("bin", f.bin.as_str())
-                    .with("kind", f.kind.as_str())
-                    .with("from_gen", f.from_gen)
-                    .with("to_gen", f.to_gen)
-                    .with("path", f.path.as_str())
-                    .with("detail", f.detail.as_str())
-            })
-            .collect();
-        Json::object()
-            .with("schema", "jem-lab/v1")
-            .with("lines", Json::Arr(lines))
-            .with("flags", Json::Arr(flags))
-            .with("flagged", self.flagged())
-    }
-
-    /// Human-readable summary, one line per history line and flag.
-    pub fn render_text(&self) -> String {
-        let mut out = String::new();
-        for l in &self.lines {
-            out.push_str(&format!(
-                "line {}@{}: {} generation(s){}\n",
-                l.bin,
-                l.fingerprint,
-                l.gens.len(),
-                if l.throughput.is_empty() {
-                    String::new()
-                } else {
-                    format!(
-                        ", throughput history [{}]",
-                        l.throughput
-                            .iter()
-                            .map(|v| fmt_si(*v))
-                            .collect::<Vec<_>>()
-                            .join(", ")
-                    )
-                }
-            ));
-        }
-        if self.flags.is_empty() {
-            out.push_str("no regressions flagged\n");
-        } else {
-            for f in &self.flags {
-                out.push_str(&format!(
-                    "FLAG [{}] {}@{} gen {}->{} {}: {}\n",
-                    f.kind, f.bin, f.fingerprint, f.from_gen, f.to_gen, f.path, f.detail
-                ));
-            }
-        }
-        out
-    }
-}
-
-fn parse_doc(archive: &Archive, run: &RunRecord, kind: &str) -> Result<Option<Json>, String> {
-    let Some(artifact) = run.artifact(kind) else {
-        return Ok(None);
-    };
-    let bytes = archive.read_artifact(artifact)?;
-    let text = String::from_utf8(bytes)
-        .map_err(|_| format!("{}: {kind} artifact is not UTF-8", run.label()))?;
-    Json::parse(&text)
-        .map(Some)
-        .map_err(|e| format!("{}: {kind}: {e}", run.label()))
-}
-
-/// The deterministically-comparable part of a stored document.
-/// `bench-history` baselines carry wall-clock `throughput` arrays and
-/// toolchain `environment` metadata alongside their `results`; only
-/// the results are bit-stable across reruns, so only they face the
-/// strict gate (throughput gets its own threshold/changepoint tests).
-fn comparable(kind: &str, doc: Json) -> Json {
-    if kind == "bench-history" {
-        match doc.get("results") {
-            Some(results) => results.clone(),
-            None => doc,
-        }
-    } else {
-        doc
-    }
-}
-
-/// Run the regression detector over every fingerprint line of the
-/// archive. Deterministic: the same archive contents always produce
-/// the same report, and a line of identical-content generations
-/// raises zero flags by construction (every test compares observed
-/// values that are equal).
-///
-/// # Errors
-/// On archive corruption or unparseable stored documents.
-pub fn check(archive: &Archive, cfg: &CheckConfig) -> Result<LabReport, String> {
-    let runs = archive.runs()?;
-    let mut by_line: BTreeMap<String, Vec<&RunRecord>> = BTreeMap::new();
-    for run in &runs {
-        by_line
-            .entry(run.fingerprint.clone())
-            .or_default()
-            .push(run);
-    }
-    let policy = DiffPolicy::perf_gate(cfg.rel_tol, cfg.noisy_rel_tol);
-    let mut report = LabReport::default();
-    for (fingerprint, line) in &by_line {
-        // runs() sorts by gen within a line already; rely on it.
-        let bin = line[0].meta.bin.clone();
-        let mut flags = Vec::new();
-
-        // Strict energy gate between consecutive generations, per
-        // comparable document kind.
-        for pair in line.windows(2) {
-            let (prev, next) = (pair[0], pair[1]);
-            for kind in ["bench", "bench-history"] {
-                let (Some(a), Some(b)) = (
-                    parse_doc(archive, prev, kind)?,
-                    parse_doc(archive, next, kind)?,
-                ) else {
-                    continue;
-                };
-                let (a, b) = (comparable(kind, a), comparable(kind, b));
-                let mut diff = DiffReport::default();
-                diff_json(&a, &b, &policy, &mut diff);
-                for entry in diff
-                    .entries
-                    .iter()
-                    .filter(|e| e.kind == crate::DiffKind::Changed)
-                {
-                    flags.push(LabFlag {
-                        fingerprint: fingerprint.clone(),
-                        bin: bin.clone(),
-                        kind: "energy-regression".to_string(),
-                        from_gen: prev.gen,
-                        to_gen: next.gen,
-                        path: format!("{kind}/{}", entry.path),
-                        detail: entry.detail.clone(),
-                    });
-                }
-            }
-            // Health drift: a line whose previous generation was
-            // alert-free must not start alerting.
-            if let (Some(a), Some(b)) = (
-                parse_doc(archive, prev, "health")?,
-                parse_doc(archive, next, "health")?,
-            ) {
-                let alerts = |d: &Json| d.get("total_alerts").and_then(Json::as_u64).unwrap_or(0);
-                if alerts(&a) == 0 && alerts(&b) > 0 {
-                    flags.push(LabFlag {
-                        fingerprint: fingerprint.clone(),
-                        bin: bin.clone(),
-                        kind: "health-regression".to_string(),
-                        from_gen: prev.gen,
-                        to_gen: next.gen,
-                        path: "health/total_alerts".to_string(),
-                        detail: format!("0 alerts -> {} alerts", alerts(&b)),
-                    });
-                }
-            }
-        }
-
-        // Throughput history tests over the line's recorded
-        // instructions-per-second figures.
-        let mut throughput: Vec<(u64, f64)> = Vec::new();
-        for run in line {
-            if let Some(doc) = parse_doc(archive, run, "bench-history")? {
-                if let Some(ips) = doc
-                    .get("throughput")
-                    .and_then(|t| t.get("sim_instructions_per_sec"))
-                    .and_then(Json::as_f64)
-                {
-                    throughput.push((run.gen, ips));
-                }
-            }
-        }
-        let series: Vec<f64> = throughput.iter().map(|(_, v)| *v).collect();
-        if series.len() >= 2 {
-            // Threshold test: the latest sample against the median of
-            // everything before it.
-            let mut prior: Vec<f64> = series[..series.len() - 1].to_vec();
-            prior.sort_by(|a, b| a.partial_cmp(b).expect("finite throughput"));
-            let med = prior[prior.len() / 2];
-            let last = *series.last().expect("len >= 2");
-            if med > 0.0 {
-                let rel = (last - med) / med;
-                if rel < -cfg.throughput_threshold {
-                    flags.push(LabFlag {
-                        fingerprint: fingerprint.clone(),
-                        bin: bin.clone(),
-                        kind: "throughput-threshold".to_string(),
-                        from_gen: throughput[throughput.len() - 2].0,
-                        to_gen: throughput[throughput.len() - 1].0,
-                        path: "throughput/sim_instructions_per_sec".to_string(),
-                        detail: format!(
-                            "latest {} vs prior median {} ({:+.1}%)",
-                            fmt_si(last),
-                            fmt_si(med),
-                            rel * 100.0
-                        ),
-                    });
-                }
-            }
-        }
-        if series.len() >= 4 {
-            // Changepoint test: the split maximizing the mean drop.
-            let mean = |xs: &[f64]| xs.iter().sum::<f64>() / xs.len() as f64;
-            let mut worst: Option<(usize, f64)> = None;
-            for k in 1..series.len() {
-                let left = mean(&series[..k]);
-                let right = mean(&series[k..]);
-                if left > 0.0 {
-                    let rel = (right - left) / left;
-                    if worst.is_none_or(|(_, w)| rel < w) {
-                        worst = Some((k, rel));
-                    }
-                }
-            }
-            if let Some((k, rel)) = worst {
-                if rel < -cfg.throughput_threshold {
-                    flags.push(LabFlag {
-                        fingerprint: fingerprint.clone(),
-                        bin: bin.clone(),
-                        kind: "throughput-changepoint".to_string(),
-                        from_gen: throughput[k - 1].0,
-                        to_gen: throughput[k].0,
-                        path: "throughput/sim_instructions_per_sec".to_string(),
-                        detail: format!(
-                            "mean dropped {:.1}% at generation {} (changepoint split)",
-                            rel * 100.0,
-                            throughput[k].0
-                        ),
-                    });
-                }
-            }
-        }
-
-        // The line's combined first-vs-rest diff document, in the
-        // `jem-diff --batch` shape (jem-lab's compare path and the
-        // batch CLI share `combine_batch`).
-        let base_kind = ["bench", "bench-history"]
-            .into_iter()
-            .find(|k| line[0].artifact(k).is_some());
-        let diff_doc = match base_kind {
-            Some(kind) if line.len() >= 2 => {
-                let base = comparable(
-                    kind,
-                    parse_doc(archive, line[0], kind)?.expect("artifact checked"),
-                );
-                let mut parts = Vec::new();
-                for run in &line[1..] {
-                    if let Some(doc) = parse_doc(archive, run, kind)? {
-                        let mut diff = DiffReport::default();
-                        diff_json(&base, &comparable(kind, doc), &policy, &mut diff);
-                        parts.push((run.label(), diff));
-                    }
-                }
-                combine_batch(&line[0].label(), &parts)
-            }
-            _ => combine_batch(&line[0].label(), &[]),
-        };
-
-        report.lines.push(LabLine {
-            fingerprint: fingerprint.clone(),
-            bin,
-            args: line[0].meta.args.clone(),
-            gens: line.iter().map(|r| r.gen).collect(),
-            throughput: series,
-            diff: diff_doc,
-        });
-        report.flags.extend(flags);
-    }
-    Ok(report)
-}
-
-// ---------------------------------------------------------------
 // Self-contained HTML report
 // ---------------------------------------------------------------
 
@@ -1480,15 +1085,30 @@ fn decision_mix_rows(stats: &Json) -> Option<String> {
     Some(cells)
 }
 
-/// Render the archive (plus a detector report over it) as one
-/// self-contained static HTML document: no scripts, no external
-/// resources, inline SVG only. Deterministic for identical archive
-/// contents.
+fn parse_doc(archive: &Archive, run: &RunRecord, kind: &str) -> Result<Option<Json>, String> {
+    let Some(artifact) = run.artifact(kind) else {
+        return Ok(None);
+    };
+    let bytes = archive.read_artifact(artifact)?;
+    let text = String::from_utf8(bytes)
+        .map_err(|_| format!("{}: {kind} artifact is not UTF-8", run.label()))?;
+    Json::parse(&text)
+        .map(Some)
+        .map_err(|e| format!("{}: {kind}: {e}", run.label()))
+}
+
+/// Render the archive as one self-contained static HTML document: no
+/// scripts, no external resources, inline SVG only. Deterministic for
+/// identical archive contents.
 ///
 /// # Errors
 /// On archive corruption or unparseable stored documents.
-pub fn html_report(archive: &Archive, report: &LabReport) -> Result<String, String> {
+pub fn html_report(archive: &Archive) -> Result<String, String> {
     let runs = archive.runs()?;
+    let mut lines: BTreeMap<&str, Vec<&RunRecord>> = BTreeMap::new();
+    for run in &runs {
+        lines.entry(&run.fingerprint).or_default().push(run);
+    }
     let mut html = String::from(
         "<!doctype html>\n<html lang=\"en\">\n<head>\n<meta charset=\"utf-8\">\n\
          <title>jem-lab report</title>\n<style>\n\
@@ -1498,75 +1118,36 @@ pub fn html_report(archive: &Archive, report: &LabReport) -> Result<String, Stri
          table{border-collapse:collapse;margin:0.6rem 0;}\n\
          th,td{border:1px solid #ddd;padding:0.25rem 0.55rem;text-align:left;\
          font-variant-numeric:tabular-nums;}\nth{background:#f4f4f8;}\n\
-         .flag{background:#fde8e8;}\n.ok{color:#2f7d32;}\n.bad{color:#b3261e;font-weight:600;}\n\
          code{background:#f4f4f8;padding:0 0.25rem;border-radius:3px;}\n\
          .muted{color:#667;}\n</style>\n</head>\n<body>\n<h1>jem-lab report</h1>\n",
     );
     html.push_str(&format!(
-        "<p>{} run(s) across {} line(s); detector: {}</p>\n",
+        "<p>{} run(s) across {} line(s)</p>\n",
         runs.len(),
-        report.lines.len(),
-        if report.flagged() {
-            format!(
-                "<span class=\"bad\">{} regression flag(s)</span>",
-                report.flags.len()
-            )
-        } else {
-            "<span class=\"ok\">no regressions flagged</span>".to_string()
-        }
+        lines.len()
     ));
 
-    // Flags first: the reason anyone opens this page.
-    html.push_str("<h2>Flagged regressions</h2>\n");
-    if report.flags.is_empty() {
-        html.push_str("<p class=\"ok\">none</p>\n");
-    } else {
-        html.push_str(
-            "<table>\n<tr><th>kind</th><th>line</th><th>gens</th><th>path</th>\
-             <th>detail</th></tr>\n",
-        );
-        for f in &report.flags {
-            html.push_str(&format!(
-                "<tr class=\"flag\"><td>{}</td><td>{}@{}</td><td>{}&rarr;{}</td>\
-                 <td><code>{}</code></td><td>{}</td></tr>\n",
-                html_escape(&f.kind),
-                html_escape(&f.bin),
-                html_escape(&f.fingerprint),
-                f.from_gen,
-                f.to_gen,
-                html_escape(&f.path),
-                html_escape(&f.detail)
-            ));
-        }
-        html.push_str("</table>\n");
-    }
-
-    // Cross-run trends per line.
+    // Cross-run trends per fingerprint line.
     html.push_str("<h2>History lines</h2>\n");
-    for line in &report.lines {
-        let line_runs: Vec<&RunRecord> = runs
-            .iter()
-            .filter(|r| r.fingerprint == line.fingerprint)
-            .collect();
+    for (fingerprint, line_runs) in &lines {
+        let meta = &line_runs[0].meta;
         html.push_str(&format!(
             "<h3><code>{}</code> @ <code>{}</code></h3>\n<p class=\"muted\">args: \
              <code>{}</code> &middot; {} generation(s)</p>\n",
-            html_escape(&line.bin),
-            html_escape(&line.fingerprint),
-            html_escape(&if line.args.is_empty() {
+            html_escape(&meta.bin),
+            html_escape(fingerprint),
+            html_escape(&if meta.args.is_empty() {
                 "(defaults)".to_string()
             } else {
-                line.args.join(" ")
+                meta.args.join(" ")
             }),
-            line.gens.len()
+            line_runs.len()
         ));
         // Trend: total energy per generation (sum of every
         // total_energy_nj leaf in the run's bench document).
         let mut energy_trend = Vec::new();
-        for run in &line_runs {
-            if let Some(doc) =
-                parse_doc(archive, run, "bench")?.or(parse_doc(archive, run, "bench-history")?)
-            {
+        for run in line_runs {
+            if let Some(doc) = parse_doc(archive, run, "bench")? {
                 let total: f64 = named_leaves(&doc, "total_energy_nj")
                     .iter()
                     .map(|(_, v)| v)
@@ -1586,33 +1167,6 @@ pub fn html_report(archive: &Archive, report: &LabReport) -> Result<String, Stri
                         .cloned()
                         .fold(f64::NEG_INFINITY, f64::max)
                 ),
-            ));
-        }
-        if line.throughput.len() >= 2 {
-            html.push_str(&format!(
-                "<p>throughput per generation {} <span class=\"muted\">[{} .. {}] \
-                 sim-instr/s</span></p>\n",
-                svg_sparkline(&line.throughput, 220, 30, 64, "#59a14f"),
-                fmt_si(
-                    line.throughput
-                        .iter()
-                        .cloned()
-                        .fold(f64::INFINITY, f64::min)
-                ),
-                fmt_si(
-                    line.throughput
-                        .iter()
-                        .cloned()
-                        .fold(f64::NEG_INFINITY, f64::max)
-                ),
-            ));
-        }
-        let diff_changes = line.diff.get("changes").and_then(Json::as_u64).unwrap_or(0);
-        if line.gens.len() >= 2 {
-            html.push_str(&format!(
-                "<p class=\"muted\">first-vs-rest diff: {} changed entr{}</p>\n",
-                diff_changes,
-                if diff_changes == 1 { "y" } else { "ies" }
             ));
         }
     }

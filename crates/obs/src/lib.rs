@@ -47,9 +47,8 @@
 //! * [`lab`] — the cross-run experiment archive (`jem-lab`):
 //!   content-addressed artifact storage keyed by deterministic run
 //!   fingerprints, a cross-run query engine with Welford-summary
-//!   grouping, a regression detector (strict energy gate + throughput
-//!   changepoint tests) emitting `jem-lab/v1` reports, and a
-//!   self-contained static HTML report with inline SVG sparklines.
+//!   grouping, and a self-contained static HTML report with inline
+//!   SVG sparklines.
 //!
 //! Because the workspace's vendored `serde` is a no-op stub, the
 //! [`json`] module supplies the deterministic JSON reader/writer that
@@ -82,9 +81,8 @@ pub use diff::{combine_batch, DiffEntry, DiffKind, DiffPolicy, DiffReport};
 pub use fsio::{scratch_dir, scratch_path, write_atomic};
 pub use json::{Json, JsonError};
 pub use lab::{
-    check, html_report, identity_args, query, sha256, sha256_hex, Archive, ArtifactRef,
-    CheckConfig, GroupResult, LabFlag, LabGroupBy, LabLine, LabQuery, LabReport, LabSelector,
-    RunMeta, RunRecord, RunValues,
+    html_report, identity_args, query, sha256, sha256_hex, Archive, ArtifactRef, GroupResult,
+    LabGroupBy, LabQuery, LabSelector, RunMeta, RunRecord, RunValues,
 };
 pub use metrics::{Buckets, Histogram, MetricsRegistry};
 pub use monitor::{AlertRecord, HealthReport, Monitor, MonitorConfig, MonitorSink, MonitorTee};

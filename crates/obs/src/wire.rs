@@ -1131,8 +1131,9 @@ impl<W: Write> TraceSink for WriterSink<W> {
 }
 
 /// A [`WriterSink`] over a buffered file — the `--trace out.jtb`
-/// backend: the full fig6/fig7 grids stream through it in O(block)
-/// memory.
+/// backend: sweeps stream through it in O(block) memory (fig7 only
+/// under `--ckpt`; its parallel grid merges per-cell shards at exit
+/// with [`jtb_bytes`]).
 pub struct FileSink {
     path: String,
     inner: WriterSink<std::io::BufWriter<std::fs::File>>,
