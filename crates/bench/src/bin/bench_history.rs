@@ -28,7 +28,7 @@
 //!
 //! `check` re-runs the binary with the args recorded in the baseline
 //! and diffs the fresh results against it with the same noise-aware
-//! policy `jem-diff` uses. It is the one regression gate on simulated
+//! policy `jem diff` uses. It is the one regression gate on simulated
 //! results: CI runs it over every committed
 //! `bench/baselines/BENCH_*.json`. Exit status: 0 clean, 1
 //! regression, 2 usage error (including a flag the subcommand does

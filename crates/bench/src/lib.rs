@@ -14,10 +14,17 @@
 //! | `ablation` | design-choice ablations (EWMA weight, power-down, …) |
 //! | `faults` | resilience sweep — AA vs naive AA vs AL under bursty loss |
 //!
+//! and the tools around them: `bench-history` records and gates the
+//! committed baselines, `jem-chaos` kills and resumes a bin, and `jem`
+//! reads what the bins write (`jem check`, `query`, `profile`,
+//! `timeline`, `diff`, `lab` and `top`; see `src/bin/jem/main.rs`).
+//!
 //! This library holds the shared plumbing: table rendering, parallel
-//! profile construction, and the observability output options every
+//! profile construction, the observability output options every
 //! bin accepts (`--trace out.jtb`, `--metrics-out out.prom`,
-//! `--json-out BENCH_x.json`) — see [`obs`].
+//! `--json-out BENCH_x.json`) — see [`obs`] — and the argv helpers
+//! every binary parses its flags with ([`reject_unknown_flags`],
+//! [`arg_parse`], [`arg_str`], [`arg_values`], [`positionals`]).
 
 #![warn(missing_docs)]
 
@@ -124,33 +131,60 @@ pub type Flag = (&'static str, bool);
 /// The flag [`apply_engine_flag`] reads.
 pub const ENGINE_FLAGS: &[Flag] = &[("--slow-interp", false)];
 
+/// One argument after the program name, read against the accepted
+/// flags.
+enum Arg<'a> {
+    /// An accepted flag that takes a value, with the argument after it
+    /// (`None` when argv ends first).
+    Value(&'a str, Option<&'a str>),
+    /// An accepted flag that takes no value.
+    Switch,
+    /// A `--` argument that is none of the accepted flags.
+    Unknown(&'a str),
+    /// Any other argument.
+    Positional(&'a str),
+}
+
+/// Read argv after the program name against `accepted`. The argument
+/// after a flag that takes a value is that value, whatever it looks
+/// like, so it is never read as a flag or as a positional.
+fn walk<'a>(args: &'a [String], accepted: &[&[Flag]]) -> Vec<Arg<'a>> {
+    let mut out = Vec::new();
+    let mut rest = args.iter().skip(1);
+    while let Some(a) = rest.next() {
+        if !a.starts_with("--") {
+            out.push(Arg::Positional(a));
+            continue;
+        }
+        out.push(
+            match accepted
+                .iter()
+                .flat_map(|f| f.iter())
+                .find(|(name, _)| name == a)
+            {
+                Some((_, true)) => Arg::Value(a, rest.next().map(String::as_str)),
+                Some((_, false)) => Arg::Switch,
+                None => Arg::Unknown(a),
+            },
+        );
+    }
+    out
+}
+
 /// The first argument after the program name that starts with `--` and
 /// is none of `accepted`. The value after a flag that takes one is
 /// skipped, whatever it looks like.
 pub fn unknown_flag<'a>(args: &'a [String], accepted: &[&[Flag]]) -> Option<&'a str> {
-    let mut rest = args.iter().skip(1);
-    while let Some(a) = rest.next() {
-        if !a.starts_with("--") {
-            continue;
-        }
-        match accepted
-            .iter()
-            .flat_map(|f| f.iter())
-            .find(|(name, _)| name == a)
-        {
-            Some((_, true)) => {
-                rest.next();
-            }
-            Some((_, false)) => {}
-            None => return Some(a),
-        }
-    }
-    None
+    walk(args, accepted).into_iter().find_map(|a| match a {
+        Arg::Unknown(flag) => Some(flag),
+        _ => None,
+    })
 }
 
 /// Exit 2 before anything runs, naming the flag and listing the
 /// accepted ones, when argv holds a `--` flag that is none of
-/// `accepted` (see [`unknown_flag`]).
+/// `accepted` (see [`unknown_flag`]), or ends with a flag that takes a
+/// value.
 pub fn reject_unknown_flags(args: &[String], accepted: &[&[Flag]]) {
     if let Some(flag) = unknown_flag(args, accepted) {
         let names: Vec<&str> = accepted
@@ -160,6 +194,33 @@ pub fn reject_unknown_flags(args: &[String], accepted: &[&[Flag]]) {
         eprintln!("error: unknown flag {flag} (accepted: {})", names.join(" "));
         std::process::exit(2);
     }
+    if let Some(Arg::Value(flag, None)) = walk(args, accepted).last() {
+        eprintln!("error: {flag} expects a value");
+        std::process::exit(2);
+    }
+}
+
+/// Every value given to the repeatable flag `flag`, in argv order.
+pub fn arg_values(args: &[String], accepted: &[&[Flag]], flag: &str) -> Vec<String> {
+    walk(args, accepted)
+        .into_iter()
+        .filter_map(|a| match a {
+            Arg::Value(name, Some(v)) if name == flag => Some(v.to_string()),
+            _ => None,
+        })
+        .collect()
+}
+
+/// The arguments after the program name that are neither flags nor
+/// flag values.
+pub fn positionals(args: &[String], accepted: &[&[Flag]]) -> Vec<String> {
+    walk(args, accepted)
+        .into_iter()
+        .filter_map(|a| match a {
+            Arg::Positional(p) => Some(p.to_string()),
+            _ => None,
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -190,6 +251,17 @@ mod tests {
         let after_bool = argv(&["faults", "--full", "--runz"]);
         assert_eq!(unknown_flag(&after_bool, &accepted), Some("--runz"));
         assert_eq!(unknown_flag(&argv(&["--runz"]), &accepted), None);
+    }
+
+    #[test]
+    fn values_and_positionals_skip_flag_values() {
+        let argv = |a: &[&str]| a.iter().map(|s| s.to_string()).collect::<Vec<_>>();
+        let own: &[Flag] = &[("--kind", true), ("--json", false)];
+        let args = argv(&[
+            "query", "t.jtb", "--kind", "a", "--json", "--kind", "--json", "b",
+        ]);
+        assert_eq!(arg_values(&args, &[own], "--kind"), ["a", "--json"]);
+        assert_eq!(positionals(&args, &[own]), ["t.jtb", "b"]);
     }
 
     #[test]

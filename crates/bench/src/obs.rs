@@ -16,7 +16,7 @@
 //! * `--trace out.jtb` — stream a `.jtb` trace of the scenario runs to
 //!   disk in bounded memory. Any other extension exits 2: Chrome
 //!   `trace_event` JSON for Perfetto / `chrome://tracing` is a one-way
-//!   export, `tracecheck out.jtb --chrome out.json`;
+//!   export, `jem check out.jtb --chrome out.json`;
 //! * `--timeline out.jts` — stream the sim-time-series sidecar: the
 //!   deterministic `.jts` timeline of derived run state (cumulative
 //!   energy, predictor estimates, channel/breaker state, counters)
@@ -37,11 +37,11 @@
 //!   without the flag;
 //! * `--flush-every SIM-MS` — flush `--trace`/`--timeline` streams to
 //!   disk on the first invocation boundary after every SIM-MS of
-//!   sim-time, so `--follow` readers and `jem-top` can tail a run in
+//!   sim-time, so `--follow` readers and `jem top` can tail a run in
 //!   flight. Changes where `.jtb`/`.jts` blocks are cut (the decoded
 //!   stream is identical); leave unset for byte-identical output;
 //! * `--archive DIR` — after all outputs are written, ingest them into
-//!   the `jem-lab` experiment archive at DIR under the run's
+//!   the experiment archive at DIR (`jem lab`) under the run's
 //!   deterministic fingerprint (bin, identity args, seed, schema
 //!   versions). A pure post-hoc observer: the archive copies the
 //!   already-written files, so every output stays byte-identical with
@@ -90,7 +90,7 @@ pub struct ObsArgs {
     /// The live snapshot store behind `--serve`, shared with the
     /// server's connection threads. `None` unless `--serve` was given.
     pub live: Option<Arc<LiveState>>,
-    /// `--archive` directory (`jem-lab` experiment archive to ingest
+    /// `--archive` directory (the `jem lab` experiment archive to ingest
     /// this run's artifacts into after they are written).
     pub archive: Option<String>,
 }
@@ -268,7 +268,7 @@ impl ObsArgs {
         if let Some(path) = trace.as_deref().filter(|p| !p.ends_with(".jtb")) {
             eprintln!(
                 "error: --trace writes a .jtb trace, not {path}; export Chrome/Perfetto JSON \
-                 from it with `tracecheck <trace.jtb> --chrome <out.json>`"
+                 from it with `jem check <trace.jtb> --chrome <out.json>`"
             );
             std::process::exit(2);
         }

@@ -1,5 +1,5 @@
 //! `--archive` is a pure observer: a run that ingests its artifacts
-//! into a jem-lab archive produces byte-identical `.jtb` and `.jts`
+//! into an experiment archive produces byte-identical `.jtb` and `.jts`
 //! outputs to a bare run of the same seed, the archived copies are
 //! bit-exact, an identical-seed rerun stores byte-identical artifacts
 //! as the next generation of the same line, and the archive answers

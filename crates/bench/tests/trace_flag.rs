@@ -19,7 +19,7 @@ fn non_jtb_trace_path_exits_2_and_writes_nothing() {
         .unwrap();
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert_eq!(out.status.code(), Some(2), "stderr: {stderr}");
-    assert!(stderr.contains("tracecheck"), "stderr: {stderr}");
+    assert!(stderr.contains("jem check"), "stderr: {stderr}");
     assert!(stderr.contains("--chrome"), "stderr: {stderr}");
     assert!(
         !trace.exists() && !bench.exists(),

@@ -5,7 +5,7 @@
 //!   run's `EnergyBreakdown`, component by component — including on
 //!   degraded (fault-injected) runs where retries, fallbacks and
 //!   breaker trips multiply the phase frames;
-//! * `jem-diff` of a run against itself is empty — as a property over
+//! * `jem diff` of a run against itself is empty — as a property over
 //!   seeds and loss severities, for traces, results documents and
 //!   profiles alike;
 //! * collapsed-stack exports are well-formed flamegraph input whose
@@ -220,7 +220,7 @@ fn decision_flips_surface_candidate_energies() {
 proptest! {
     #![proptest_config(ProptestConfig { cases: 10 })]
 
-    /// jem-diff of a run against itself is empty — for the trace, the
+    /// jem diff of a run against itself is empty — for the trace, the
     /// results document and the folded profile — over seeds and fault
     /// severities (loss 0 covers the healthy path).
     #[test]

@@ -4,7 +4,7 @@
 //! * the `.jtb` binary round-trip is event-exact and energy-exact —
 //!   as a property over seeds and fault severities — and the format is
 //!   far smaller than the Chrome JSON export of the same run;
-//! * `jem-query` aggregates reconcile *bit-exactly* with the
+//! * `jem query` aggregates reconcile *bit-exactly* with the
 //!   profiler's per-method × per-mode cells on the same trace;
 //! * the online monitors stay silent on clean paper-scenario runs,
 //!   provably fire the retry-storm and breaker-flap watchdogs on a

@@ -324,7 +324,7 @@ fn join(path: &str, key: &str) -> String {
 /// candidate's entries with the candidate name prefixed onto the
 /// path (so the combined document is itself a valid, readable
 /// `jem-diff/v1` report), and a `batch` table records the baseline
-/// plus per-candidate outcome counts. The document `jem-diff --batch`
+/// plus per-candidate outcome counts. The document `jem diff --batch`
 /// emits.
 pub fn combine_batch(baseline: &str, parts: &[(String, DiffReport)]) -> Json {
     let mut combined = DiffReport::default();

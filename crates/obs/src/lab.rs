@@ -1,4 +1,4 @@
-//! `jem-lab` — a cross-run experiment archive with queries and
+//! The cross-run experiment archive behind `jem lab`, with queries and
 //! self-contained HTML reports.
 //!
 //! Every other observability layer in this crate looks at *one* run;
@@ -26,7 +26,7 @@
 //!
 //! The archive gates nothing: simulated results are gated against the
 //! committed baselines by `bench-history check`, and any two documents
-//! compare with `jem-diff`.
+//! compare with `jem diff`.
 //!
 //! Archiving is a **pure observer**: bench bins ingest their artifacts
 //! *after* writing them, by reading the already-written files back, so
@@ -321,6 +321,28 @@ pub struct Archive {
 }
 
 impl Archive {
+    /// Open the existing archive at `root`; creates nothing, so a
+    /// reader given a mistyped path fails instead of starting an empty
+    /// archive there.
+    ///
+    /// # Errors
+    /// When `root` has no readable `jem-lab.json` marker, or the marker
+    /// is not a jem-lab archive's.
+    pub fn open(root: &str) -> Result<Archive, String> {
+        let rootp = PathBuf::from(root);
+        let marker = rootp.join(ARCHIVE_MARKER);
+        let text = std::fs::read_to_string(&marker)
+            .map_err(|e| format!("cannot read {}: {e}", marker.display()))?;
+        let doc = Json::parse(&text).map_err(|e| format!("corrupt {}: {e}", marker.display()))?;
+        if doc.get("schema").and_then(Json::as_str) != Some(ARCHIVE_SCHEMA) {
+            return Err(format!(
+                "{} is not a {ARCHIVE_SCHEMA} archive",
+                rootp.display()
+            ));
+        }
+        Ok(Archive { root: rootp })
+    }
+
     /// Open an existing archive or initialize a new one at `root`.
     ///
     /// # Errors
@@ -330,17 +352,7 @@ impl Archive {
         let rootp = PathBuf::from(root);
         let marker = rootp.join(ARCHIVE_MARKER);
         if marker.exists() {
-            let text = std::fs::read_to_string(&marker)
-                .map_err(|e| format!("cannot read {}: {e}", marker.display()))?;
-            let doc =
-                Json::parse(&text).map_err(|e| format!("corrupt {}: {e}", marker.display()))?;
-            if doc.get("schema").and_then(Json::as_str) != Some(ARCHIVE_SCHEMA) {
-                return Err(format!(
-                    "{} is not a {ARCHIVE_SCHEMA} archive",
-                    rootp.display()
-                ));
-            }
-            return Ok(Archive { root: rootp });
+            return Archive::open(root);
         }
         let empty_dir = std::fs::read_dir(&rootp).is_ok_and(|mut d| d.next().is_none());
         if rootp.exists() && !empty_dir {

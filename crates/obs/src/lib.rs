@@ -27,7 +27,7 @@
 //!   every reader (streaming, follow-mode, whole-file and crash
 //!   salvage), lossless back to [`trace::TraceEvent`],
 //! * [`query`](mod@query) — a streaming filter / project / aggregate engine over
-//!   traces (`jem-query`), reconciling bit-exactly with [`profile`],
+//!   traces (`jem query`), reconciling bit-exactly with [`profile`],
 //! * [`monitor`] — online invariant monitors (energy conservation,
 //!   negative deltas, retry storms, breaker flap, predictor regret,
 //!   regret trend, energy-rate anomalies) that tee any sink, inject
@@ -43,8 +43,9 @@
 //!   (`/metrics`, `/health`, `/series`, `/events` SSE). Data flows
 //!   strictly sim → server; serving a run never perturbs it,
 //! * [`tui`] — shared plain-ANSI rendering (unicode sparklines,
-//!   refresh-frame helpers) for `jem-top` and `jem-timeline --live`,
-//! * [`lab`] — the cross-run experiment archive (`jem-lab`):
+//!   refresh-frame helpers) for `jem top` and `jem timeline
+//!   --sparkline`,
+//! * [`lab`] — the cross-run experiment archive (`jem lab`):
 //!   content-addressed artifact storage keyed by deterministic run
 //!   fingerprints, a cross-run query engine with Welford-summary
 //!   grouping, and a self-contained static HTML report with inline

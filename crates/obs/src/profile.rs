@@ -21,7 +21,7 @@
 //! profile telescopes: the sum over all cells equals the sum of the
 //! deltas equals (within float round-off of the telescoped ledger)
 //! the run's `EnergyBreakdown`. [`TraceProfile::reconcile`] checks
-//! this, and the `jem-profile` binary enforces it on every export.
+//! this, and `jem profile` enforces it on every export.
 //!
 //! Exports: top-N hot tables ([`TraceProfile::render_method_table`],
 //! [`TraceProfile::render_hot_frames`]) and collapsed-stack text
@@ -421,7 +421,7 @@ impl ResolvedEvent {
     }
 }
 
-/// The streaming core shared by the profiler and `jem-query`: buffers
+/// The streaming core shared by the profiler and `jem query`: buffers
 /// one invocation at a time (the mode is only revealed by its
 /// `invocation-end`), detects shard restarts on the `seq` counter, and
 /// yields [`ResolvedEvent`]s in input order. Memory is O(one

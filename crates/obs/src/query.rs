@@ -20,7 +20,7 @@
 //! accumulated per profile cell and merged in the profiler's own
 //! cell order — property-tested in `crates/core`).
 //!
-//! Memory is O(one invocation + groups); the `jem-query` bin feeds
+//! Memory is O(one invocation + groups); `jem query` feeds
 //! this from a [`crate::wire::JtbStream`] so whole-run buffering never
 //! happens on the binary path.
 

@@ -19,7 +19,8 @@
 //!   per-event deltas, in event order. These reconcile bit-exactly
 //!   with windowed delta sums over the corresponding `.jtb` trace
 //!   (both are the same sequence of f64 additions), which is what
-//!   `jem-query --series` exploits.
+//!   the per-segment window-end values of `jem timeline --series
+//!   … --window 0:T` exploit.
 //! * `predictor.{ei,er,el1,el2,el3}_nj` and `predictor.err_rel` — the
 //!   EWMA candidate estimates from the latest decision and the
 //!   relative prediction error of the latest *followed* decision.
@@ -1350,7 +1351,7 @@ impl Timeline {
     }
 }
 
-/// Validation summary for a `.jts` file (the `tracecheck` contract).
+/// Validation summary for a `.jts` file (the `jem check` contract).
 pub struct JtsSummary {
     /// Segments in the file.
     pub segments: usize,

@@ -1,6 +1,5 @@
 //! Minimal plain-ANSI terminal rendering helpers shared by the
-//! `jem-top` live dashboard and `jem-timeline --sparkline` (including
-//! its `--live` refresh mode).
+//! `jem top` live dashboard and `jem timeline --sparkline`.
 //!
 //! Everything here is pure string formatting: no terminal probing, no
 //! raw mode, no external crates. Callers print the returned strings
@@ -24,7 +23,7 @@ pub const RESET: &str = "\x1b[0m";
 /// Resample `vals` down to at most `cells` values by keeping the last
 /// sample of each equal-count chunk, so the final cell is always the
 /// final sample. This is the shared series-rendering core behind the
-/// unicode sparklines here and the SVG sparklines in the `jem-lab`
+/// unicode sparklines here and the SVG sparklines in the `jem lab`
 /// HTML report ([`svg_sparkline`]).
 pub fn resample(vals: &[f64], cells: usize) -> Vec<f64> {
     if vals.is_empty() || cells == 0 {
@@ -68,7 +67,7 @@ pub fn sparkline_width(vals: &[f64], width: usize) -> String {
 }
 
 /// The same series rendering as [`sparkline`], generalized to an
-/// inline SVG `<polyline>` for the self-contained `jem-lab` HTML
+/// inline SVG `<polyline>` for the self-contained `jem lab` HTML
 /// report: resample to at most `cells`, normalize into a `w`×`h`
 /// viewBox (y inverted so larger values plot higher), stroke with
 /// `stroke`. Flat or single-sample series draw a midline. The output

@@ -5,7 +5,7 @@
 //! memory while the run executes, and every reader decodes it back
 //! **losslessly**: every [`TraceEvent`] field survives the round trip
 //! bit-for-bit. The Chrome JSON document ([`crate::chrome_trace`]) is
-//! a one-way export of a `.jtb` (`tracecheck --chrome`) for viewers;
+//! a one-way export of a `.jtb` (`jem check --chrome`) for viewers;
 //! nothing reads it back.
 //!
 //! One decoder (`JtbDecoder`) parses the header and the records from
@@ -58,7 +58,7 @@
 //!
 //! If the producing sink evicted events (ring overflow), the writer
 //! emits an explicit `0x04` record and the footer repeats the count.
-//! Loaders surface it as [`LoadedTrace::dropped`]; `jem-profile`
+//! Loaders surface it as [`LoadedTrace::dropped`]; `jem profile`
 //! refuses to reconcile such a ledger.
 
 use crate::trace::{split_shards, TraceEvent, TraceEventKind, TraceShard, TraceSink};
@@ -1661,8 +1661,8 @@ pub struct SalvageReport {
 /// end on an invocation boundary (`InvocationEnd`), then emit a
 /// complete file — kept bytes verbatim, an explicit [`RecoveredNote`]
 /// record, and a rebuilt footer + trailer. The result loads through
-/// every normal path ([`load_trace_bytes`], `jem-profile`,
-/// `jem-query`, `tracecheck`) as a first-class trace. A file that
+/// every normal path ([`load_trace_bytes`], `jem profile`,
+/// `jem query`, `jem check`) as a first-class trace. A file that
 /// already ends with a valid trailer is returned unchanged.
 ///
 /// # Errors

@@ -2,9 +2,9 @@
 //! ANY byte prefix of a valid file never errors — a torn tail parks as
 //! `Idle`, it never misreads partial bytes as corruption — and once
 //! the remaining bytes land, the followed fold converges to exactly
-//! the full-file decode. This is the contract that lets `jem-query
-//! --follow`, `jem-timeline --follow`, `tracecheck --follow` and
-//! `jem-top` tail a run that is still being written.
+//! the full-file decode. This is the contract that lets `jem query
+//! --follow`, `jem timeline --follow`, `jem check --follow` and
+//! `jem top` tail a run that is still being written.
 
 use jem_energy::{Component, Energy, EnergyBreakdown, SimTime};
 use jem_obs::timeline::N_SERIES;

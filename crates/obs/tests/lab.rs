@@ -134,6 +134,17 @@ fn open_refuses_unmarked_nonempty_dir() {
     Archive::open_or_create(&root2).unwrap();
 }
 
+#[test]
+fn read_only_open_of_a_missing_archive_fails_and_creates_nothing() {
+    let root = scratch_path("typo-dir");
+    let err = Archive::open(&root).unwrap_err();
+    assert!(err.contains("jem-lab.json"), "got: {err}");
+    assert!(!std::path::Path::new(&root).exists());
+
+    Archive::open_or_create(&root).unwrap();
+    Archive::open(&root).unwrap();
+}
+
 // ---------------------------------------------------------------
 // Fingerprint integrity
 // ---------------------------------------------------------------
