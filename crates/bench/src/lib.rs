@@ -183,20 +183,35 @@ pub fn unknown_flag<'a>(args: &'a [String], accepted: &[&[Flag]]) -> Option<&'a 
 
 /// Exit 2 before anything runs, naming the flag and listing the
 /// accepted ones, when argv holds a `--` flag that is none of
-/// `accepted` (see [`unknown_flag`]), or ends with a flag that takes a
-/// value.
+/// `accepted` (see [`unknown_flag`]), gives a flag that takes a value
+/// one of the accepted flag names as its value, or ends with a flag
+/// that takes a value.
+///
+/// Once it returns, every accepted flag name in argv is a flag, so
+/// [`arg_flag`], [`arg_str`] and [`arg_parse`], which take the first
+/// argument equal to the name, read the same flags as [`arg_values`]
+/// and [`positionals`], which skip flag values.
 pub fn reject_unknown_flags(args: &[String], accepted: &[&[Flag]]) {
+    let names: Vec<&str> = accepted
+        .iter()
+        .flat_map(|f| f.iter().map(|f| f.0))
+        .collect();
     if let Some(flag) = unknown_flag(args, accepted) {
-        let names: Vec<&str> = accepted
-            .iter()
-            .flat_map(|f| f.iter().map(|f| f.0))
-            .collect();
         eprintln!("error: unknown flag {flag} (accepted: {})", names.join(" "));
         std::process::exit(2);
     }
-    if let Some(Arg::Value(flag, None)) = walk(args, accepted).last() {
-        eprintln!("error: {flag} expects a value");
-        std::process::exit(2);
+    for arg in walk(args, accepted) {
+        match arg {
+            Arg::Value(flag, Some(v)) if names.contains(&v) => {
+                eprintln!("error: {flag} expects a value, got the flag {v}");
+                std::process::exit(2);
+            }
+            Arg::Value(flag, None) => {
+                eprintln!("error: {flag} expects a value");
+                std::process::exit(2);
+            }
+            _ => {}
+        }
     }
 }
 

@@ -108,6 +108,7 @@ fn flags_and_inputs_once_accepted_without_effect_exit_2() {
         env!("CARGO_MANIFEST_DIR"),
         "/../../schemas/timeline.schema.json"
     );
+    let summary = path("summary.txt");
     let (jtb, jts, lab) = (jtb.as_str(), jts.as_str(), lab.as_str());
     let series = "energy.core.cum_nj";
 
@@ -151,6 +152,11 @@ fn flags_and_inputs_once_accepted_without_effect_exit_2() {
             "jem timeline --overlay",
             &["timeline", jts, "--overlay", jts],
         ),
+        (
+            &["timeline", jts, "--out", "--json"],
+            "--out expects a value, got the flag --json",
+            &["timeline", jts, "--out", &summary],
+        ),
     ];
     for &(refused, needle, accepted) in cases {
         let out = jem(refused);
@@ -160,6 +166,10 @@ fn flags_and_inputs_once_accepted_without_effect_exit_2() {
         let ctx = format!("jem {accepted:?}: {}", String::from_utf8_lossy(&out.stderr));
         assert!(out.status.success(), "{ctx}");
     }
+    assert!(
+        !std::path::Path::new("--json").exists(),
+        "an export named --json"
+    );
 
     // The dashboard renders one frame from a finished timeline.
     let out = jem(&["top", jts, "--once"]);

@@ -180,6 +180,26 @@ fn chaos_rejects_misspelt_flags_before_its_golden_run() {
     assert!(!dir.exists(), "a rejected run wrote output");
 }
 
+/// An accepted flag name given as another flag's value is refused:
+/// read both ways, `--json-out --archive` would write the BENCH json
+/// into a file named `--archive`.
+#[test]
+fn accepted_flag_names_are_refused_as_values() {
+    let dir = scratch_dir();
+    let out = Command::new(env!("CARGO_BIN_EXE_tables"))
+        .args(["fig1", "--json-out", "--archive"])
+        .current_dir(&dir)
+        .output()
+        .unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert!(
+        stderr.contains("--json-out expects a value, got the flag --archive"),
+        "{stderr}"
+    );
+    assert_eq!(std::fs::read_dir(&dir).unwrap().count(), 0, "{stderr}");
+}
+
 /// The value after a flag that takes one is not checked as a flag, and
 /// a positional argument is not a flag.
 #[test]

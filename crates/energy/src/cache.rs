@@ -10,6 +10,7 @@
 //! because only hit/miss outcomes matter for energy and time.
 
 use serde::{Deserialize, Serialize};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Geometry of one cache.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -70,13 +71,53 @@ impl CacheStats {
     }
 }
 
+/// Names one tag array of one [`CacheSim`]: two equal epochs read in
+/// one process, from the same cache or from different ones, stand for
+/// identical tag arrays.
+///
+/// It pairs an *instance* number, drawn from a process-wide counter
+/// whenever a cache gets a tag array no other instance number has
+/// named (at [`CacheSim::new`], on `clone`, [`CacheSim::flush`] and
+/// [`CacheSim::import_state`]), with a count of the fills made since,
+/// one per miss. Hits leave the tags alone, so the epoch changes
+/// exactly when the tags can. [`CacheStats::misses`] cannot serve as
+/// the fill count: [`CacheSim::reset_stats`] and
+/// [`CacheSim::import_state`] rewrite it, so it can repeat for a
+/// different tag array. The epoch is never serialized; a restored
+/// cache starts a new instance.
+///
+/// `CacheEpoch::default()` is instance 0, which no cache is ever
+/// given, so it equals no cache's epoch.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct CacheEpoch {
+    instance: u64,
+    fills: u64,
+}
+
+/// The last instance number handed out; 0 is never handed out. The
+/// number publishes no other data, so `Relaxed` suffices: `fetch_add`
+/// alone makes each one unique.
+static INSTANCES: AtomicU64 = AtomicU64::new(0);
+
+impl CacheEpoch {
+    /// A fresh instance with no fills yet.
+    fn fresh() -> Self {
+        CacheEpoch {
+            instance: INSTANCES.fetch_add(1, Ordering::Relaxed) + 1,
+            fills: 0,
+        }
+    }
+}
+
 /// A direct-mapped, tag-only cache simulator.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct CacheSim {
     config: CacheConfig,
     /// `u64::MAX` marks an invalid (never filled) line.
     tags: Box<[u64]>,
     stats: CacheStats,
+    /// Names the current contents of `tags`.
+    epoch: CacheEpoch,
     line_shift: u32,
     index_mask: u64,
     /// Index width in bits: a line address shifted right by this is
@@ -85,6 +126,18 @@ pub struct CacheSim {
 }
 
 const INVALID: u64 = u64::MAX;
+
+impl Clone for CacheSim {
+    /// A copy of the cache whose tag array starts a new instance, so
+    /// the two epochs never meet once the copies diverge.
+    fn clone(&self) -> Self {
+        CacheSim {
+            tags: self.tags.clone(),
+            epoch: CacheEpoch::fresh(),
+            ..*self
+        }
+    }
+}
 
 impl CacheSim {
     /// Build an empty (all-invalid) cache.
@@ -110,6 +163,7 @@ impl CacheSim {
             config,
             tags: vec![INVALID; lines as usize].into_boxed_slice(),
             stats: CacheStats::default(),
+            epoch: CacheEpoch::fresh(),
             line_shift: config.line_bytes.trailing_zeros(),
             index_mask: (lines - 1) as u64,
             tag_shift: lines.trailing_zeros(),
@@ -136,6 +190,7 @@ impl CacheSim {
         } else {
             self.tags[index] = tag;
             self.stats.misses += 1;
+            self.epoch.fills += 1;
             false
         }
     }
@@ -154,6 +209,13 @@ impl CacheSim {
     /// Invalidate every line (e.g. after a simulated context switch).
     pub fn flush(&mut self) {
         self.tags.fill(INVALID);
+        self.epoch = CacheEpoch::fresh();
+    }
+
+    /// The epoch naming the current tag array (see [`CacheEpoch`]).
+    #[inline]
+    pub fn epoch(&self) -> CacheEpoch {
+        self.epoch
     }
 
     /// Hit/miss counters so far.
@@ -189,6 +251,7 @@ impl CacheSim {
         );
         self.tags.copy_from_slice(&state.tags);
         self.stats = state.stats;
+        self.epoch = CacheEpoch::fresh();
     }
 }
 

@@ -216,6 +216,7 @@ impl Add for InstrMix {
 }
 
 impl AddAssign for InstrMix {
+    #[inline]
     fn add_assign(&mut self, rhs: InstrMix) {
         for i in 0..6 {
             self.counts[i] += rhs.counts[i];

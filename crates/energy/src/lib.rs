@@ -32,7 +32,7 @@ pub mod machine;
 pub mod meter;
 pub mod units;
 
-pub use cache::{CacheConfig, CacheSim, CacheState, CacheStats};
+pub use cache::{CacheConfig, CacheEpoch, CacheSim, CacheState, CacheStats};
 pub use itable::{EnergyTable, InstrClass, InstrMix};
 pub use machine::{Machine, MachineConfig, MachineState, MemOp, PowerState, SeqDataRef, SeqPlan};
 pub use meter::{Component, EnergyBreakdown};

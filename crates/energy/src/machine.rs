@@ -21,7 +21,7 @@
 //! burns leakage, "assumed to be 10 % of the normal power consumption".
 //! [`Machine::power_down`] implements exactly that.
 
-use crate::cache::{CacheConfig, CacheSim, CacheState, CacheStats};
+use crate::cache::{CacheConfig, CacheEpoch, CacheSim, CacheState, CacheStats};
 use crate::itable::{EnergyTable, InstrClass, InstrMix};
 use crate::meter::{Component, EnergyBreakdown};
 use crate::units::{Energy, Power, SimTime};
@@ -213,7 +213,11 @@ impl Machine {
     ///   follow-on fetches are guaranteed hits (a direct-mapped line
     ///   just accessed cannot be evicted by fetches to other lines of
     ///   the same sequence, and hits never modify tags), so they are
-    ///   credited in bulk via [`CacheSim::credit_hits`].
+    ///   credited in bulk via [`CacheSim::credit_hits`]. When the
+    ///   plan's last walk at this `code_base` missed nowhere and the
+    ///   cache's [`CacheEpoch`] has not changed since, no line is
+    ///   simulated: every fetch would hit, so all of them are credited
+    ///   at once (see the plan's private `resident` memo).
     /// * **D-cache** — data-bearing micros are replayed individually,
     ///   in issue order, at their true addresses, because heap
     ///   locality is dynamic: `frame_base + offset` for spills, and for
@@ -230,7 +234,8 @@ impl Machine {
     ///   bit-identical (adding the same constant `k` times is
     ///   order-independent); the count of additions is preserved.
     /// * **Cycles / mix** — integer bookkeeping is associative and is
-    ///   folded into single additions.
+    ///   folded into single additions; the instruction histogram is one
+    ///   dense [`InstrMix`] add.
     ///
     /// # Panics
     /// In debug builds, if called while powered down, if `code_base`
@@ -271,14 +276,23 @@ impl Machine {
                 0,
                 "plan line grouping incompatible with I-cache line size"
             );
-            for &(off, extra) in plan.lines.iter() {
-                if !icache.access(code_base + off) {
-                    cycles += penalty;
-                    self.breakdown
-                        .charge(Component::Dram, self.config.table.main_memory);
-                    self.mix.mem_accesses += 1;
+            if plan.resident.get() == (icache.epoch(), code_base) {
+                icache.credit_hits(plan.fetches);
+            } else {
+                let mut missed = false;
+                for &(off, extra) in plan.lines.iter() {
+                    if !icache.access(code_base + off) {
+                        missed = true;
+                        cycles += penalty;
+                        self.breakdown
+                            .charge(Component::Dram, self.config.table.main_memory);
+                        self.mix.mem_accesses += 1;
+                    }
+                    icache.credit_hits(u64::from(extra));
                 }
-                icache.credit_hits(u64::from(extra));
+                if !missed {
+                    plan.resident.set((icache.epoch(), code_base));
+                }
             }
         }
         if let Some(dcache) = &mut self.dcache {
@@ -301,9 +315,7 @@ impl Machine {
             }
         }
         self.charge_core(&plan.core, &plan.fold);
-        for &(class, n) in plan.classes.iter() {
-            self.mix.record(class, n);
-        }
+        self.mix += plan.mix;
         self.cycles += cycles;
     }
 
@@ -653,20 +665,23 @@ pub enum SeqDataRef {
 /// base cycles) while keeping everything dynamic (cache hit/miss
 /// outcomes, data addresses) live. Replay is bit-exact with the calls
 /// the plan was built from — see [`Machine::step_seq`] for the
-/// argument.
+/// argument. A plan may be replayed on any number of machines.
 #[derive(Debug, Clone)]
 pub struct SeqPlan {
     /// One entry per run of consecutive same-granule fetches, in
     /// order: byte offset (from the line-aligned code base) of the
     /// run's first fetch, plus the number of guaranteed follow-on hits.
     lines: Box<[(u64, u32)]>,
+    /// Number of fetches: one per entry of `lines` plus its follow-on
+    /// hits.
+    fetches: u64,
     /// Ordered core-energy additions.
     core: Box<[Energy]>,
     /// Data-bearing micros, in issue order.
     mems: Box<[SeqDataRef]>,
-    /// Folded instruction histogram of the whole sequence, as nonzero
-    /// `(class, count)` pairs.
-    classes: Box<[(InstrClass, u64)]>,
+    /// Folded instruction histogram of the whole sequence; its
+    /// `mem_accesses` is 0 (misses are counted on replay).
+    mix: InstrMix,
     /// Base cycles: one per micro, and per dispatch one for its fetch
     /// plus one per instruction of its mixes (miss penalties are added
     /// on replay).
@@ -676,6 +691,21 @@ pub struct SeqPlan {
     line_bytes: u32,
     /// Derived fold of `core` at the last Core binade seen.
     fold: CoreFold,
+    /// Residency memo: the I-cache's [`CacheEpoch`] at the end of the
+    /// plan's last walk in which no fetch missed, and the code base it
+    /// ran at.
+    ///
+    /// A walk that misses nowhere leaves the tags as it found them,
+    /// with every line the plan fetches resident. While the cache's
+    /// epoch still equals the memo's, no fill, flush or restore has
+    /// happened since, so at the same code base every fetch would hit
+    /// again: the replay credits `fetches` hits instead of walking, and
+    /// tags, counters, cycles and energy come out identical. A walk
+    /// that missed leaves the memo alone, so a plan whose own lines
+    /// conflict in a set walks every time. Never serialized; it starts
+    /// cold (the default epoch equals no cache's), so a fresh plan
+    /// after resume walks once and behaves identically.
+    resident: Cell<(CacheEpoch, u64)>,
 }
 
 impl SeqPlan {
@@ -743,15 +773,7 @@ impl SeqPlan {
                 mems.push(mem);
             }
         }
-        SeqPlan {
-            lines: lines.into_boxed_slice(),
-            core: core.into_boxed_slice(),
-            mems: mems.into_boxed_slice(),
-            classes: nonzero_classes(&mix),
-            cycles: micros.len() as u64,
-            line_bytes,
-            fold: CoreFold::new(),
-        }
+        SeqPlan::new(lines, core, mems, mix, micros.len() as u64, line_bytes)
     }
 
     /// Compile one interpreter dispatch: a plan equivalent to
@@ -793,15 +815,15 @@ impl SeqPlan {
             }
             mix += *m;
         }
-        SeqPlan {
-            lines: Box::new([(fetch_pc, 0)]),
-            core: core.into_boxed_slice(),
-            mems: Box::new([]),
-            classes: nonzero_classes(&mix),
-            cycles: mix.total(),
+        let cycles = mix.total();
+        SeqPlan::new(
+            vec![(fetch_pc, 0)],
+            core,
+            Vec::new(),
+            mix,
+            cycles,
             line_bytes,
-            fold: CoreFold::new(),
-        }
+        )
     }
 
     /// Concatenate `plans` into one plan equivalent to replaying each
@@ -832,19 +854,32 @@ impl SeqPlan {
             }
             core.extend_from_slice(&p.core);
             mems.extend_from_slice(&p.mems);
-            for &(class, n) in p.classes.iter() {
-                mix.record(class, n);
-            }
+            mix += p.mix;
             cycles += p.cycles;
         }
+        SeqPlan::new(lines, core, mems, mix, cycles, line_bytes)
+    }
+
+    /// A plan of the given parts, with cold memos.
+    fn new(
+        lines: Vec<(u64, u32)>,
+        core: Vec<Energy>,
+        mems: Vec<SeqDataRef>,
+        mix: InstrMix,
+        cycles: u64,
+        line_bytes: u32,
+    ) -> Self {
+        let fetches = lines.iter().map(|&(_, hits)| 1 + u64::from(hits)).sum();
         SeqPlan {
             lines: lines.into_boxed_slice(),
+            fetches,
             core: core.into_boxed_slice(),
             mems: mems.into_boxed_slice(),
-            classes: nonzero_classes(&mix),
+            mix,
             cycles,
             line_bytes,
             fold: CoreFold::new(),
+            resident: Cell::default(),
         }
     }
 }
@@ -858,17 +893,6 @@ fn push_fetch(lines: &mut Vec<(u64, u32)>, line_bytes: u32, off: u64, hits: u32)
         Some(&mut (first, ref mut extra)) if off / lb == first / lb => *extra += 1 + hits,
         _ => lines.push((off, hits)),
     }
-}
-
-/// `mix`'s nonzero `(class, count)` pairs, in [`InstrClass::ALL`] order.
-fn nonzero_classes(mix: &InstrMix) -> Box<[(InstrClass, u64)]> {
-    InstrClass::ALL
-        .into_iter()
-        .filter_map(|class| {
-            let n = mix.count(class);
-            (n > 0).then_some((class, n))
-        })
-        .collect()
 }
 
 #[cfg(test)]
@@ -998,8 +1022,7 @@ mod tests {
             .collect();
         let seq = SeqPlan::concat(&plans.iter().collect::<Vec<_>>());
         // Three dispatches, three fetches.
-        let fetches: u64 = seq.lines.iter().map(|&(_, h)| 1 + u64::from(h)).sum();
-        assert_eq!(fetches, 3);
+        assert_eq!(seq.fetches, 3);
         let mut slow = client();
         let mut fast = client();
         for rep in 0..1000u64 {

@@ -3,8 +3,8 @@
 //! batched charge replays against per-micro charging.
 
 use jem_energy::{
-    CacheConfig, CacheSim, Component, Energy, EnergyTable, InstrClass, InstrMix, Machine,
-    MachineConfig, MemOp, SeqDataRef, SeqPlan, SimTime,
+    CacheConfig, CacheEpoch, CacheSim, CacheState, Component, Energy, EnergyTable, InstrClass,
+    InstrMix, Machine, MachineConfig, MemOp, SeqDataRef, SeqPlan, SimTime,
 };
 use proptest::prelude::*;
 
@@ -285,6 +285,195 @@ proptest! {
             assert_same(&slow, &fast)?;
             if rep % 3 == 2 {
                 churn(&mut slow, &mut fast, rep);
+            }
+        }
+    }
+}
+
+/// One micro of a shared plan: fetch offset from the code base, class,
+/// and data access (0–1 none, 2 a frame slot, 3 a heap address
+/// supplied per replay).
+type Micro = (u64, InstrClass, u8);
+
+fn any_micros() -> impl Strategy<Value = Vec<Micro>> {
+    prop::collection::vec((0u64..1024, any_class(), 0u8..4), 1..12)
+        .prop_map(|v| v.into_iter().map(|(w, c, k)| (w * 4, c, k)).collect())
+}
+
+/// A plan whose fetches conflict in one set of the client's 16 KiB
+/// direct-mapped I-cache: each walk evicts its own first line, so
+/// every walk misses.
+fn conflicting_micros() -> Vec<Micro> {
+    vec![
+        (0x100, InstrClass::Load, 0),
+        (0x100 + 16 * 1024, InstrClass::AluSimple, 3),
+        (0x104, InstrClass::Branch, 0),
+    ]
+}
+
+fn data_ref((off, _, kind): Micro) -> SeqDataRef {
+    match kind {
+        0 | 1 => SeqDataRef::None,
+        2 => SeqDataRef::Frame {
+            store: off % 8 == 0,
+            offset: off % 256,
+        },
+        _ => SeqDataRef::Heap {
+            store: off % 8 == 4,
+        },
+    }
+}
+
+/// One step of [`shared_plans_replay_exactly_across_machine_events`],
+/// on machine pair `m`.
+#[derive(Debug, Clone)]
+enum PairOp {
+    /// Replay plan `p` (modulo the plan count) at code base `b`.
+    Replay(usize, usize, usize),
+    /// One unrelated instruction at a pc and data address drawn from
+    /// `x`, in a 64 KiB code range: it may evict a plan's lines.
+    Churn(usize, u64),
+    /// [`Machine::reset`], which flushes both caches.
+    Reset(usize),
+    /// Restore the other pair's [`Machine::export_state`].
+    Restore(usize),
+    /// Become a clone of the other pair.
+    Clone(usize),
+}
+
+fn any_pair_op() -> impl Strategy<Value = PairOp> {
+    let replay = || (0usize..2, 0usize..8, 0usize..3).prop_map(|(m, p, b)| PairOp::Replay(m, p, b));
+    prop_oneof![
+        replay(),
+        replay(),
+        replay(),
+        replay(),
+        replay(),
+        (0usize..2, 0u64..1 << 14).prop_map(|(m, x)| PairOp::Churn(m, x)),
+        (0usize..2, 0u64..1 << 14).prop_map(|(m, x)| PairOp::Churn(m, x)),
+        (0usize..2).prop_map(PairOp::Reset),
+        (0usize..2).prop_map(PairOp::Restore),
+        (0usize..2).prop_map(PairOp::Clone),
+    ]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 256 })]
+
+    /// Plans replayed by `step_seq` on two machines that share the
+    /// plan objects stay bit-exact with per-micro `step`s on mirror
+    /// machines, whatever happens to the caches between replays:
+    /// churn, `reset`, `import_state` of the other machine's state and
+    /// `clone`. Two of the code bases are 16 KiB apart, so a plan
+    /// resident at one of them is absent at the other, and one plan
+    /// conflicts with itself. This pins the plans' residency memo: it
+    /// may skip a walk only when every fetch would hit.
+    #[test]
+    fn shared_plans_replay_exactly_across_machine_events(
+        which in 0u8..4,
+        acc in any_acc(),
+        specs in prop::collection::vec(any_micros(), 1..5),
+        ops in prop::collection::vec(any_pair_op(), 1..80),
+    ) {
+        let table = table(which);
+        let mut specs = specs;
+        specs.push(conflicting_micros());
+        let plans: Vec<SeqPlan> = specs
+            .iter()
+            .map(|micros| {
+                let micros: Vec<_> = micros.iter().map(|&u| (u.0, u.1, data_ref(u))).collect();
+                SeqPlan::compile_at(&table, GRANULE, &micros)
+            })
+            .collect();
+        let bases = [0x1000_0000u64, 0x1000_4000, 0x1000_0800];
+        let frame_base = 0x5000_2000u64;
+        // (slow, fast) per pair.
+        let mut pairs = [0, 1].map(|_| (seeded(&table, acc), seeded(&table, acc)));
+        for (rep, op) in ops.iter().enumerate() {
+            let rep = rep as u64;
+            match *op {
+                PairOp::Replay(m, p, b) => {
+                    let (slow, fast) = &mut pairs[m];
+                    let (micros, plan) = (&specs[p % specs.len()], &plans[p % plans.len()]);
+                    let base = bases[b];
+                    let mut heap_addrs = Vec::new();
+                    for (j, &u) in micros.iter().enumerate() {
+                        let j = j as u64;
+                        let op = match data_ref(u) {
+                            SeqDataRef::None => MemOp::None,
+                            SeqDataRef::Frame { store: true, offset } => MemOp::Write(frame_base + offset),
+                            SeqDataRef::Frame { offset, .. } => MemOp::Read(frame_base + offset),
+                            SeqDataRef::Heap { store } => {
+                                let addr = ((rep + j) % 4 != 3).then_some(0x8000 + rep * 24 + j * 40);
+                                heap_addrs.push(addr);
+                                match addr {
+                                    Some(a) if store => MemOp::Write(a),
+                                    Some(a) => MemOp::Read(a),
+                                    None => MemOp::None,
+                                }
+                            }
+                        };
+                        slow.step(base + u.0, u.1, op);
+                    }
+                    fast.step_seq(plan, base, frame_base, &heap_addrs);
+                }
+                PairOp::Churn(m, x) => {
+                    let (slow, fast) = &mut pairs[m];
+                    let (pc, op) = (bases[0] + x * 4, MemOp::Read(0x8000 + x * 8));
+                    slow.step(pc, InstrClass::Load, op);
+                    fast.step(pc, InstrClass::Load, op);
+                }
+                PairOp::Reset(m) => {
+                    pairs[m].0.reset();
+                    pairs[m].1.reset();
+                }
+                PairOp::Restore(m) => {
+                    let (slow, fast) = &pairs[1 - m];
+                    let (slow, fast) = (slow.export_state(), fast.export_state());
+                    pairs[m].0.import_state(&slow);
+                    pairs[m].1.import_state(&fast);
+                }
+                PairOp::Clone(m) => {
+                    let (slow, fast) = &pairs[1 - m];
+                    pairs[m] = (slow.clone(), fast.clone());
+                }
+            }
+            for (slow, fast) in &pairs {
+                assert_same(slow, fast)?;
+            }
+        }
+    }
+
+    /// An epoch read twice, from the same cache or two caches, names
+    /// the same tag array both times, whatever ran in between: fills,
+    /// credited hits, flushes, counter resets, restores (of a state
+    /// exported earlier, from either cache) and clones.
+    #[test]
+    fn cache_epochs_name_one_tag_array(
+        ops in prop::collection::vec((0u8..9, 0usize..2, 0u64..1 << 12), 1..200),
+    ) {
+        let cfg = CacheConfig { size_bytes: 1024, line_bytes: 32 };
+        let mut caches = [CacheSim::new(cfg), CacheSim::new(cfg)];
+        let mut saved: Vec<CacheState> = vec![caches[0].export_state()];
+        let mut seen: Vec<(CacheEpoch, Vec<u64>)> = Vec::new();
+        for (kind, c, x) in ops {
+            match kind {
+                0..=2 => {
+                    caches[c].access(x * 8);
+                }
+                3 => caches[c].credit_hits(x),
+                4 => caches[c].flush(),
+                5 => caches[c].reset_stats(),
+                6 => saved.push(caches[c].export_state()),
+                7 => caches[c].import_state(&saved[x as usize % saved.len()]),
+                _ => caches[c] = caches[1 - c].clone(),
+            }
+            for cache in &caches {
+                let (epoch, tags) = (cache.epoch(), cache.export_state().tags);
+                match seen.iter().find(|(e, _)| *e == epoch) {
+                    Some((_, before)) => prop_assert_eq!(before, &tags, "{:?} named two tag arrays", epoch),
+                    None => seen.push((epoch, tags)),
+                }
             }
         }
     }

@@ -28,7 +28,10 @@
 //! 2. **Step-budget cutoffs**: for every budget value across the full
 //!    length of two fixed heap-and-call programs (one a loop nest with
 //!    an if/else in the inner body), both executors stop at the same
-//!    instruction with the same error and machine state.
+//!    instruction with the same error and machine state. The executor
+//!    runs every cutoff on one VM per level and machine, reset between
+//!    runs, so the reset's cache flush must invalidate the residency
+//!    memos its segment plans keep from the run before.
 //! 3. **Pre-charged machines**: obligations 1 and 2 again with the
 //!    machine's Core accumulator already holding 1e6–1e10 nJ, where
 //!    batched charges fold into one exact add per replay.
@@ -293,15 +296,21 @@ fn ref_run(
 // ---------------------------------------------------------------
 
 /// Every method of a program compiled at one level, with the base
-/// address each is installed at.
+/// address each is installed at, and the executor side: one VM on the
+/// machine under test with every method installed, reset before each
+/// run. Installing costs more than most cutoff runs, so it happens
+/// once; the reset flushes both caches, which must also invalidate
+/// the segment plans' residency memos from the previous run.
 struct Compiled<'p> {
     program: &'p Program,
+    config: MachineConfig,
     code: Vec<(Rc<NativeCode>, u64)>,
+    vm: Vm<'p>,
 }
 
 impl<'p> Compiled<'p> {
-    fn new(program: &'p Program, level: OptLevel) -> Self {
-        let mut vm = Vm::client(program);
+    fn new(program: &'p Program, level: OptLevel, config: &MachineConfig) -> Self {
+        let mut vm = Vm::new(program, Machine::new(config.clone()));
         let code = (0..program.methods.len() as u32)
             .map(|m| {
                 let code = Rc::new(compile(program, MethodId(m), level).code);
@@ -312,38 +321,82 @@ impl<'p> Compiled<'p> {
                 }
             })
             .collect();
-        Compiled { program, code }
+        Compiled {
+            program,
+            config: config.clone(),
+            code,
+            vm,
+        }
     }
 
-    /// Run `id(args)` on a fresh VM on `config` with the Core
-    /// accumulator at `core_nj`, through the executor with every method
-    /// installed (`reference == false`) or through the reference, which
-    /// takes each method's code and base from `self` and leaves the VM's
-    /// code table alone (installing costs more than most cutoff runs).
+    /// A fresh VM on the machine under test.
+    fn fresh_vm(&self) -> Vm<'p> {
+        Vm::new(self.program, Machine::new(self.config.clone()))
+    }
+
+    /// Run `id(args)` with the Core accumulator at `core_nj` through
+    /// the executor on the reset VM (`reference == false`), or through
+    /// the reference on a fresh VM, which takes each method's code and
+    /// base from `self` and leaves the VM's code table alone.
     fn run(
-        &self,
-        config: &MachineConfig,
+        &mut self,
         id: MethodId,
         args: &[Value],
         budget: u64,
         core_nj: f64,
         reference: bool,
     ) -> (Result<Option<Value>, VmError>, Fingerprint) {
-        let mut vm = Vm::new(self.program, Machine::new(config.clone()));
-        if !reference {
-            for (m, (code, _)) in self.code.iter().enumerate() {
-                vm.install_native(MethodId(m as u32), Rc::clone(code));
-            }
-        }
-        precharge(&mut vm, core_nj);
-        vm.options.step_budget = budget;
+        let mut fresh;
+        let vm = if reference {
+            fresh = self.fresh_vm();
+            &mut fresh
+        } else {
+            self.vm.reset_run();
+            &mut self.vm
+        };
+        prepare(vm, budget, core_nj);
         let got = if reference {
-            ref_invoke(&mut vm, &self.code, id, args.to_vec(), 0)
+            ref_invoke(vm, &self.code, id, args.to_vec(), 0)
         } else {
             vm.invoke(id, args.to_vec())
         };
+        (got, fingerprint(vm))
+    }
+
+    /// The executor's run of `id(args)` on a fresh VM with every
+    /// method installed, which [`Compiled::run`] on the reset VM must
+    /// reproduce.
+    fn fresh_run(
+        &self,
+        id: MethodId,
+        args: &[Value],
+        budget: u64,
+        core_nj: f64,
+    ) -> (Result<Option<Value>, VmError>, Fingerprint) {
+        let mut vm = self.fresh_vm();
+        for (m, (code, _)) in self.code.iter().enumerate() {
+            vm.install_native(MethodId(m as u32), Rc::clone(code));
+        }
+        prepare(&mut vm, budget, core_nj);
+        let got = vm.invoke(id, args.to_vec());
         (got, fingerprint(&vm))
     }
+
+    /// The machine under test, for messages.
+    fn name(&self) -> String {
+        format!("{} MHz", self.config.clock_hz / 1e6)
+    }
+}
+
+/// Set `vm`'s step budget and start its Core accumulator at `core_nj`.
+/// A fresh or reset machine already holds zero; restoring a state there
+/// too would start new cache instances and hide whether the reset's
+/// flush invalidated the plans' residency memos.
+fn prepare(vm: &mut Vm, budget: u64, core_nj: f64) {
+    if core_nj != 0.0 {
+        precharge(vm, core_nj);
+    }
+    vm.options.step_budget = budget;
 }
 
 /// The machines native code runs on: the mobile client, and the
@@ -355,19 +408,18 @@ fn machines() -> [MachineConfig; 2] {
     ]
 }
 
-/// Assert both executors agree on result and machine state on
-/// `config`, and return the result and the step count.
+/// Assert both executors agree on result and machine state, and
+/// return the result and the step count.
 fn assert_agree(
-    c: &Compiled,
-    config: &MachineConfig,
+    c: &mut Compiled,
     id: MethodId,
     args: &[Value],
     budget: u64,
     core_nj: f64,
     ctx: &str,
 ) -> (Result<Option<Value>, VmError>, u64) {
-    let (want, want_fp) = c.run(config, id, args, budget, core_nj, true);
-    let (got, got_fp) = c.run(config, id, args, budget, core_nj, false);
+    let (want, want_fp) = c.run(id, args, budget, core_nj, true);
+    let (got, got_fp) = c.run(id, args, budget, core_nj, false);
     assert_eq!(got, want, "result diverged: {ctx}");
     assert_eq!(got_fp, want_fp, "machine state diverged: {ctx}");
     (want, want_fp.steps)
@@ -637,14 +689,14 @@ fn assert_program_agrees(stmts: &[S], args: [i32; 3], core_nj: f64) {
     let (program, id) = build(stmts);
     let args = args.map(Value::Int);
     for level in OptLevel::ALL {
-        let compiled = Compiled::new(&program, level);
         for config in machines() {
+            let mut compiled = Compiled::new(&program, level, &config);
             for core_nj in [0.0, core_nj] {
                 let ctx = format!(
-                    "{level}, {} MHz, core {core_nj:e} nJ, args {args:?}, stmts {stmts:?}",
-                    config.clock_hz / 1e6
+                    "{level}, {}, core {core_nj:e} nJ, args {args:?}, stmts {stmts:?}",
+                    compiled.name()
                 );
-                let _ = assert_agree(&compiled, &config, id, &args, 5_000_000, core_nj, &ctx);
+                let _ = assert_agree(&mut compiled, id, &args, 5_000_000, core_nj, &ctx);
             }
         }
     }
@@ -729,12 +781,12 @@ fn random_programs_cover_errors() {
     ];
     let (program, id) = build(&stmts);
     for level in OptLevel::ALL {
-        let compiled = Compiled::new(&program, level);
         for config in machines() {
-            let outcome = |a, b, c| {
+            let mut compiled = Compiled::new(&program, level, &config);
+            let mut outcome = |a, b, c| {
                 let args = [Value::Int(a), Value::Int(b), Value::Int(c)];
-                let ctx = format!("{level}, {} MHz", config.clock_hz / 1e6);
-                assert_agree(&compiled, &config, id, &args, u64::MAX, 0.0, &ctx).0
+                let ctx = format!("{level}, {}", compiled.name());
+                assert_agree(&mut compiled, id, &args, u64::MAX, 0.0, &ctx).0
             };
             assert!(matches!(outcome(1, 5, 3), Ok(Some(_))));
             assert_eq!(outcome(1, 5, 0), Err(VmError::DivByZero));
@@ -760,26 +812,41 @@ fn random_programs_cover_errors() {
 /// At every budget from 0 to past the full run of `stmts(args)`, on
 /// every level and machine, both executors stop at the same
 /// instruction with the same error and machine state.
+///
+/// The executor reuses one VM per level and machine, so first its run
+/// after a reset must equal a fresh VM's. After each cut run, a call
+/// of the leaf `g` on the reset VM must match the reference too: the
+/// cut run may end with no fill after `g`'s last walk, so `g`'s plan
+/// remembers the cache's current epoch, and only the reset's flush
+/// keeps the call from crediting hits to an empty cache.
 fn assert_cutoffs_agree(stmts: &[S], args: [i32; 3], core_nj: f64) {
     let (program, id) = build(stmts);
+    let g = program.find_method(MODULE_CLASS, "g").expect("g exists");
     let args = args.map(Value::Int);
     for level in OptLevel::ALL {
-        let compiled = Compiled::new(&program, level);
         for config in machines() {
-            let name = format!("{} MHz", config.clock_hz / 1e6);
+            let mut compiled = Compiled::new(&program, level, &config);
+            let name = compiled.name();
             let (full, total) =
-                assert_agree(&compiled, &config, id, &args, u64::MAX, core_nj, "full run");
+                assert_agree(&mut compiled, id, &args, u64::MAX, core_nj, "full run");
             assert!(
                 full.is_ok(),
                 "{level}, {name}: the full run succeeds: {full:?}"
             );
             assert!(total > 200, "{level}: long enough to slice ({total} steps)");
+            assert_eq!(
+                compiled.run(id, &args, u64::MAX, core_nj, false),
+                compiled.fresh_run(id, &args, u64::MAX, core_nj),
+                "{level}, {name}: a reset VM runs as a fresh one"
+            );
             for budget in 0..=total + 2 {
                 let ctx = format!("{level}, {name}, core {core_nj:e} nJ, budget {budget}");
-                let (res, _) = assert_agree(&compiled, &config, id, &args, budget, core_nj, &ctx);
+                let (res, _) = assert_agree(&mut compiled, id, &args, budget, core_nj, &ctx);
                 if budget < total {
                     assert_eq!(res, Err(VmError::StepBudgetExceeded), "{ctx}");
                 }
+                let ctx = format!("{ctx}, then g");
+                let _ = assert_agree(&mut compiled, g, &[Value::Int(7)], u64::MAX, core_nj, &ctx);
             }
         }
     }
@@ -837,13 +904,12 @@ fn step_budget_cutoffs_match_reference() {
 // ---------------------------------------------------------------
 
 /// Obligation 2 with the Core accumulator already at 1e6–1e10 nJ
-/// (obligation 1 runs every case pre-charged too). The loop nest runs
-/// at one of them: each value installs the program for every cutoff
-/// on both machines, and the file should stay near 5 s.
+/// (obligation 1 runs every case pre-charged too).
 #[test]
 fn step_budget_cutoffs_match_reference_on_precharged_machines() {
     for core_nj in [1.0e6, 3.7e7, 2.5e9, 9.9e9] {
-        assert_cutoffs_agree(&call_loop(), [3, 9, 11], core_nj);
+        for stmts in [call_loop(), loop_nest()] {
+            assert_cutoffs_agree(&stmts, [3, 9, 11], core_nj);
+        }
     }
-    assert_cutoffs_agree(&loop_nest(), [3, 9, 11], 2.5e9);
 }

@@ -40,6 +40,10 @@ pub const UNKNOWN_METHOD: &str = "(unknown-method)";
 /// Mode label used when an invocation's `invocation-end` is missing
 /// (truncated stream).
 pub const UNKNOWN_MODE: &str = "(truncated)";
+/// Mode label of events that follow a shard's last completed
+/// invocation with no `invocation-start` after them (e.g. a monitor's
+/// end-of-run alerts): nothing is missing.
+pub const AFTER_RUN_MODE: &str = "(after-run)";
 
 /// Aggregated weight of one profile cell (a unique frame stack).
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
@@ -402,7 +406,8 @@ pub struct ResolvedEvent {
     /// ([`UNKNOWN_METHOD`] if the stream head was dropped).
     pub method: String,
     /// Execution mode from the invocation's `invocation-end`
-    /// ([`UNKNOWN_MODE`] if the stream was truncated mid-invocation).
+    /// ([`UNKNOWN_MODE`] if the stream was truncated mid-invocation,
+    /// [`AFTER_RUN_MODE`] after the shard's last invocation).
     pub mode: String,
     /// Sim-time elapsed since the previous event of the same shard.
     pub dt: SimTime,
@@ -435,6 +440,8 @@ pub struct InvocationResolver {
     pending: Vec<(TraceEvent, Vec<String>, SimTime)>,
     method: Option<String>,
     open: Vec<String>,
+    /// An invocation ended in this shard and none has started since.
+    after_end: bool,
     out: VecDeque<ResolvedEvent>,
 }
 
@@ -450,8 +457,10 @@ impl InvocationResolver {
     pub fn push(&mut self, ev: TraceEvent) {
         if self.started && ev.seq <= self.prev_seq {
             // seq restarted: a new shard begins. Anything pending
-            // belongs to an invocation the old shard never finished.
-            self.flush(UNKNOWN_MODE);
+            // belongs to an invocation the old shard never finished,
+            // or follows its last one.
+            self.flush_tail();
+            self.after_end = false;
             self.shard += 1;
             self.prev_at = SimTime::ZERO;
             self.method = None;
@@ -465,6 +474,7 @@ impl InvocationResolver {
         let suffix: Vec<String> = match &ev.kind {
             TraceEventKind::InvocationStart { method: m, .. } => {
                 self.method = Some(m.clone());
+                self.after_end = false;
                 vec!["start".to_string()]
             }
             TraceEventKind::DecisionEvaluated { .. } => frames(&self.open, "decision"),
@@ -499,7 +509,19 @@ impl InvocationResolver {
         if let Some(mode) = finished_mode {
             self.flush(&mode);
             self.open.clear();
+            self.after_end = true;
         }
+    }
+
+    /// Flush events no `invocation-end` resolved: under
+    /// [`AFTER_RUN_MODE`] when they follow a completed invocation with
+    /// no start after them, under [`UNKNOWN_MODE`] otherwise.
+    fn flush_tail(&mut self) {
+        self.flush(if self.after_end {
+            AFTER_RUN_MODE
+        } else {
+            UNKNOWN_MODE
+        });
     }
 
     fn flush(&mut self, mode: &str) {
@@ -516,12 +538,11 @@ impl InvocationResolver {
         }
     }
 
-    /// Declare the stream over: any buffered tail (an invocation whose
-    /// end was never seen) resolves under [`UNKNOWN_MODE`].
+    /// Declare the stream over: any buffered tail resolves under
+    /// [`UNKNOWN_MODE`] (an invocation whose end was never seen) or
+    /// [`AFTER_RUN_MODE`] (events after the last invocation).
     pub fn finish(&mut self) {
-        if !self.pending.is_empty() {
-            self.flush(UNKNOWN_MODE);
-        }
+        self.flush_tail();
     }
 
     /// The next resolved event, if one is ready.
@@ -839,6 +860,62 @@ fe::Main.integrate;remote;tx-window 75
         assert!(p
             .cells()
             .any(|(stack, _)| stack.get(1).map(String::as_str) == Some(UNKNOWN_MODE)));
+    }
+
+    /// An alert after the shard's last `invocation-end`.
+    fn alert(seq: u64, at_ns: f64) -> TraceEvent {
+        ev(
+            seq,
+            at_ns,
+            EnergyBreakdown::new(),
+            TraceEventKind::Alert {
+                monitor: "retry-storm".into(),
+                severity: "warn".into(),
+                message: "end of run".into(),
+            },
+        )
+    }
+
+    #[test]
+    fn events_after_the_last_invocation_flush_under_after_run_mode() {
+        let mut events = synthetic_stream();
+        let n = events.len() as u64;
+        events.push(alert(n, 500.0));
+        events.push(alert(n + 1, 510.0));
+        // A second shard, whose tail follows its last invocation too.
+        events.extend(synthetic_stream());
+        events.push(alert(n, 500.0));
+        let p = TraceProfile::fold(&events);
+        let mut expected = EnergyBreakdown::new();
+        for e in &events {
+            expected += e.delta;
+        }
+        p.reconcile(&expected, 0.0).expect("still conserves");
+        let modes: Vec<&str> = p.cells().map(|(stack, _)| stack[1].as_str()).collect();
+        assert!(!modes.contains(&UNKNOWN_MODE), "{modes:?}");
+        let after: Vec<u64> = p
+            .cells()
+            .filter(|(stack, _)| stack[1] == AFTER_RUN_MODE)
+            .map(|(_, c)| c.events)
+            .collect();
+        assert_eq!(after, [3], "{modes:?}");
+    }
+
+    #[test]
+    fn a_started_invocation_without_its_end_stays_truncated() {
+        // Alerts after the last end, then an invocation that never ends:
+        // everything after the end is one truncated tail.
+        let mut events = synthetic_stream();
+        let n = events.len() as u64;
+        events.push(alert(n, 500.0));
+        events.extend(synthetic_stream().into_iter().take(3).map(|mut e| {
+            e.seq += n + 1;
+            e
+        }));
+        let p = TraceProfile::fold(&events);
+        let modes: Vec<&str> = p.cells().map(|(stack, _)| stack[1].as_str()).collect();
+        assert!(modes.contains(&UNKNOWN_MODE), "{modes:?}");
+        assert!(!modes.contains(&AFTER_RUN_MODE), "{modes:?}");
     }
 
     #[test]

@@ -1089,21 +1089,6 @@ impl TimelineSegment {
             .unwrap_or(0.0)
     }
 
-    /// The derived energy-rate series for a component: `(t, watts)`
-    /// per sample interval (nJ/ns ≡ W), anchored at `t = 0`.
-    pub fn rate_series_w(&self, component: Component) -> Vec<(f64, f64)> {
-        let cum = &self.cols[S_CUM + component.index()];
-        let mut out = Vec::with_capacity(cum.len());
-        let (mut pt, mut pv) = (0.0, 0.0);
-        for (i, &v) in cum.iter().enumerate() {
-            let t = self.times[i];
-            let dt = t - pt;
-            out.push((t, if dt > 0.0 { (v - pv) / dt } else { 0.0 }));
-            (pt, pv) = (t, v);
-        }
-        out
-    }
-
     /// Value of series `idx` at the last sample with `time <= t`
     /// (0.0 before the first sample — every column starts from zero
     /// state). For prefix-sum columns this is the windowed `[0, t]`
@@ -1308,16 +1293,6 @@ impl JtsFollower {
             }
         }
         Ok(FollowStatus::of(out, self.dec.done))
-    }
-
-    /// Sampling cadence (sim-ns); 0 until the header has arrived.
-    pub fn sample_every_ns(&self) -> f64 {
-        self.dec.sample_every_ns
-    }
-
-    /// Series names (empty until the header has arrived).
-    pub fn series(&self) -> &[String] {
-        &self.dec.series
     }
 
     /// Segments seen so far.
