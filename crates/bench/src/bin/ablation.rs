@@ -13,15 +13,17 @@
 //! [--timeline out.jts [--sample-every SIM_MS]]
 //! [--serve ADDR] [--flush-every SIM_MS]
 //! [--json-out BENCH_ablation.json] [--ckpt out.jck] [--resume
-//! out.jck]` (default 120 runs). `--trace` records every variant's
-//! runs in order. Checkpointing is variant-level (the ablation loops
-//! bypass the resumable scenario runner): each completed variant saves
-//! its result with the `.jtb`/`.jts` writer state, and a killed
-//! variant reruns from its start.
+//! out.jck]` (default 120 runs). The nine variants are one sweep of
+//! variant units, on every core (one under `--ckpt`); `--trace`
+//! records every variant's runs in order. Checkpointing is
+//! variant-level (the ablation loops bypass the resumable scenario
+//! runner): each completed variant saves its result with the
+//! `.jtb`/`.jts` writer state, and a killed variant reruns from its
+//! start.
 
 use jem_apps::workload_by_name;
-use jem_bench::ckpt::{CkptArgs, SweepSession};
-use jem_bench::obs::{BenchSink, ObsArgs};
+use jem_bench::ckpt::{CkptArgs, Outcome, SweepSession, Unit};
+use jem_bench::obs::ObsArgs;
 use jem_bench::{arg_usize, print_table};
 use jem_core::runtime::decision_mix;
 use jem_core::{EnergyAwareVm, MethodState, Profile, Strategy};
@@ -75,35 +77,6 @@ fn run_al(
     (total, vm.client.machine.mix().total())
 }
 
-/// [`run_al`] behind a variant-level checkpoint unit: a completed
-/// variant replays its stored `(energy, instructions)` pair instead
-/// of re-running.
-#[allow(clippy::too_many_arguments)]
-fn run_al_unit(
-    session: &mut SweepSession,
-    name: &str,
-    w: &dyn jem_core::Workload,
-    p: &Profile,
-    scenario: &Scenario,
-    state: MethodState,
-    power_down: bool,
-    force_class: Option<ChannelClass>,
-    sink: Option<&mut BenchSink>,
-) -> (f64, u64) {
-    let payload = session.unit(name, sink, |sink| {
-        let (e, instr) = run_al(w, p, scenario, state, power_down, force_class, sink);
-        let mut v = e.to_bits().to_le_bytes().to_vec();
-        v.extend_from_slice(&instr.to_le_bytes());
-        v
-    });
-    assert_eq!(payload.len(), 16, "corrupt stored ablation payload");
-    let e = f64::from_bits(u64::from_le_bytes(
-        payload[..8].try_into().expect("8 bytes"),
-    ));
-    let instr = u64::from_le_bytes(payload[8..].try_into().expect("8 bytes"));
-    (e, instr)
-}
-
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     jem_bench::reject_unknown_flags(
@@ -112,7 +85,6 @@ fn main() {
             &[("--runs", true)],
             ObsArgs::RESULT_FLAGS,
             ObsArgs::EVENT_FLAGS,
-            ObsArgs::FLUSH_FLAGS,
             CkptArgs::UNIT_FLAGS,
         ],
     );
@@ -120,39 +92,69 @@ fn main() {
     let obs = ObsArgs::parse(&args);
     let ckpt = CkptArgs::parse(&args);
     ckpt.validate(&obs);
-    let mut session = SweepSession::open(
-        &ckpt,
-        format!(
-            "ablation runs={runs} trace={:?} timeline={:?}",
-            obs.trace, obs.timeline
-        ),
-    );
-    let mut sink = obs.trace_sink_resumed(session.writer_state());
+    let mut session = SweepSession::open(&ckpt, &obs, format!("ablation runs={runs}"));
 
     let w = workload_by_name("fe").expect("fe");
     eprintln!("building profile...");
     let p = Profile::build(w.as_ref(), 42);
     let scenario = Scenario::paper(Situation::GoodDominant, &w.sizes(), 31).with_runs(runs);
 
+    // Each variant runs AL over the same scenario; its payload is the
+    // total energy's bits and the instruction count.
+    let (wr, pr, sr) = (w.as_ref(), &p, &scenario);
+    let variant = |name: String, state: MethodState, power_down, force_class| {
+        Unit::variant(name, move |sink| {
+            let (e, instr) = run_al(wr, pr, sr, state.clone(), power_down, force_class, sink);
+            [e.to_bits().to_le_bytes(), instr.to_le_bytes()].concat()
+        })
+        .recorded()
+    };
+    let ewma = [0.0, 0.5, 0.7, 0.9, 1.0];
+    let mut units: Vec<Unit> = ewma
+        .iter()
+        .map(|&u| {
+            variant(
+                format!("ewma/u{u:.1}"),
+                MethodState::with_weights(u, u),
+                true,
+                None,
+            )
+        })
+        .collect();
+    units.extend([
+        variant("powerdown/on".into(), MethodState::new(), true, None),
+        variant("powerdown/off".into(), MethodState::new(), false, None),
+        variant("pilot/tracked".into(), MethodState::new(), true, None),
+        variant(
+            "pilot/fixed-c1".into(),
+            MethodState::new(),
+            true,
+            Some(ChannelClass::C1),
+        ),
+    ]);
+    let results: Vec<(f64, u64)> = session
+        .run(&units, 0)
+        .into_iter()
+        .map(|outcome| {
+            let Outcome::Payload(bytes) = outcome else {
+                unreachable!("variant units")
+            };
+            let word = |i: usize| u64::from_le_bytes(bytes[i..i + 8].try_into().expect("8 bytes"));
+            (f64::from_bits(word(0)), word(8))
+        })
+        .collect();
+    let total_instructions: u64 = results.iter().map(|(_, instr)| instr).sum();
+    let energy = |i: usize| results[i].0;
+
     // 1. EWMA weight sweep.
     let mut rows = Vec::new();
     let mut json_ewma = Vec::new();
-    let mut total_instructions = 0u64;
-    for u in [0.0, 0.5, 0.7, 0.9, 1.0] {
-        let (e, instr) = run_al_unit(
-            &mut session,
-            &format!("ewma/u{u:.1}"),
-            w.as_ref(),
-            &p,
-            &scenario,
-            MethodState::with_weights(u, u),
-            true,
-            None,
-            sink.as_mut(),
-        );
-        total_instructions += instr;
-        json_ewma.push(Json::object().with("u", u).with("total_nj", e));
-        rows.push(vec![format!("{u:.1}"), format!("{:.2} mJ", e * 1e-6)]);
+    for (i, u) in ewma.into_iter().enumerate() {
+        json_ewma.push(Json::object().with("u", u).with("total_nj", energy(i)));
+        rows.push(vec![
+            format!("{u:.1}"),
+            format!("{:.2} mJ", energy(i) * 1e-6),
+        ]);
     }
     print_table(
         "Ablation 1: EWMA weight u (AL, fe, situation i; paper recommends 0.7)",
@@ -161,29 +163,7 @@ fn main() {
     );
 
     // 2. Power-down vs active idle.
-    let (on, on_instr) = run_al_unit(
-        &mut session,
-        "powerdown/on",
-        w.as_ref(),
-        &p,
-        &scenario,
-        MethodState::new(),
-        true,
-        None,
-        sink.as_mut(),
-    );
-    let (off, off_instr) = run_al_unit(
-        &mut session,
-        "powerdown/off",
-        w.as_ref(),
-        &p,
-        &scenario,
-        MethodState::new(),
-        false,
-        None,
-        sink.as_mut(),
-    );
-    total_instructions += on_instr + off_instr;
+    let (on, off) = (energy(5), energy(6));
     print_table(
         "Ablation 2: power-down during remote execution",
         &["variant", "total energy"],
@@ -197,29 +177,7 @@ fn main() {
     );
 
     // 3. Pilot tracking vs fixed worst-case power.
-    let (tracked, tracked_instr) = run_al_unit(
-        &mut session,
-        "pilot/tracked",
-        w.as_ref(),
-        &p,
-        &scenario,
-        MethodState::new(),
-        true,
-        None,
-        sink.as_mut(),
-    );
-    let (fixed, fixed_instr) = run_al_unit(
-        &mut session,
-        "pilot/fixed-c1",
-        w.as_ref(),
-        &p,
-        &scenario,
-        MethodState::new(),
-        true,
-        Some(ChannelClass::C1),
-        sink.as_mut(),
-    );
-    total_instructions += tracked_instr + fixed_instr;
+    let (tracked, fixed) = (energy(7), energy(8));
     print_table(
         "Ablation 3: pilot-based TX power control vs fixed Class 1 power",
         &["variant", "total energy"],
@@ -262,6 +220,6 @@ fn main() {
             )
             .with("helper_overhead_nj", overhead.nanojoules()),
     );
-    obs.finish_trace(sink);
+    session.finish(&obs);
     obs.archive_run(&args);
 }

@@ -26,10 +26,11 @@
 //! sim-time-series sidecar of the same runs. `--ckpt` snapshots the
 //! sweep at invocation boundaries; a killed run continued with
 //! `--resume` produces byte-identical outputs (including the `.jtb`
-//! trace and `.jts` timeline) to an uninterrupted one.
+//! trace and `.jts` timeline) to an uninterrupted one. The 15 runs are
+//! one sweep, on every core (one under `--ckpt`).
 
 use jem_apps::workload_by_name;
-use jem_bench::ckpt::{CkptArgs, SweepSession};
+use jem_bench::ckpt::{CkptArgs, Outcome, SweepSession, Unit};
 use jem_bench::obs::{accumulate_accuracy, print_regret_table, ObsArgs};
 use jem_bench::{arg_usize, print_table};
 use jem_core::{
@@ -49,7 +50,6 @@ fn main() {
             ObsArgs::RESULT_FLAGS,
             ObsArgs::METRICS_FLAGS,
             ObsArgs::EVENT_FLAGS,
-            ObsArgs::FLUSH_FLAGS,
             CkptArgs::UNIT_FLAGS,
             CkptArgs::EVERY_FLAGS,
             jem_bench::ENGINE_FLAGS,
@@ -61,14 +61,7 @@ fn main() {
     let obs = ObsArgs::parse(&args);
     let ckpt = CkptArgs::parse(&args);
     ckpt.validate(&obs);
-    let mut session = SweepSession::open(
-        &ckpt,
-        format!(
-            "faults runs={runs} seed={seed} trace={:?} timeline={:?}",
-            obs.trace, obs.timeline
-        ),
-    );
-    let mut sink = obs.trace_sink_resumed(session.writer_state());
+    let mut session = SweepSession::open(&ckpt, &obs, format!("faults runs={runs} seed={seed}"));
     let mut registry = MetricsRegistry::new();
     let mut tracker = AccuracyTracker::new();
     let mut json_points = Vec::new();
@@ -84,56 +77,55 @@ fn main() {
     println!("Resilience sweep: situation (i), {runs} invocations, seed {seed}");
     println!("(energy in mJ; GE bad-state loss on the left, ~25% of requests in bursts)");
 
-    let mut rows = Vec::new();
-    let mut total_instructions = 0u64;
+    let mut units = Vec::new();
     for loss_bad in LOSS_SEVERITIES {
         let scenario =
             Scenario::paper_degraded(Situation::GoodDominant, &w.sizes(), seed, loss_bad)
                 .with_runs(runs);
-        let aa = session.run_unit(
-            &format!("loss{loss_bad:.2}/aa"),
-            w.as_ref(),
-            &profile,
-            &scenario,
-            Strategy::AdaptiveAdaptive,
-            &resilient,
-            sink.as_mut(),
-        );
-        let aa_naive = session.run_unit(
-            &format!("loss{loss_bad:.2}/aa_naive"),
-            w.as_ref(),
-            &profile,
-            &scenario,
-            Strategy::AdaptiveAdaptive,
-            &naive,
-            None,
-        );
-        let al = session.run_unit(
-            &format!("loss{loss_bad:.2}/al"),
-            w.as_ref(),
-            &profile,
-            &scenario,
-            Strategy::AdaptiveLocal,
-            &resilient,
-            None,
-        );
-        fill_run_metrics(&mut registry, &aa);
-        obs.publish_metrics(&registry);
-        accumulate_accuracy(&mut tracker, &profile, &aa);
+        let unit = |key: &str, strategy, resilience| {
+            Unit::scenario(
+                format!("loss{loss_bad:.2}/{key}"),
+                w.as_ref(),
+                &profile,
+                scenario.clone(),
+                strategy,
+                resilience,
+            )
+        };
+        units.extend([
+            unit("aa", Strategy::AdaptiveAdaptive, resilient).recorded(),
+            unit("aa_naive", Strategy::AdaptiveAdaptive, naive),
+            unit("al", Strategy::AdaptiveLocal, resilient),
+        ]);
+    }
+    let results: Vec<ScenarioResult> = session
+        .run(&units, 0)
+        .into_iter()
+        .map(Outcome::into_run)
+        .collect();
+
+    let mut rows = Vec::new();
+    let mut total_instructions = 0u64;
+    for (loss_bad, point) in LOSS_SEVERITIES.into_iter().zip(results.chunks(3)) {
+        let [aa, aa_naive, al] = point else {
+            unreachable!("three units per severity")
+        };
+        fill_run_metrics(&mut registry, aa);
+        accumulate_accuracy(&mut tracker, &profile, aa);
         total_instructions += aa.instructions + aa_naive.instructions + al.instructions;
         json_points.push(
             Json::object()
                 .with("loss_bad", loss_bad)
-                .with("aa", scenario_result_to_json(&aa, false))
-                .with("aa_naive", scenario_result_to_json(&aa_naive, false))
-                .with("al", scenario_result_to_json(&al, false)),
+                .with("aa", scenario_result_to_json(aa, false))
+                .with("aa_naive", scenario_result_to_json(aa_naive, false))
+                .with("al", scenario_result_to_json(al, false)),
         );
         let mj = |r: &ScenarioResult| format!("{:.1}", r.total_energy.millijoules());
         rows.push(vec![
             format!("{loss_bad:.2}"),
-            mj(&aa),
-            mj(&aa_naive),
-            mj(&al),
+            mj(aa),
+            mj(aa_naive),
+            mj(al),
             format!("{:.1}", aa.stats.wasted_energy.millijoules()),
             format!("{:.1}", aa_naive.stats.wasted_energy.millijoules()),
             format!("{}", aa.stats.retries),
@@ -182,6 +174,6 @@ fn main() {
             .with("accuracy_aa", tracker.to_json()),
     );
     obs.write_metrics(&registry);
-    obs.finish_trace(sink);
+    session.finish(&obs);
     obs.archive_run(&args);
 }

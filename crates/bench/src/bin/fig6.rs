@@ -19,20 +19,33 @@
 //! [--json-out BENCH_fig6.json] [--serve ADDR] [--flush-every SIM_MS]
 //! [--ckpt out.jck] [--resume out.jck]
 //! [--slow-interp]`.
-//! Each grid cell is one checkpoint unit; a killed `--ckpt` run
-//! resumed with `--resume` skips completed cells and produces
-//! byte-identical outputs.
+//! Each grid cell is one sweep unit, run on every core (one under
+//! `--ckpt`); a killed `--ckpt` run resumed with `--resume` skips
+//! completed cells and produces byte-identical outputs.
 
 use jem_apps::workload_by_name;
-use jem_bench::ckpt::{CkptArgs, SweepSession};
+use jem_bench::ckpt::{CkptArgs, Outcome, SweepSession, Unit};
 use jem_bench::obs::{accumulate_accuracy, print_regret_table, ObsArgs};
-use jem_bench::{arg_flag, fmt_norm, print_table};
+use jem_bench::{arg_flag, build_profiles, fmt_norm, print_table};
 use jem_core::{
-    fill_run_metrics, scenario_result_to_json, Profile, ResilienceConfig, ScenarioResult, Strategy,
+    fill_run_metrics, scenario_result_to_json, ResilienceConfig, ScenarioResult, Strategy,
 };
 use jem_obs::{AccuracyTracker, Json, MetricsRegistry};
 use jem_radio::{ChannelClass, ChannelProcess};
 use jem_sim::{Scenario, Situation, SizeDist};
+
+/// The cells of one (benchmark, size) row, in column order: L1 first
+/// (the row's normalizer), then R per channel class, I, L2 and L3.
+const COLUMNS: [(Strategy, ChannelClass); 8] = [
+    (Strategy::Local1, ChannelClass::C4),
+    (Strategy::Remote, ChannelClass::C4),
+    (Strategy::Remote, ChannelClass::C3),
+    (Strategy::Remote, ChannelClass::C2),
+    (Strategy::Remote, ChannelClass::C1),
+    (Strategy::Interpreter, ChannelClass::C4),
+    (Strategy::Local2, ChannelClass::C4),
+    (Strategy::Local3, ChannelClass::C4),
+];
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
@@ -43,7 +56,6 @@ fn main() {
             ObsArgs::RESULT_FLAGS,
             ObsArgs::METRICS_FLAGS,
             ObsArgs::EVENT_FLAGS,
-            ObsArgs::FLUSH_FLAGS,
             CkptArgs::UNIT_FLAGS,
             CkptArgs::EVERY_FLAGS,
             jem_bench::ENGINE_FLAGS,
@@ -54,14 +66,7 @@ fn main() {
     let obs = ObsArgs::parse(&args);
     let ckpt = CkptArgs::parse(&args);
     ckpt.validate(&obs);
-    let mut session = SweepSession::open(
-        &ckpt,
-        format!(
-            "fig6 full={full} trace={:?} timeline={:?}",
-            obs.trace, obs.timeline
-        ),
-    );
-    let mut sink = obs.trace_sink_resumed(session.writer_state());
+    let mut session = SweepSession::open(&ckpt, &obs, format!("fig6 full={full}"));
     let mut registry = MetricsRegistry::new();
     let mut tracker = AccuracyTracker::new();
     let mut json_benches = Vec::new();
@@ -79,19 +84,17 @@ fn main() {
     } else {
         [("hpf", 8, 256), ("mf", 8, 256), ("ed", 8, 256)]
     };
+    let workloads: Vec<_> = picks
+        .iter()
+        .map(|(name, _, _)| workload_by_name(name).expect("known workload"))
+        .collect();
+    let profiles = build_profiles(&workloads, 42);
 
-    println!("Fig 6 reproduction: static strategies, normalized to L1 = 100");
-    println!("(R shown per channel class; paper stacks C3/C2/C1 over the C4 bar)");
-
-    for (name, small, large) in picks {
-        let w = workload_by_name(name).expect("known workload");
-        let profile = Profile::build(w.as_ref(), 42);
-
-        let mut rows = Vec::new();
-        let mut json_sizes = Vec::new();
-        for size in [small, large] {
-            // One cold invocation per strategy.
-            let mut run = |strategy: Strategy, class: ChannelClass| -> ScenarioResult {
+    // One cold invocation per strategy.
+    let mut units = Vec::new();
+    for ((name, small, large), (w, profile)) in picks.iter().zip(workloads.iter().zip(&profiles)) {
+        for size in [*small, *large] {
+            for (strategy, class) in COLUMNS {
                 let scenario = Scenario {
                     situation: Situation::Uniform,
                     channel: ChannelProcess::Fixed(class),
@@ -100,51 +103,57 @@ fn main() {
                     seed: 11,
                     faults: jem_sim::FaultSpec::NONE,
                 };
-                let result = session.run_unit(
-                    &format!("{name}/{size}/{}/{class:?}", strategy.key()),
-                    w.as_ref(),
-                    &profile,
-                    &scenario,
-                    strategy,
-                    &ResilienceConfig::default(),
-                    sink.as_mut(),
+                units.push(
+                    Unit::scenario(
+                        format!("{name}/{size}/{}/{class:?}", strategy.key()),
+                        w.as_ref(),
+                        profile,
+                        scenario,
+                        strategy,
+                        ResilienceConfig::default(),
+                    )
+                    .recorded(),
                 );
-                fill_run_metrics(&mut registry, &result);
-                obs.publish_metrics(&registry);
-                accumulate_accuracy(&mut tracker, &profile, &result);
-                total_instructions += result.instructions;
-                result
-            };
+            }
+        }
+    }
+    let results: Vec<ScenarioResult> = session
+        .run(&units, 0)
+        .into_iter()
+        .map(Outcome::into_run)
+        .collect();
+    let mut rows_of = results.chunks(COLUMNS.len());
+
+    println!("Fig 6 reproduction: static strategies, normalized to L1 = 100");
+    println!("(R shown per channel class; paper stacks C3/C2/C1 over the C4 bar)");
+
+    for ((name, small, large), (w, profile)) in picks.iter().zip(workloads.iter().zip(&profiles)) {
+        let mut rows = Vec::new();
+        let mut json_sizes = Vec::new();
+        for size in [*small, *large] {
+            let row = rows_of.next().expect("one row of units per size");
             let mut cells = Vec::new();
-            let mut energy_of = |strategy: Strategy, class: ChannelClass| -> f64 {
-                let result = run(strategy, class);
-                let nj = result.total_energy.nanojoules();
+            for (result, (strategy, class)) in row.iter().zip(COLUMNS) {
+                fill_run_metrics(&mut registry, result);
+                accumulate_accuracy(&mut tracker, profile, result);
+                total_instructions += result.instructions;
                 cells.push(
                     Json::object()
                         .with("strategy", strategy.key())
                         .with("class", format!("{class:?}").as_str())
-                        .with("result", scenario_result_to_json(&result, false)),
+                        .with("result", scenario_result_to_json(result, false)),
                 );
-                nj
-            };
-
-            let l1 = energy_of(Strategy::Local1, ChannelClass::C4);
-            let norm = |v: f64| fmt_norm(v / l1 * 100.0);
-            rows.push(vec![
-                format!("{size} [L1={:.1}mJ]", l1 * 1e-6),
-                norm(energy_of(Strategy::Remote, ChannelClass::C4)),
-                norm(energy_of(Strategy::Remote, ChannelClass::C3)),
-                norm(energy_of(Strategy::Remote, ChannelClass::C2)),
-                norm(energy_of(Strategy::Remote, ChannelClass::C1)),
-                norm(energy_of(Strategy::Interpreter, ChannelClass::C4)),
-                "100.0".to_string(),
-                norm(energy_of(Strategy::Local2, ChannelClass::C4)),
-                norm(energy_of(Strategy::Local3, ChannelClass::C4)),
-            ]);
+            }
+            // Columns R(C4..C1), I, L1, L2, L3 of the units' L1-first
+            // order; L1 normalizes to exactly 100.0.
+            let nj = |i: usize| row[i].total_energy.nanojoules();
+            let label = format!("{size} [L1={:.1}mJ]", nj(0) * 1e-6);
+            let norm = [1, 2, 3, 4, 5, 0, 6, 7].map(|i| fmt_norm(nj(i) / nj(0) * 100.0));
+            rows.push(std::iter::once(label).chain(norm).collect::<Vec<_>>());
             json_sizes.push(
                 Json::object()
                     .with("size", size)
-                    .with("l1_nj", l1)
+                    .with("l1_nj", nj(0))
                     .with("cells", Json::Arr(cells)),
             );
         }
@@ -157,7 +166,7 @@ fn main() {
         );
         json_benches.push(
             Json::object()
-                .with("bench", name)
+                .with("bench", *name)
                 .with("sizes", Json::Arr(json_sizes)),
         );
     }
@@ -174,6 +183,6 @@ fn main() {
             .with("accuracy", tracker.to_json()),
     );
     obs.write_metrics(&registry);
-    obs.finish_trace(sink);
+    session.finish(&obs);
     obs.archive_run(&args);
 }

@@ -17,27 +17,22 @@
 //!
 //! Usage: `fig7 [--runs N] [--trace out.jtb] [--metrics-out out.prom]
 //! [--timeline out.jts [--sample-every SIM_MS]] [--serve ADDR]
-//! [--json-out BENCH_fig7.json] [--ckpt out.jck [--ckpt-every N]]
-//! [--resume out.jck]` (default 300 runs, the paper's count).
-//! `--trace` records the AA strategy of *every* grid cell, one `.jtb`
-//! shard per cell (`<bench>/<situation>`) in cell order. The parallel
-//! grid collects each cell into its own `RingSink` shard and merges
-//! the shards at exit (`jtb_bytes`), so the traced sweep is
-//! byte-identical run-to-run even with the grid running on all cores;
-//! `--timeline` replays the merged shards through the `.jts` sampler
-//! (delta-sum mode; see DESIGN.md §14). Under `--ckpt` the grid runs
-//! sequentially, one resumable unit per (cell, strategy), and streams
-//! the same shards through the run's sink: its `.jtb` is
-//! byte-identical to the parallel grid's. A streamed timeline would
-//! sample the live ledger instead, so `--ckpt` refuses `--timeline`.
+//! [--flush-every SIM_MS] [--json-out BENCH_fig7.json]
+//! [--ckpt out.jck [--ckpt-every N]] [--resume out.jck]` (default 300
+//! runs, the paper's count). The grid is one sweep of 168 units, one
+//! per (cell, strategy), run on every core (one under `--ckpt`).
+//! `--trace` records the AA strategy of every grid cell, one `.jtb`
+//! shard per cell (`<bench>/<situation>`) in cell order, and
+//! `--timeline` samples the same runs with the tracer's exact ledger,
+//! as every other bin does.
 
 use jem_apps::all_workloads;
-use jem_bench::ckpt::{CkptArgs, SweepSession};
+use jem_bench::ckpt::{CkptArgs, Outcome, SweepSession, Unit};
 use jem_bench::obs::{print_regret_table, ObsArgs};
 use jem_bench::{arg_usize, build_profiles, fmt_norm, print_table};
-use jem_core::{accuracy_of, run_scenario, run_scenario_traced, ResilienceConfig, Strategy};
-use jem_obs::{AccuracyTracker, Json, MetricsRegistry, RingSink, TraceShard};
-use jem_sim::{parallel::sweep, Scenario, Situation};
+use jem_core::{accuracy_of, ResilienceConfig, ScenarioResult, Strategy};
+use jem_obs::{AccuracyTracker, Json, MetricsRegistry};
+use jem_sim::{Scenario, Situation};
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
@@ -56,22 +51,15 @@ fn main() {
     let obs = ObsArgs::parse(&args);
     let ckpt = CkptArgs::parse(&args);
     ckpt.validate(&obs);
-    if ckpt.enabled() && obs.timeline.is_some() {
-        eprintln!(
-            "error: --ckpt and --timeline cannot be combined in fig7: the parallel grid \
-             samples its merged shards, a checkpointed run would sample the live ledger"
-        );
-        std::process::exit(1);
-    }
-    let tracing = obs.wants_events();
+    let mut session = SweepSession::open(&ckpt, &obs, format!("fig7 runs={runs}"));
 
     let workloads = all_workloads();
     eprintln!("building profiles for {} workloads...", workloads.len());
     let profiles = build_profiles(&workloads, 42);
 
-    // Grid: (workload, situation) cells in parallel; strategies inside
-    // a cell share the cell's scenario seed so every strategy sees the
-    // same size/channel draw sequence.
+    // Grid: (workload, situation) cells; strategies inside a cell
+    // share the cell's scenario seed so every strategy sees the same
+    // size/channel draw sequence.
     let mut cells: Vec<(usize, Situation)> = Vec::new();
     for wi in 0..workloads.len() {
         for sit in Situation::ALL {
@@ -83,110 +71,49 @@ fn main() {
         cells.len(),
         Strategy::ALL.len()
     );
-    type Cell = (
-        usize,
-        Situation,
-        Vec<f64>,
-        Vec<(Strategy, AccuracyTracker)>,
-        u64,
-        Option<TraceShard>,
-    );
-    let (results, ckpt_sink): (Vec<Cell>, _) = if ckpt.enabled() {
-        let mut session =
-            SweepSession::open(&ckpt, format!("fig7 runs={runs} trace={:?}", obs.trace));
-        let mut sink = obs.trace_sink_resumed(session.writer_state());
-        let mut out = Vec::with_capacity(cells.len());
-        for &(wi, sit) in &cells {
-            let w = workloads[wi].as_ref();
-            let scenario = Scenario::paper(sit, &w.sizes(), 1000 + wi as u64).with_runs(runs);
-            let mut energies = Vec::with_capacity(Strategy::ALL.len());
-            let mut trackers: Vec<(Strategy, AccuracyTracker)> = Vec::new();
-            let mut instructions = 0u64;
-            for &s in &Strategy::ALL {
-                let unit = format!("{}/{}/{}", w.name(), sit.key(), s.key());
-                // The cell's AA unit streams into the cell's shard. A
-                // completed unit's bytes are already on disk and an
-                // in-flight one's shard record is inside its
-                // checkpointed writer state, so only a fresh unit
-                // starts the shard.
-                let unit_sink = match sink.as_mut() {
-                    Some(sink) if s == Strategy::AdaptiveAdaptive => {
-                        if session.is_fresh(&unit) {
-                            sink.begin_shard(&format!("{}/{}", w.name(), sit.key()));
-                        }
-                        Some(sink)
-                    }
-                    _ => None,
-                };
-                let result = session.run_unit(
-                    &unit,
-                    w,
-                    &profiles[wi],
-                    &scenario,
-                    s,
-                    &ResilienceConfig::default(),
-                    unit_sink,
-                );
-                energies.push(result.total_energy.nanojoules());
-                instructions += result.instructions;
-                if s.is_adaptive() {
-                    trackers.push((s, accuracy_of(&profiles[wi], &result)));
-                }
-            }
-            out.push((wi, sit, energies, trackers, instructions, None));
+    let mut units = Vec::with_capacity(cells.len() * Strategy::ALL.len());
+    for &(wi, sit) in &cells {
+        let w = workloads[wi].as_ref();
+        let scenario = Scenario::paper(sit, &w.sizes(), 1000 + wi as u64).with_runs(runs);
+        for &s in &Strategy::ALL {
+            let name = format!("{}/{}/{}", w.name(), sit.key(), s.key());
+            let unit = Unit::scenario(
+                name,
+                w,
+                &profiles[wi],
+                scenario.clone(),
+                s,
+                ResilienceConfig::default(),
+            );
+            // Tracing draws nothing from the RNG, so the traced AA run
+            // is bit-identical to the untraced one.
+            units.push(if s == Strategy::AdaptiveAdaptive {
+                unit.in_shard(format!("{}/{}", w.name(), sit.key()))
+            } else {
+                unit
+            });
         }
-        (out, sink)
-    } else {
-        let out = sweep(&cells, 0, |&(wi, sit)| {
-            let w = workloads[wi].as_ref();
-            let scenario = Scenario::paper(sit, &w.sizes(), 1000 + wi as u64).with_runs(runs);
-            let mut energies = Vec::with_capacity(Strategy::ALL.len());
-            let mut trackers: Vec<(Strategy, AccuracyTracker)> = Vec::new();
-            let mut instructions = 0u64;
-            let mut shard = None;
-            for &s in &Strategy::ALL {
-                // Tracing draws nothing from the RNG, so the traced AA run
-                // is bit-identical to the untraced one; each cell's events
-                // land in the cell's own shard, merged in cell order below.
-                let result = if tracing && s == Strategy::AdaptiveAdaptive {
-                    let mut ring = RingSink::new(1_000_000);
-                    let result = run_scenario_traced(
-                        w,
-                        &profiles[wi],
-                        &scenario,
-                        s,
-                        &ResilienceConfig::default(),
-                        &mut ring,
-                    )
-                    .expect("scenario run failed");
-                    shard = Some(TraceShard::new(
-                        format!("{}/{}", w.name(), sit.key()),
-                        ring.into_events(),
-                    ));
-                    result
-                } else {
-                    run_scenario(w, &profiles[wi], &scenario, s)
-                };
-                energies.push(result.total_energy.nanojoules());
-                instructions += result.instructions;
-                if s.is_adaptive() {
-                    trackers.push((s, accuracy_of(&profiles[wi], &result)));
-                }
-            }
-            (wi, sit, energies, trackers, instructions, shard)
-        });
-        (out, None)
-    };
+    }
+    let results: Vec<ScenarioResult> = session
+        .run(&units, 0)
+        .into_iter()
+        .map(Outcome::into_run)
+        .collect();
+    // Each cell's results, in Strategy::ALL order.
+    let grid: Vec<_> = cells
+        .iter()
+        .zip(results.chunks(Strategy::ALL.len()))
+        .collect();
 
     // Per-strategy predictor accuracy, merged across the whole grid
     // (merge of per-cell trackers equals tracking the concatenation).
     let mut al_tracker = AccuracyTracker::new();
     let mut aa_tracker = AccuracyTracker::new();
-    for (_, _, _, trackers, _, _) in &results {
-        for (s, t) in trackers {
-            match s {
-                Strategy::AdaptiveLocal => al_tracker.merge(t),
-                Strategy::AdaptiveAdaptive => aa_tracker.merge(t),
+    for (&(wi, _), cell) in &grid {
+        for r in cell.iter() {
+            match r.strategy {
+                Strategy::AdaptiveLocal => al_tracker.merge(&accuracy_of(&profiles[wi], r)),
+                Strategy::AdaptiveAdaptive => aa_tracker.merge(&accuracy_of(&profiles[wi], r)),
                 _ => {}
             }
         }
@@ -202,11 +129,10 @@ fn main() {
     for sit in Situation::ALL {
         let mut sums = vec![0.0; Strategy::ALL.len()];
         let mut count = 0usize;
-        for (_, s, energies, _, _, _) in results.iter().filter(|(_, s, _, _, _, _)| *s == sit) {
-            let _ = s;
-            let l1 = energies[l1_idx];
-            for (i, e) in energies.iter().enumerate() {
-                sums[i] += e / l1 * 100.0;
+        for (_, cell) in grid.iter().filter(|((_, s), _)| *s == sit) {
+            let l1 = cell[l1_idx].total_energy.nanojoules();
+            for (i, r) in cell.iter().enumerate() {
+                sums[i] += r.total_energy.nanojoules() / l1 * 100.0;
             }
             count += 1;
         }
@@ -261,24 +187,20 @@ fn main() {
     obs.write_metrics(&registry);
 
     let mut json_cells = Vec::new();
-    for (wi, sit, energies, _, _, _) in &results {
+    for (&(wi, sit), cell) in &grid {
+        let energies = cell.iter().map(|r| {
+            Json::object()
+                .with("strategy", r.strategy.key())
+                .with("nj", r.total_energy.nanojoules())
+        });
         json_cells.push(
             Json::object()
-                .with("bench", workloads[*wi].name())
+                .with("bench", workloads[wi].name())
                 .with("situation", sit.key())
-                .with(
-                    "energies_nj",
-                    Json::Arr(
-                        Strategy::ALL
-                            .iter()
-                            .zip(energies)
-                            .map(|(s, &e)| Json::object().with("strategy", s.key()).with("nj", e))
-                            .collect(),
-                    ),
-                ),
+                .with("energies_nj", Json::Arr(energies.collect())),
         );
     }
-    let total_instructions: u64 = results.iter().map(|(_, _, _, _, n, _)| n).sum();
+    let total_instructions: u64 = results.iter().map(|r| r.instructions).sum();
     obs.write_json(
         &Json::object()
             .with("figure", "fig7")
@@ -289,17 +211,6 @@ fn main() {
             .with("accuracy_aa", aa_tracker.to_json()),
     );
 
-    if ckpt.enabled() {
-        obs.finish_trace(ckpt_sink);
-    } else if tracing {
-        // `sweep` preserves input order, so the shard sequence — and
-        // therefore the merged document — is deterministic regardless
-        // of thread scheduling.
-        let shards: Vec<TraceShard> = results
-            .into_iter()
-            .filter_map(|(_, _, _, _, _, shard)| shard)
-            .collect();
-        obs.write_trace_sharded(&shards);
-    }
+    session.finish(&obs);
     obs.archive_run(&args);
 }

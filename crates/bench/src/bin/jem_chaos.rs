@@ -25,7 +25,10 @@
 //! take `--trace`, `--json-out`, `--ckpt` and `--resume`: `faults`
 //! (the default — long scenario runs, fault injection, and a `.jtb`
 //! trace exercise every piece of checkpointed state), `fig6`, `fig7`,
-//! `speedup` or `ablation`.
+//! `speedup` or `ablation`. The golden run is the bin's sweep on every
+//! core; the killed and resumed runs are its one-worker checkpointed
+//! sweep (`jem_bench::ckpt`), so a pass also shows the two drain the
+//! same bytes.
 
 use jem_obs::{load_trace_bytes, salvage_jtb};
 use rand::rngs::SmallRng;

@@ -12,13 +12,14 @@
 //! runs locally; the one-time compile is amortized over the run) vs
 //! remote execution in a Class 4 channel, and reports the speedups —
 //! flagging whether remote execution would actually be *chosen* there
-//! (energy-wise).
+//! (energy-wise). The 135 runs are one sweep, on every core (one under
+//! `--ckpt`); `--trace` records the remote runs.
 
 use jem_apps::all_workloads;
-use jem_bench::ckpt::{CkptArgs, SweepSession};
+use jem_bench::ckpt::{CkptArgs, Outcome, SweepSession, Unit};
 use jem_bench::obs::ObsArgs;
 use jem_bench::{build_profiles, print_table};
-use jem_core::{ResilienceConfig, Strategy};
+use jem_core::{ResilienceConfig, ScenarioResult, Strategy};
 use jem_obs::Json;
 use jem_radio::{ChannelClass, ChannelProcess};
 use jem_sim::{Scenario, Situation, SizeDist};
@@ -30,7 +31,6 @@ fn main() {
         &[
             ObsArgs::RESULT_FLAGS,
             ObsArgs::EVENT_FLAGS,
-            ObsArgs::FLUSH_FLAGS,
             CkptArgs::UNIT_FLAGS,
             CkptArgs::EVERY_FLAGS,
             jem_bench::ENGINE_FLAGS,
@@ -40,22 +40,15 @@ fn main() {
     let obs = ObsArgs::parse(&args);
     let ckpt = CkptArgs::parse(&args);
     ckpt.validate(&obs);
-    let mut session = SweepSession::open(
-        &ckpt,
-        format!("speedup trace={:?} timeline={:?}", obs.trace, obs.timeline),
-    );
-    let mut sink = obs.trace_sink_resumed(session.writer_state());
+    let mut session = SweepSession::open(&ckpt, &obs, "speedup".to_string());
     let workloads = all_workloads();
     eprintln!("building profiles...");
     let profiles = build_profiles(&workloads, 42);
 
-    let mut rows = Vec::new();
-    let mut json_points = Vec::new();
-    let mut chosen_speedups: Vec<f64> = Vec::new();
-    let mut total_instructions = 0u64;
+    let mut units = Vec::new();
     for (w, p) in workloads.iter().zip(&profiles) {
         for size in w.sizes() {
-            let scenario = |_s| Scenario {
+            let scenario = Scenario {
                 situation: Situation::GoodDominant,
                 channel: ChannelProcess::Fixed(ChannelClass::C4),
                 sizes: SizeDist::Fixed(size),
@@ -63,36 +56,41 @@ fn main() {
                 seed: 77,
                 faults: jem_sim::FaultSpec::NONE,
             };
-            let policy = ResilienceConfig::default();
-            let interp = session.run_unit(
-                &format!("{}/{size}/interp", w.name()),
-                w.as_ref(),
-                p,
-                &scenario(size),
-                Strategy::Interpreter,
-                &policy,
-                None,
-            );
-            let local = session.run_unit(
-                &format!("{}/{size}/l2", w.name()),
-                w.as_ref(),
-                p,
-                &scenario(size),
-                Strategy::Local2,
-                &policy,
-                None,
-            );
+            let unit = |key: &str, strategy| {
+                Unit::scenario(
+                    format!("{}/{size}/{key}", w.name()),
+                    w.as_ref(),
+                    p,
+                    scenario.clone(),
+                    strategy,
+                    ResilienceConfig::default(),
+                )
+            };
             // Tracing draws nothing from the RNG, so the traced remote
             // run is bit-identical to the untraced one.
-            let remote = session.run_unit(
-                &format!("{}/{size}/remote", w.name()),
-                w.as_ref(),
-                p,
-                &scenario(size),
-                Strategy::Remote,
-                &policy,
-                sink.as_mut(),
-            );
+            units.extend([
+                unit("interp", Strategy::Interpreter),
+                unit("l2", Strategy::Local2),
+                unit("remote", Strategy::Remote).recorded(),
+            ]);
+        }
+    }
+    let results: Vec<ScenarioResult> = session
+        .run(&units, 0)
+        .into_iter()
+        .map(Outcome::into_run)
+        .collect();
+    let mut points = results.chunks(3);
+
+    let mut rows = Vec::new();
+    let mut json_points = Vec::new();
+    let mut chosen_speedups: Vec<f64> = Vec::new();
+    let mut total_instructions = 0u64;
+    for w in &workloads {
+        for size in w.sizes() {
+            let [interp, local, remote] = points.next().expect("three units per size") else {
+                unreachable!("three units per size")
+            };
             total_instructions += interp.instructions + local.instructions + remote.instructions;
             // Skip the first (cold, compiling) invocation on each side.
             let t_interp: f64 = interp.reports[1..].iter().map(|r| r.time.nanos()).sum();
@@ -167,6 +165,6 @@ fn main() {
             .with("total_sim_instructions", total_instructions)
             .with("points", Json::Arr(json_points)),
     );
-    obs.finish_trace(sink);
+    session.finish(&obs);
     obs.archive_run(&args);
 }

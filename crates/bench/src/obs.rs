@@ -8,8 +8,7 @@
 //! |---|---|---|
 //! | [`ObsArgs::RESULT_FLAGS`] | `--json-out` `--archive` | all |
 //! | [`ObsArgs::METRICS_FLAGS`] | `--metrics-out` | `fig6` `fig7` `faults` `estfit` |
-//! | [`ObsArgs::EVENT_FLAGS`] | `--trace` `--timeline` `--sample-every` `--serve` `--monitor` `--health-out` | `fig6` `fig7` `faults` `speedup` `ablation` |
-//! | [`ObsArgs::FLUSH_FLAGS`] | `--flush-every` | `fig6` `faults` `speedup` `ablation` |
+//! | [`ObsArgs::EVENT_FLAGS`] | `--trace` `--timeline` `--sample-every` `--serve` `--monitor` `--health-out` `--flush-every` | `fig6` `fig7` `faults` `speedup` `ablation` |
 //!
 //! The flags:
 //!
@@ -57,10 +56,10 @@ use crate::print_table;
 use jem_core::{accuracy_of, Profile, ScenarioResult};
 use jem_energy::EnergyBreakdown;
 use jem_obs::serve::DEFAULT_LIVE_CADENCE_NS;
-use jem_obs::wire::{jtb_bytes, FileSink};
+use jem_obs::wire::FileSink;
 use jem_obs::{
     AccuracyTracker, HealthReport, Json, LiveServer, LiveState, MetricsRegistry, MonitorConfig,
-    MonitorTee, NullSink, RingSink, TimelineSink, TraceEvent, TraceShard, TraceSink,
+    MonitorTee, NullSink, TimelineSink, TraceEvent, TraceSink,
 };
 use std::sync::Arc;
 
@@ -256,11 +255,8 @@ impl ObsArgs {
         ("--serve", true),
         ("--monitor", false),
         ("--health-out", true),
+        ("--flush-every", true),
     ];
-
-    /// `--flush-every`: bins whose `--trace`/`--timeline` stream
-    /// through [`ObsArgs::trace_sink`] as the run goes.
-    pub const FLUSH_FLAGS: &'static [crate::Flag] = &[("--flush-every", true)];
 
     /// Parse the output flags from argv.
     pub fn parse(args: &[String]) -> ObsArgs {
@@ -346,17 +342,11 @@ impl ObsArgs {
     }
 
     /// The sink for trace collection, if [`ObsArgs::wants_events`]. A
-    /// `--trace` destination streams to disk.
-    pub fn trace_sink(&self) -> Option<BenchSink> {
-        self.trace_sink_resumed(None)
-    }
-
-    /// Like [`ObsArgs::trace_sink`], but when `writer_state` carries a
-    /// checkpointed `.jtb` writer state the file sink reopens the
-    /// existing trace and continues appending exactly where the
-    /// checkpoint left it (post-checkpoint bytes from the crashed run
-    /// are truncated away), instead of starting a fresh file.
-    pub fn trace_sink_resumed(&self, writer_state: Option<&[u8]>) -> Option<BenchSink> {
+    /// `--trace` destination streams to disk. Given a checkpointed
+    /// `writer_state`, the `.jtb` and `.jts` sinks reopen the existing
+    /// files and continue exactly where the checkpoint left them
+    /// (post-checkpoint bytes from the crashed run are truncated away).
+    pub fn trace_sink(&self, writer_state: Option<&[u8]>) -> Option<BenchSink> {
         let (jtb_state, jts_state) = match writer_state {
             Some(state) => split_composite_state(state),
             None => (None, None),
@@ -456,71 +446,6 @@ impl ObsArgs {
         }
     }
 
-    /// Write a multi-shard trace — one track per shard, merged in
-    /// input order so parallel sweeps stay deterministic. Runs the
-    /// monitors over the merged stream when requested (each shard is
-    /// an independent run, so the tee resets per shard and alerts land
-    /// in their shard's track).
-    pub fn write_trace_sharded(&self, shards: &[TraceShard]) {
-        // Sharded sweeps only materialize their events here, at the
-        // end — replay them into the live state so `--serve` endpoints
-        // expose the finished sweep, even if nothing streamed mid-run.
-        if let Some(live) = self.live.as_deref() {
-            for shard in shards {
-                for ev in &shard.events {
-                    live.publish_event(ev, None);
-                }
-            }
-            live.publish_done();
-        }
-        // Sharded sweeps collect events first and replay them here, so
-        // the tracer's exact ledger is gone; the timeline falls back to
-        // its delta-sum replay mode (cumulative columns then equal the
-        // trace-sum columns — still deterministic, still reconciling
-        // with the trace, but re-rounded relative to the live ledger).
-        if let Some(path) = &self.timeline {
-            let tl = TimelineSink::create(path, self.sample_every_ns()).and_then(|mut tl| {
-                for shard in shards {
-                    for ev in &shard.events {
-                        tl.observe(ev, None);
-                    }
-                }
-                tl.finish()
-            });
-            match tl {
-                Ok(()) => eprintln!("wrote {path}"),
-                Err(err) => {
-                    eprintln!("error: cannot write {path}: {err}");
-                    std::process::exit(1);
-                }
-            }
-        }
-        let monitored;
-        let shards = if self.monitoring() {
-            let mut tee = MonitorTee::new(MonitorConfig::default());
-            let mut out = Vec::with_capacity(shards.len());
-            for shard in shards {
-                tee.begin_shard();
-                let mut ring = RingSink::new(shard.events.len() + 64);
-                for ev in &shard.events {
-                    tee.process(ev.clone(), &mut ring);
-                }
-                out.push(
-                    TraceShard::new(shard.name.clone(), ring.into_events())
-                        .with_dropped(shard.dropped),
-                );
-            }
-            self.emit_health(&tee.finish());
-            monitored = out;
-            &monitored[..]
-        } else {
-            shards
-        };
-        if let Some(path) = &self.trace {
-            write_file(path, &jtb_bytes(shards));
-        }
-    }
-
     fn emit_health(&self, report: &HealthReport) {
         println!();
         println!("{}", report.render_text());
@@ -532,19 +457,13 @@ impl ObsArgs {
         }
     }
 
-    /// Publish the registry's current rendering to the live `/metrics`
-    /// endpoint (no-op without `--serve`). Bench bins call this after
-    /// filling each sweep point's metrics so scrapes see the run grow.
-    pub fn publish_metrics(&self, registry: &MetricsRegistry) {
+    /// Write the metrics registry (no-op without `--metrics-out`) and
+    /// publish it to the live `/metrics` endpoint when one is being
+    /// served.
+    pub fn write_metrics(&self, registry: &MetricsRegistry) {
         if let Some(live) = self.live.as_deref() {
             live.publish_metrics(registry);
         }
-    }
-
-    /// Write the metrics registry (no-op without `--metrics-out`) and
-    /// publish it to the live endpoint when one is being served.
-    pub fn write_metrics(&self, registry: &MetricsRegistry) {
-        self.publish_metrics(registry);
         if let Some(path) = &self.metrics_out {
             write_file(path, registry.render_prometheus().as_bytes());
         }

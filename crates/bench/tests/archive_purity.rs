@@ -40,7 +40,7 @@ fn run_stack(tag: &str, archive: Option<String>) -> (Vec<u8>, Vec<u8>) {
     let profile = Profile::build(w.as_ref(), 42);
     let scenario =
         Scenario::paper_degraded(Situation::GoodDominant, &w.sizes(), 1234, 0.6).with_runs(40);
-    let mut sink = obs.trace_sink().expect("sink configured");
+    let mut sink = obs.trace_sink(None).expect("sink configured");
     let result = run_scenario_traced(
         w.as_ref(),
         &profile,

@@ -1,8 +1,10 @@
-//! A checkpointed run writes the same bytes as a plain one. fig7's
-//! sequential `--ckpt` grid streams the `.jtb` shards its parallel grid
-//! merges at exit; ablation's variant units carry the `.jtb` and `.jts`
-//! writer state through the checkpoint. Resuming a finished checkpoint
-//! reopens both streams and rewrites the same files.
+//! A checkpointed run writes the same bytes as a plain one. The plain
+//! run drains its units on every core, buffering the ones that finish
+//! out of turn; the checkpointed run streams every unit on one worker.
+//! fig7's AA units open one `.jtb` shard per cell; ablation's variant
+//! units carry the `.jtb` and `.jts` writer state through the
+//! checkpoint. Resuming a finished checkpoint reopens both streams and
+//! rewrites the same files.
 
 use jem_obs::scratch_dir;
 use std::path::Path;
@@ -28,14 +30,20 @@ fn assert_same(dir: &Path, a: &str, b: &str) {
 }
 
 #[test]
-fn fig7_ckpt_trace_matches_the_parallel_grid() {
+fn fig7_ckpt_trace_and_timeline_match_a_plain_run() {
     let bin = env!("CARGO_BIN_EXE_fig7");
     let dir = scratch_dir();
-    run(bin, &dir, "--runs 1 --trace a.jtb --json-out a.json");
+    run(
+        bin,
+        &dir,
+        "--runs 1 --trace a.jtb --timeline a.jts --json-out a.json",
+    );
     for mode in ["--ckpt", "--resume"] {
-        let args = format!("--runs 1 --trace b.jtb --json-out b.json {mode} c.jck");
+        let args =
+            format!("--runs 1 --trace b.jtb --timeline b.jts --json-out b.json {mode} c.jck");
         run(bin, &dir, &args);
         assert_same(&dir, "a.jtb", "b.jtb");
+        assert_same(&dir, "a.jts", "b.jts");
         assert_same(&dir, "a.json", "b.json");
     }
 }

@@ -49,7 +49,7 @@ fn run_stack(
     let profile = Profile::build(w.as_ref(), 42);
     let scenario =
         Scenario::paper_degraded(Situation::GoodDominant, &w.sizes(), 1234, 0.6).with_runs(40);
-    let mut sink = obs.trace_sink().expect("sink configured");
+    let mut sink = obs.trace_sink(None).expect("sink configured");
     run_scenario_traced(
         w.as_ref(),
         &profile,

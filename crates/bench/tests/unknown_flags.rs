@@ -84,11 +84,6 @@ const UNREAD: &[(&str, &[&str], &[&str])] = &[
         &["--metrics-out", "--ckpt-every"],
     ),
     (env!("CARGO_BIN_EXE_speedup"), &[], &["--metrics-out"]),
-    (
-        env!("CARGO_BIN_EXE_fig7"),
-        &["--runs", "1"],
-        &["--flush-every"],
-    ),
 ];
 
 /// Run `bin args flag 3 --json-out BENCH.json` in a fresh directory

@@ -708,6 +708,7 @@ proptest! {
     /// Every random program at every level on both machines, on a
     /// fresh machine and on one whose Core accumulator starts at
     /// `10^e` nJ.
+    #[test]
     fn executor_matches_reference(
         stmts in prop::collection::vec(stmt_strategy(), 1..5),
         a in param(),

@@ -559,9 +559,9 @@ impl MonitorTee {
         }
     }
 
-    /// Signal an explicit shard boundary (parallel sweeps whose cells
-    /// each restart `seq` at 0 get this automatically).
-    pub fn begin_shard(&mut self) {
+    /// Reset at a shard boundary: the input's `seq` restarted, so a new
+    /// run streams through the tee (a sweep streams one run per unit).
+    fn begin_shard(&mut self) {
         self.monitor.begin_shard();
         self.prev_in_seq = None;
         self.seq_offset = 0;

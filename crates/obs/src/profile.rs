@@ -44,6 +44,9 @@ pub const UNKNOWN_MODE: &str = "(truncated)";
 /// invocation with no `invocation-start` after them (e.g. a monitor's
 /// end-of-run alerts): nothing is missing.
 pub const AFTER_RUN_MODE: &str = "(after-run)";
+/// Method label of the [`AFTER_RUN_MODE`] events: they belong to no
+/// invocation, so to no method either.
+pub const NO_METHOD: &str = "(no-method)";
 
 /// Aggregated weight of one profile cell (a unique frame stack).
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
@@ -403,7 +406,8 @@ pub struct ResolvedEvent {
     /// 0-based shard ordinal in the stream.
     pub shard: usize,
     /// Qualified method of the enclosing invocation
-    /// ([`UNKNOWN_METHOD`] if the stream head was dropped).
+    /// ([`UNKNOWN_METHOD`] if the stream head was dropped,
+    /// [`NO_METHOD`] after the shard's last invocation).
     pub method: String,
     /// Execution mode from the invocation's `invocation-end`
     /// ([`UNKNOWN_MODE`] if the stream was truncated mid-invocation,
@@ -525,7 +529,11 @@ impl InvocationResolver {
     }
 
     fn flush(&mut self, mode: &str) {
-        let method = self.method.as_deref().unwrap_or(UNKNOWN_METHOD);
+        let method = if mode == AFTER_RUN_MODE {
+            NO_METHOD
+        } else {
+            self.method.as_deref().unwrap_or(UNKNOWN_METHOD)
+        };
         for (event, frames, dt) in self.pending.drain(..) {
             self.out.push_back(ResolvedEvent {
                 event,
@@ -899,6 +907,23 @@ fe::Main.integrate;remote;tx-window 75
             .map(|(_, c)| c.events)
             .collect();
         assert_eq!(after, [3], "{modes:?}");
+    }
+
+    #[test]
+    fn after_run_events_belong_to_no_method() {
+        // The last invocation's method must not claim the alerts that
+        // follow its end.
+        let mut events = synthetic_stream();
+        let n = events.len() as u64;
+        events.push(alert(n, 500.0));
+        events.push(alert(n + 1, 510.0));
+        let p = TraceProfile::fold(&events);
+        let after: Vec<(&str, u64)> = p
+            .cells()
+            .filter(|(stack, _)| stack[1] == AFTER_RUN_MODE)
+            .map(|(stack, c)| (stack[0].as_str(), c.events))
+            .collect();
+        assert_eq!(after, [(NO_METHOD, 2)]);
     }
 
     #[test]

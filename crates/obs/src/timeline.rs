@@ -77,7 +77,7 @@ pub const JTS_MAGIC: &[u8; 4] = b"JTS1";
 /// `.jts` trailing magic (after the footer offset).
 const JTS_END_MAGIC: &[u8; 4] = b"JTSE";
 /// Timeline writer checkpoint-state magic.
-const JSS_MAGIC: &[u8; 4] = b"JSS1";
+const JSS_MAGIC: &[u8; 4] = b"JSS2";
 /// Record tags.
 const R_SEGMENT: u8 = 0x01;
 const R_SAMPLES: u8 = 0x02;
@@ -290,8 +290,8 @@ impl Sampler {
                     self.vals[S_CUM + c.index()] = l[c].nanojoules();
                 }
             }
-            // Replay paths (stored shards) have no ledger: fall back
-            // to the delta prefix sums.
+            // Events recorded without a ledger (`TraceSink::record`):
+            // fall back to the delta prefix sums.
             None => {
                 for c in Component::ALL {
                     self.vals[S_CUM + c.index()] = self.vals[S_TRACE + c.index()];
@@ -453,11 +453,6 @@ impl TimelineSink {
     /// The destination path.
     pub fn path(&self) -> &str {
         &self.path
-    }
-
-    /// The configured sample cadence (sim-ns).
-    pub fn sample_every_ns(&self) -> f64 {
-        self.sampler.every
     }
 
     /// Flush the open block and the file whenever an invocation ends
@@ -669,6 +664,7 @@ impl TimelineSink {
         out.extend_from_slice(JSS_MAGIC);
         out.extend_from_slice(&self.offset.to_le_bytes());
         put_f64_bits(&mut out, self.sampler.every);
+        put_f64_bits(&mut out, self.last_flush_t);
         put_varint(&mut out, self.closed.len() as u64);
         for seg in &self.closed {
             put_varint(&mut out, seg.samples);
@@ -728,8 +724,9 @@ impl TimelineSink {
 
     /// Reopen `path` at a checkpointed writer state: the file is
     /// truncated to the state's recorded offset and the sampler,
-    /// carries, and buffered samples are restored, so the finished
-    /// file is byte-identical to one from an uninterrupted run.
+    /// carries, buffered samples and last flush time are restored, so
+    /// the finished file is byte-identical to one from an
+    /// uninterrupted run.
     ///
     /// # Errors
     /// State corruption, or the file being shorter than the
@@ -744,6 +741,7 @@ impl TimelineSink {
         off.copy_from_slice(cur.bytes(8)?);
         let offset = u64::from_le_bytes(off);
         let every = get_f64_bits(&mut cur)?;
+        let last_flush_t = get_f64_bits(&mut cur)?;
         let n_closed = cur.varint()? as usize;
         if n_closed > 1 << 20 {
             return Err("jts: implausible segment count in checkpoint".into());
@@ -841,7 +839,7 @@ impl TimelineSink {
             cur_flushed,
             closed,
             flush_every_ns: None,
-            last_flush_t: 0.0,
+            last_flush_t,
         })
     }
 }
@@ -1611,39 +1609,53 @@ mod tests {
             ledgers.push(ledger);
         }
 
-        let mut golden = TimelineSink::create(golden_path, 50.0).unwrap();
-        for (e, l) in events.iter().zip(&ledgers) {
-            golden.observe(e, Some(l));
-        }
-        golden.finish().unwrap();
+        // With and without `--flush-every` cuts (an invocation is 100
+        // sim-ns, so about every tenth one flushes): a resumed sink
+        // must cut where the uninterrupted one does.
+        let mut goldens = Vec::new();
+        for flush in [None, Some(1_000.0)] {
+            let with_flush = |mut sink: TimelineSink| {
+                if let Some(ns) = flush {
+                    sink.set_flush_every(ns);
+                }
+                sink
+            };
+            let mut golden = with_flush(TimelineSink::create(golden_path, 50.0).unwrap());
+            for (e, l) in events.iter().zip(&ledgers) {
+                golden.observe(e, Some(l));
+            }
+            golden.finish().unwrap();
+            let golden = std::fs::read(golden_path).unwrap();
 
-        for cut in [1, events.len() / 3, events.len() / 2, events.len() - 1] {
-            let mut sink = TimelineSink::create(resumed_path, 50.0).unwrap();
-            for (e, l) in events[..cut].iter().zip(&ledgers) {
-                sink.observe(e, Some(l));
+            for cut in [1, events.len() / 3, events.len() / 2, events.len() - 1] {
+                let mut sink = with_flush(TimelineSink::create(resumed_path, 50.0).unwrap());
+                for (e, l) in events[..cut].iter().zip(&ledgers) {
+                    sink.observe(e, Some(l));
+                }
+                let state = TraceSink::ckpt_state(&mut sink).unwrap();
+                // Simulate a crash: garbage lands after the checkpoint.
+                drop(sink);
+                {
+                    use std::io::Write as _;
+                    let mut f = std::fs::OpenOptions::new()
+                        .append(true)
+                        .open(resumed_path)
+                        .unwrap();
+                    f.write_all(b"torn garbage from the crashed run").unwrap();
+                }
+                let mut resumed = with_flush(TimelineSink::resume(resumed_path, &state).unwrap());
+                for (e, l) in events[cut..].iter().zip(&ledgers[cut..]) {
+                    resumed.observe(e, Some(l));
+                }
+                resumed.finish().unwrap();
+                assert!(
+                    golden == std::fs::read(resumed_path).unwrap(),
+                    "resume at event {cut} diverged ({flush:?})"
+                );
             }
-            let state = TraceSink::ckpt_state(&mut sink).unwrap();
-            // Simulate a crash: garbage lands after the checkpoint.
-            drop(sink);
-            {
-                use std::io::Write as _;
-                let mut f = std::fs::OpenOptions::new()
-                    .append(true)
-                    .open(resumed_path)
-                    .unwrap();
-                f.write_all(b"torn garbage from the crashed run").unwrap();
-            }
-            let mut resumed = TimelineSink::resume(resumed_path, &state).unwrap();
-            for (e, l) in events[cut..].iter().zip(&ledgers[cut..]) {
-                resumed.observe(e, Some(l));
-            }
-            resumed.finish().unwrap();
-            assert_eq!(
-                std::fs::read(golden_path).unwrap(),
-                std::fs::read(resumed_path).unwrap(),
-                "resume at event {cut} diverged"
-            );
+            goldens.push(golden);
         }
+        assert_ne!(goldens[0], goldens[1], "the flush cadence cut no block");
         std::fs::remove_file(golden_path).ok();
         std::fs::remove_file(resumed_path).ok();
     }

@@ -83,7 +83,7 @@ const R_FOOTER: u8 = 0x05;
 const R_RECOVER: u8 = 0x06;
 
 /// Leading magic of a serialized [`JtbWriter`] checkpoint state.
-const JWS_MAGIC: &[u8; 4] = b"JWS1";
+const JWS_MAGIC: &[u8; 4] = b"JWS2";
 
 /// Preferred events per block: flushed at the next invocation start
 /// once this many are buffered.
@@ -737,6 +737,10 @@ pub struct JtbWriter<W: Write> {
     /// Shard count so far; 0 means no shard started (the first pushed
     /// event auto-starts "client").
     shards: u64,
+    /// Sim-time of the last `--flush-every` cut ([`WriterSink`]), kept
+    /// with the resumable state so a resumed stream cuts where an
+    /// uninterrupted one does.
+    flushed_at: f64,
     finished: bool,
 }
 
@@ -753,6 +757,7 @@ impl<W: Write> JtbWriter<W> {
             strings: Interner::new(),
             index: JtbIndex::default(),
             shards: 0,
+            flushed_at: 0.0,
             finished: false,
         };
         let mut header = JTB_MAGIC.to_vec();
@@ -884,7 +889,7 @@ impl<W: Write> JtbWriter<W> {
     }
 
     /// Serialize the writer's resumable state: offset, interner,
-    /// block index, and the still-buffered events. Restoring via
+    /// block index, last flush time and the still-buffered events. Restoring via
     /// [`JtbWriter::resume`] onto an output truncated to
     /// [`JtbWriter::offset`] continues the stream **byte-identically**
     /// to an uninterrupted run — the block buffer is deliberately not
@@ -893,6 +898,7 @@ impl<W: Write> JtbWriter<W> {
         let mut out = JWS_MAGIC.to_vec();
         put_varint(&mut out, self.offset);
         put_varint(&mut out, self.shards);
+        out.extend_from_slice(&self.flushed_at.to_bits().to_le_bytes());
         // Buffered events are encoded as a regular block against a
         // scratch interner so decode can reuse `decode_block`. Ids in
         // the payload resolve against the scratch table (existing
@@ -941,6 +947,7 @@ impl<W: Write> JtbWriter<W> {
             strings: st.strings,
             index: st.index,
             shards: st.shards,
+            flushed_at: st.flushed_at,
             finished: false,
         }
     }
@@ -950,6 +957,7 @@ impl<W: Write> JtbWriter<W> {
 struct WriterState {
     offset: u64,
     shards: u64,
+    flushed_at: f64,
     strings: Interner,
     index: JtbIndex,
     buf: Vec<TraceEvent>,
@@ -962,6 +970,9 @@ fn decode_writer_state(state: &[u8]) -> Result<WriterState, String> {
     }
     let offset = cur.varint()?;
     let shards = cur.varint()?;
+    let flushed_at = f64::from_bits(u64::from_le_bytes(
+        cur.bytes(8)?.try_into().expect("8 bytes"),
+    ));
     let n_orig = cur.varint()? as usize;
     let n_all = cur.varint()? as usize;
     if n_orig > n_all {
@@ -1001,6 +1012,7 @@ fn decode_writer_state(state: &[u8]) -> Result<WriterState, String> {
     Ok(WriterState {
         offset,
         shards,
+        flushed_at,
         strings,
         index,
         buf,
@@ -1014,7 +1026,6 @@ pub struct WriterSink<W: Write> {
     writer: Option<JtbWriter<W>>,
     error: Option<std::io::Error>,
     flush_every_ns: Option<f64>,
-    last_flush_t: f64,
 }
 
 impl<W: Write> WriterSink<W> {
@@ -1027,7 +1038,6 @@ impl<W: Write> WriterSink<W> {
             writer: Some(JtbWriter::new(out)?),
             error: None,
             flush_every_ns: None,
-            last_flush_t: 0.0,
         })
     }
 
@@ -1109,13 +1119,19 @@ impl<W: Write> TraceSink for WriterSink<W> {
         // Flush *before* pushing an invocation's first event, so the
         // flushed prefix ends exactly at the previous invocation's
         // final event — followers never see a half-invocation.
-        if let Some(every) = self.flush_every_ns {
-            if event.ordinal == 0 && event.at.nanos() >= self.last_flush_t + every {
-                self.last_flush_t = event.at.nanos();
-                self.flush_now();
-                if self.error.is_some() {
-                    return;
-                }
+        let due = match (self.flush_every_ns, self.writer.as_mut()) {
+            (Some(every), Some(w))
+                if event.ordinal == 0 && event.at.nanos() >= w.flushed_at + every =>
+            {
+                w.flushed_at = event.at.nanos();
+                true
+            }
+            _ => false,
+        };
+        if due {
+            self.flush_now();
+            if self.error.is_some() {
+                return;
             }
         }
         if let Some(w) = self.writer.as_mut() {
@@ -1131,9 +1147,8 @@ impl<W: Write> TraceSink for WriterSink<W> {
 }
 
 /// A [`WriterSink`] over a buffered file — the `--trace out.jtb`
-/// backend: sweeps stream through it in O(block) memory (fig7 only
-/// under `--ckpt`; its parallel grid merges per-cell shards at exit
-/// with [`jtb_bytes`]).
+/// backend: every sweep bin streams its units through it in O(block)
+/// memory, in unit order.
 pub struct FileSink {
     path: String,
     inner: WriterSink<std::io::BufWriter<std::fs::File>>,
@@ -1195,15 +1210,14 @@ impl FileSink {
                 writer: Some(JtbWriter::from_state(std::io::BufWriter::new(file), st)),
                 error: None,
                 flush_every_ns: None,
-                last_flush_t: 0.0,
             },
         })
     }
 
     /// Enable invocation-aligned flushing every `sim_ns` of sim-time
     /// (see [`WriterSink::set_flush_every`]) — the `--flush-every`
-    /// flag. Not compatible with checkpoint/resume byte-identity, so
-    /// callers gate it against `--ckpt`.
+    /// flag. A resumed sink keeps the checkpointed last flush time, so
+    /// it cuts blocks where an uninterrupted run does.
     pub fn set_flush_every(&mut self, sim_ns: f64) {
         self.inner.set_flush_every(sim_ns);
     }
@@ -2238,50 +2252,72 @@ mod tests {
         let golden_path = dir.join("golden.jtb");
         let resumed_path = dir.join("resumed.jtb");
         let events = invocation_stream(60, 30);
+        // With and without `--flush-every` cuts (an invocation is 300
+        // sim-ns, so every fifth one flushes, and neither resume lands
+        // right before a flush): a resumed sink must cut where the
+        // uninterrupted one does.
+        let mut goldens = Vec::new();
+        for flush in [None, Some(1_300.0)] {
+            let create = |path: &std::path::Path| {
+                let mut sink = FileSink::create(path.to_str().unwrap()).unwrap();
+                if let Some(ns) = flush {
+                    sink.set_flush_every(ns);
+                }
+                sink
+            };
+            let resume = |state: &[u8]| {
+                let mut sink = FileSink::resume(resumed_path.to_str().unwrap(), state).unwrap();
+                if let Some(ns) = flush {
+                    sink.set_flush_every(ns);
+                }
+                sink
+            };
+            let mut sink = create(&golden_path);
+            for ev in &events {
+                sink.record(ev.clone());
+            }
+            sink.finish().unwrap();
 
-        let mut sink = FileSink::create(golden_path.to_str().unwrap()).unwrap();
-        for ev in &events {
-            sink.record(ev.clone());
-        }
-        sink.finish().unwrap();
+            // Two kill/resume cycles: one checkpoint before any block
+            // has flushed (pure buffered state) and one after the first
+            // flush (interner + index state). Each "crash" writes extra
+            // events past the checkpoint that resume must discard.
+            let (cut1, cut2) = (700, 1300);
+            let mut sink = create(&resumed_path);
+            for ev in &events[..cut1] {
+                sink.record(ev.clone());
+            }
+            let state1 = sink.ckpt_state().unwrap();
+            for ev in &events[cut1..cut1 + 90] {
+                sink.record(ev.clone());
+            }
+            drop(sink); // crash: no finish
 
-        // Two kill/resume cycles: one checkpoint before any block has
-        // flushed (pure buffered state) and one after the first flush
-        // (interner + index state). Each "crash" writes extra events
-        // past the checkpoint that resume must discard.
-        let p = resumed_path.to_str().unwrap();
-        let (cut1, cut2) = (700, 1300);
-        let mut sink = FileSink::create(p).unwrap();
-        for ev in &events[..cut1] {
-            sink.record(ev.clone());
-        }
-        let state1 = sink.ckpt_state().unwrap();
-        for ev in &events[cut1..cut1 + 90] {
-            sink.record(ev.clone());
-        }
-        drop(sink); // crash: no finish
+            let mut sink = resume(&state1);
+            for ev in &events[cut1..cut2] {
+                sink.record(ev.clone());
+            }
+            let state2 = sink.ckpt_state().unwrap();
+            for ev in &events[cut2..cut2 + 90] {
+                sink.record(ev.clone());
+            }
+            drop(sink); // crash again
 
-        let mut sink = FileSink::resume(p, &state1).unwrap();
-        for ev in &events[cut1..cut2] {
-            sink.record(ev.clone());
-        }
-        let state2 = sink.ckpt_state().unwrap();
-        for ev in &events[cut2..cut2 + 90] {
-            sink.record(ev.clone());
-        }
-        drop(sink); // crash again
+            let mut sink = resume(&state2);
+            for ev in &events[cut2..] {
+                sink.record(ev.clone());
+            }
+            sink.finish().unwrap();
 
-        let mut sink = FileSink::resume(p, &state2).unwrap();
-        for ev in &events[cut2..] {
-            sink.record(ev.clone());
+            let golden = std::fs::read(&golden_path).unwrap();
+            assert_eq!(
+                golden,
+                std::fs::read(&resumed_path).unwrap(),
+                "resumed stream must be byte-identical to the uninterrupted one ({flush:?})"
+            );
+            goldens.push(golden);
         }
-        sink.finish().unwrap();
-
-        assert_eq!(
-            std::fs::read(&golden_path).unwrap(),
-            std::fs::read(&resumed_path).unwrap(),
-            "resumed stream must be byte-identical to the uninterrupted one"
-        );
+        assert_ne!(goldens[0], goldens[1], "the flush cadence cut no block");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

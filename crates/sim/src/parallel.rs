@@ -2,9 +2,11 @@
 //!
 //! Experiment grids (benchmark × situation × strategy × run) are
 //! embarrassingly parallel: every cell builds its own VM, heap and
-//! machine. [`sweep`] fans the cells out over crossbeam scoped threads
-//! and returns results in input order, so figure rows stay
-//! deterministic regardless of scheduling.
+//! machine. [`sweep_ordered`] runs the cells on crossbeam scoped
+//! threads and drains each result in input order as soon as it and
+//! every earlier one are done; [`sweep`] collects them. Figure rows,
+//! traces and checkpoints therefore stay deterministic regardless of
+//! scheduling.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -20,16 +22,42 @@ where
     R: Send,
     F: Fn(&T) -> R + Sync,
 {
-    if items.is_empty() {
-        return Vec::new();
-    }
+    let mut out = Vec::with_capacity(items.len());
+    sweep_ordered(items, threads, &mut out, |item, _| f(item), Vec::push);
+    out
+}
+
+/// Run `f` over `items` on up to `threads` workers (as in [`sweep`])
+/// and hand each result to `drain`, with `state`, in input order: a
+/// result drains as soon as it and every earlier one are done.
+///
+/// `f` gets the state when every earlier item has drained as it
+/// starts. No drain can happen until that item is done, so `f` has
+/// the state to itself for its whole run; every other item runs
+/// without it. On one worker every item gets the state.
+pub fn sweep_ordered<T, R, S, F, D>(items: &[T], threads: usize, state: &mut S, f: F, drain: D)
+where
+    T: Sync,
+    R: Send,
+    S: Send,
+    F: Fn(&T, Option<&mut S>) -> R + Sync,
+    D: Fn(&mut S, R) + Sync,
+{
     let threads = effective_threads(threads, items.len());
     if threads <= 1 {
-        return items.iter().map(&f).collect();
+        for item in items {
+            let r = f(item, Some(&mut *state));
+            drain(state, r);
+        }
+        return;
     }
 
     let next = AtomicUsize::new(0);
-    let results: Vec<Mutex<Option<R>>> = (0..items.len()).map(|_| Mutex::new(None)).collect();
+    let state = Mutex::new(state);
+    // How many results have drained, and the done ones waiting behind
+    // an unfinished earlier item.
+    let done: Mutex<(usize, Vec<Option<R>>)> =
+        Mutex::new((0, (0..items.len()).map(|_| None).collect()));
 
     crossbeam::scope(|scope| {
         for _ in 0..threads {
@@ -38,21 +66,26 @@ where
                 if i >= items.len() {
                     break;
                 }
-                let r = f(&items[i]);
-                *results[i].lock().expect("result slot lock") = Some(r);
+                let head = done.lock().expect("drain lock").0 == i;
+                let r = if head {
+                    f(&items[i], Some(&mut **state.lock().expect("state lock")))
+                } else {
+                    f(&items[i], None)
+                };
+                let mut done = done.lock().expect("drain lock");
+                done.1[i] = Some(r);
+                loop {
+                    let cursor = done.0;
+                    let Some(r) = done.1.get_mut(cursor).and_then(Option::take) else {
+                        break;
+                    };
+                    drain(&mut state.lock().expect("state lock"), r);
+                    done.0 += 1;
+                }
             });
         }
     })
     .expect("worker panicked");
-
-    results
-        .into_iter()
-        .map(|m| {
-            m.into_inner()
-                .expect("result slot lock")
-                .expect("every slot filled")
-        })
-        .collect()
 }
 
 fn effective_threads(requested: usize, items: usize) -> usize {
@@ -66,6 +99,7 @@ fn effective_threads(requested: usize, items: usize) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Barrier;
 
     #[test]
     fn preserves_order() {
@@ -114,6 +148,41 @@ mod tests {
                 acc = acc.wrapping_add(x * k);
             }
             assert_eq!(out[i], acc);
+        }
+    }
+
+    #[test]
+    fn the_head_has_the_state_and_drains_stay_in_order() {
+        // A head appends its own index into the state, every other item
+        // is appended by its drain: either way the state ends up in
+        // input order, and a head finds every earlier item there. Items
+        // 0 and 1 meet at a barrier on several workers, so item 1 starts
+        // before item 0 drains and must run without the state.
+        let items: Vec<usize> = (0..64).collect();
+        for threads in [1, 2, 3] {
+            let met = Barrier::new(2);
+            let mut log = Vec::new();
+            sweep_ordered(
+                &items,
+                threads,
+                &mut log,
+                |&i, head| {
+                    if threads > 1 && i < 2 {
+                        met.wait();
+                        assert_eq!(head.is_some(), i == 0);
+                    }
+                    head.map(|log: &mut Vec<usize>| {
+                        assert_eq!(log.len(), i, "a head starts after every earlier drain");
+                        log.push(i);
+                    })
+                },
+                |log, streamed| {
+                    if streamed.is_none() {
+                        log.push(log.len());
+                    }
+                },
+            );
+            assert_eq!(log, items, "{threads} workers");
         }
     }
 }
