@@ -28,7 +28,8 @@
 //! `speedup` or `ablation`. The golden run is the bin's sweep on every
 //! core; the killed and resumed runs are its one-worker checkpointed
 //! sweep (`jem_bench::ckpt`), so a pass also shows the two drain the
-//! same bytes.
+//! same bytes. Kills land at 5–85% of the wall time of one
+//! uninterrupted checkpointed run, timed before the first kill.
 
 use jem_obs::{load_trace_bytes, salvage_jtb};
 use rand::rngs::SmallRng;
@@ -179,13 +180,8 @@ fn main() -> ExitCode {
     if !status.success() {
         fail(&format!("golden run failed with {status}"));
     }
-    let wall = golden_start.elapsed().max(Duration::from_millis(20));
-    println!("golden: done in {wall:.2?}");
+    println!("golden: done in {:.2?}", golden_start.elapsed());
 
-    // Kill/resume lineage: start fresh, kill at seeded fractions of
-    // the golden wall time, resume, until the run survives with at
-    // least `kills` landed kills. A lineage that finishes too early
-    // is wiped and restarted with new kill points.
     let chaos_flags = |resume: bool| -> Vec<String> {
         let mut v = vec![
             "--json-out".into(),
@@ -200,6 +196,30 @@ fn main() -> ExitCode {
         v.push("chaos.jck".into());
         v
     };
+    let wipe = || {
+        for f in ["chaos.json", "chaos.jtb", "chaos.jck"] {
+            let _ = std::fs::remove_file(dir.join(f));
+        }
+    };
+
+    // The killed runs are one-worker checkpointed sweeps, up to twice
+    // as long as the all-cores golden run: time an uninterrupted one,
+    // so kills spread over the whole of the runs they hit.
+    let ckpt_start = Instant::now();
+    let status = command(&opts, &bin, &dir, &chaos_flags(false))
+        .status()
+        .unwrap_or_else(|e| fail(&format!("cannot spawn {}: {e}", bin.display())));
+    if !status.success() {
+        fail(&format!("checkpointed run failed with {status}"));
+    }
+    let wall = ckpt_start.elapsed().max(Duration::from_millis(20));
+    println!("checkpointed: uninterrupted in {wall:.2?}");
+    wipe();
+
+    // Kill/resume lineage: start fresh, kill at seeded fractions of
+    // the checkpointed wall time, resume, until the run survives with
+    // at least `kills` landed kills. A lineage that finishes too early
+    // is wiped and restarted with new kill points.
     let mut landed = 0usize;
     let mut resumes = 0usize;
     let mut attempts = 0usize;
@@ -224,7 +244,7 @@ fn main() -> ExitCode {
                     let _ = child.wait();
                     landed += 1;
                     println!(
-                        "kill {landed}/{} landed at ~{:.0}% of golden wall time",
+                        "kill {landed}/{} landed at ~{:.0}% of checkpointed wall time",
                         opts.kills,
                         frac * 100.0
                     );
@@ -241,9 +261,7 @@ fn main() -> ExitCode {
                         fail(&format!("chaos run failed with {status}"));
                     }
                     println!("  run finished before kill point — restarting lineage");
-                    for f in ["chaos.json", "chaos.jtb", "chaos.jck"] {
-                        let _ = std::fs::remove_file(dir.join(f));
-                    }
+                    wipe();
                     landed = 0;
                     resumes = 0;
                     lineage_started = false;

@@ -13,11 +13,13 @@
 //! NIR itself: register numbers are pre-narrowed, operators pre-split
 //! into per-op variants, inline-cache slots precomputed, so dispatch
 //! is one match on a 24-byte op with no nested decoding. It runs one
-//! [`Segment`](crate::runplan::Segment) after another: the body's
-//! semantics first (a `Jmp` the segment runs on through is a no-op),
-//! then one replay charges the whole segment, then the tail runs (see
-//! [`crate::runplan`] for why that is bit-exact with charging each
-//! instruction before its semantics).
+//! [`Segment`]'s stream after another: the body's semantics first, then
+//! one replay charges every instruction of the segment, then the tail
+//! runs. The stream is the segment's instructions without the jumps it
+//! runs on through and the register copies it no longer needs, so it
+//! runs fewer ops than the segment charges (see [`crate::runplan`] for
+//! why both are bit-exact with charging each instruction before its
+//! semantics).
 //!
 //! Results are bit-identical to the interpreter's: both engines share
 //! [`crate::arith`] and the same heap.
@@ -27,7 +29,7 @@ use crate::bytecode::{ClassId, MethodId};
 use crate::costs::{self, NATIVE_INSTR_BYTES};
 use crate::emit::{MicroMem, NativeCode};
 use crate::heap::Heap;
-use crate::runplan::{XCode, XOp, NONE, SEG_ADDRS};
+use crate::runplan::{Segment, XCode, XOp, NONE, SEG_ADDRS};
 use crate::value::{Type, Value};
 use crate::vm::Vm;
 use crate::VmError;
@@ -58,7 +60,7 @@ enum Ctl {
 /// bit-exact with stepping its micros one by one (see
 /// [`jem_energy::Machine::step_seq`]). The cold paths — a failing body
 /// instruction and a step budget too small for a whole segment — step
-/// `code`'s emitted micros one instruction at a time instead.
+/// `code`'s emitted micros one flat position at a time instead.
 ///
 /// # Errors
 /// Any [`VmError`] raised by the executed code.
@@ -118,7 +120,7 @@ impl Frame<'_> {
             let seg = &self.x.segs[si];
             let (start, end) = (seg.start as usize, seg.end as usize);
             let ctl = if vm.options.step_budget.saturating_sub(vm.steps) < seg.steps {
-                self.step_each(vm, regs, start..end)?
+                self.step_each(vm, regs, seg)?
             } else {
                 // Body semantics first, recording heap addresses...
                 let mut n = 0;
@@ -130,7 +132,7 @@ impl Frame<'_> {
                             n += 1;
                         }
                         Err(e) => {
-                            self.charge_failed(vm, regs, start, start + k, &addrs[..n])?;
+                            self.charge_failed(vm, regs, seg, start + k, &addrs[..n])?;
                             return Err(e);
                         }
                     }
@@ -155,28 +157,32 @@ impl Frame<'_> {
         }
     }
 
-    /// Run ops `range` in reference order, one instruction at a time:
-    /// the step budget runs out inside this segment. Only the tail's
-    /// control transfer is taken; a `Jmp` before it leads to the next
-    /// op.
+    /// Run segment `seg` in reference order, one flat position at a
+    /// time: the step budget runs out inside it. Each position is
+    /// charged, then the stream op at it, if there is one, runs; only
+    /// the tail's control transfer is taken.
     #[cold]
     fn step_each(
         &self,
         vm: &mut Vm<'_>,
         regs: &mut [Value],
-        range: Range<usize>,
+        seg: &Segment,
     ) -> Result<Ctl, VmError> {
         let mut ctl = Ctl::Next;
-        for i in range {
-            let op = &self.x.ops[i];
-            self.charge(vm, i, heap_addr(&vm.heap, regs, op))?;
+        let mut i = seg.flat as usize;
+        for k in seg.start as usize..seg.end as usize {
+            let (op, at) = (&self.x.ops[k], self.x.at[k] as usize);
+            self.charge_dropped(vm, i..at)?;
+            self.charge(vm, at, heap_addr(&vm.heap, regs, op))?;
             ctl = semantics(vm, regs, op, self.ics, &self.x.args_pool)?;
+            i = at + 1;
         }
         Ok(ctl)
     }
 
-    /// Charge ops `start..=failed` one at a time, as the reference has
-    /// when op `failed`'s semantics fail: the ops before it at their
+    /// Charge segment `seg`'s flat positions one at a time, up to and
+    /// including the one of stream op `failed`, as the reference has
+    /// when that op's semantics fail: the stream ops before it at their
     /// `recorded` heap addresses, `failed` at the address its operands
     /// give.
     #[cold]
@@ -184,24 +190,35 @@ impl Frame<'_> {
         &self,
         vm: &mut Vm<'_>,
         regs: &[Value],
-        start: usize,
+        seg: &Segment,
         failed: usize,
         recorded: &[Option<u64>],
     ) -> Result<(), VmError> {
-        let ops = &self.x.ops;
         let mut recorded = recorded.iter().copied();
-        for (i, op) in ops.iter().enumerate().take(failed).skip(start) {
-            let a = if op.touches_heap() {
+        let mut i = seg.flat as usize;
+        for k in seg.start as usize..=failed {
+            let (op, at) = (&self.x.ops[k], self.x.at[k] as usize);
+            let a = if k == failed {
+                heap_addr(&vm.heap, regs, op)
+            } else if op.touches_heap() {
                 recorded.next().flatten()
             } else {
                 None
             };
-            self.charge(vm, i, a)?;
+            self.charge_dropped(vm, i..at)?;
+            self.charge(vm, at, a)?;
+            i = at + 1;
         }
-        self.charge(vm, failed, heap_addr(&vm.heap, regs, &ops[failed]))
+        Ok(())
     }
 
-    /// Charge op `i` the reference way — one
+    /// Charge flat positions `range`, whose ops the stream dropped: a
+    /// followed `Jmp` or a `Mov`, neither touching the heap.
+    fn charge_dropped(&self, vm: &mut Vm<'_>, mut range: Range<usize>) -> Result<(), VmError> {
+        range.try_for_each(|i| self.charge(vm, i, None))
+    }
+
+    /// Charge flat position `i` the reference way — one
     /// [`Machine::step`](jem_energy::Machine::step) per micro its
     /// origin emitted, every heap micro at `heap_addr` — and bump its
     /// steps.
@@ -353,9 +370,8 @@ fn semantics(
 }
 
 /// The semantics of a body op: it touches registers and the heap only,
-/// never the machine, and a `Jmp` the segment runs on through does
-/// nothing. Returns the heap address its heap micro accessed, from the
-/// same object lookup as the access itself.
+/// never the machine. Returns the heap address its heap micro
+/// accessed, from the same object lookup as the access itself.
 ///
 /// Always inlined: a call per body op cost fig7-grid about 13% of its
 /// throughput.
@@ -500,11 +516,11 @@ fn plain(heap: &mut Heap, regs: &mut [Value], op: &XOp) -> Result<Option<u64>, V
             heap.field_set(h, *slot as usize, regs[*val as usize])?;
             return Ok(Some(heap.field_address(h, *slot as usize)));
         }
-        XOp::Jmp { .. } => {}
         XOp::NewArr { .. }
         | XOp::NewObj { .. }
         | XOp::Call { .. }
         | XOp::CallVirt { .. }
+        | XOp::Jmp { .. }
         | XOp::Br { .. }
         | XOp::Ret { .. } => unreachable!("segment-ending ops run through `semantics`"),
     }

@@ -16,6 +16,7 @@
 use crate::bytecode::{ClassId, Cond, FBin, IBin, MethodId};
 use crate::value::Type;
 use serde::{Deserialize, Serialize};
+use std::collections::BTreeSet;
 use std::fmt;
 
 /// A virtual register.
@@ -619,6 +620,60 @@ impl NFunc {
             }
         }
         Ok(())
+    }
+
+    /// Backward liveness over the CFG, iterated to its fixpoint: blocks
+    /// are swept last to first, each from its live-out set back through
+    /// its instructions, until no live-in set changes.
+    pub fn liveness(&self) -> Liveness {
+        let mut live = Liveness {
+            live_in: vec![BTreeSet::new(); self.blocks.len()],
+            visits: 0,
+        };
+        let mut changed = true;
+        while changed {
+            changed = false;
+            for b in (0..self.blocks.len()).rev() {
+                let mut set = live.live_out(self, b);
+                for inst in self.blocks[b].insts.iter().rev() {
+                    live.visits += 1;
+                    if let Some(d) = inst.def() {
+                        set.remove(&d);
+                    }
+                    set.extend(inst.uses());
+                }
+                if set != live.live_in[b] {
+                    live.live_in[b] = set;
+                    changed = true;
+                }
+            }
+        }
+        live
+    }
+}
+
+/// The registers live on entry to each block of an [`NFunc`] (see
+/// [`NFunc::liveness`]).
+#[derive(Debug)]
+pub struct Liveness {
+    /// Live-in set per block.
+    pub live_in: Vec<BTreeSet<VReg>>,
+    /// Instructions the fixpoint visited: the passes that need
+    /// liveness count them as JIT work units.
+    pub visits: u64,
+}
+
+impl Liveness {
+    /// The registers live on exit from block `b` of `func`: the union
+    /// of its successors' live-in sets.
+    pub fn live_out(&self, func: &NFunc, b: usize) -> BTreeSet<VReg> {
+        let mut live = BTreeSet::new();
+        if let Some(term) = func.blocks[b].insts.last() {
+            for s in term.successors() {
+                live.extend(self.live_in[s.0 as usize].iter().copied());
+            }
+        }
+        live
     }
 }
 

@@ -6,9 +6,8 @@
 //! left behind by naive stack lowering, CSE and LICM) and removes
 //! them, along with self-moves.
 
-use crate::nir::{NFunc, NInst, VReg};
+use crate::nir::{NFunc, NInst};
 use crate::opt::PassReport;
-use std::collections::BTreeSet;
 
 /// Run the pass (iterates internally to a fixpoint).
 pub fn run(func: &mut NFunc) -> PassReport {
@@ -32,46 +31,13 @@ pub fn run(func: &mut NFunc) -> PassReport {
 }
 
 fn sweep(func: &mut NFunc) -> (u64, bool) {
-    let n = func.blocks.len();
-    let mut work_units = 0u64;
-
-    // Backward liveness: live-in per block.
-    let mut live_in: Vec<BTreeSet<VReg>> = vec![BTreeSet::new(); n];
-    let mut changed = true;
-    while changed {
-        changed = false;
-        for b in (0..n).rev() {
-            // live-out = union of successors' live-in.
-            let mut live: BTreeSet<VReg> = BTreeSet::new();
-            if let Some(term) = func.blocks[b].insts.last() {
-                for s in term.successors() {
-                    live.extend(live_in[s.0 as usize].iter().copied());
-                }
-            }
-            // Walk the block backwards.
-            for inst in func.blocks[b].insts.iter().rev() {
-                work_units += 1;
-                if let Some(d) = inst.def() {
-                    live.remove(&d);
-                }
-                live.extend(inst.uses());
-            }
-            if live != live_in[b] {
-                live_in[b] = live;
-                changed = true;
-            }
-        }
-    }
+    let liveness = func.liveness();
+    let mut work_units = liveness.visits;
 
     // Removal sweep, recomputing liveness within each block backwards.
     let mut removed = false;
-    for b in 0..n {
-        let mut live: BTreeSet<VReg> = BTreeSet::new();
-        if let Some(term) = func.blocks[b].insts.last() {
-            for s in term.successors() {
-                live.extend(live_in[s.0 as usize].iter().copied());
-            }
-        }
+    for b in 0..func.blocks.len() {
+        let mut live = liveness.live_out(func, b);
         let insts = &mut func.blocks[b].insts;
         let mut keep: Vec<bool> = vec![true; insts.len()];
         for (i, inst) in insts.iter().enumerate().rev() {
@@ -110,7 +76,7 @@ fn sweep(func: &mut NFunc) -> (u64, bool) {
 mod tests {
     use super::*;
     use crate::bytecode::{Cond, IBin, MethodId};
-    use crate::nir::{Block, BlockId};
+    use crate::nir::{Block, BlockId, VReg};
 
     fn func_with(insts: Vec<NInst>) -> NFunc {
         NFunc {

@@ -13,7 +13,7 @@
 //! assigns registers and picks spill victims (furthest end first).
 
 use crate::nir::{NFunc, VReg};
-use std::collections::{BTreeSet, HashMap};
+use std::collections::HashMap;
 
 /// Number of allocatable physical registers on the target
 /// (SPARC v8: 32 integer registers minus globals, stack/frame
@@ -58,31 +58,8 @@ pub fn allocate(func: &NFunc, k: usize) -> Allocation {
         }
     }
 
-    // Backward liveness (live-in per block).
-    let mut live_in: Vec<BTreeSet<VReg>> = vec![BTreeSet::new(); nblocks];
-    let mut changed = true;
-    while changed {
-        changed = false;
-        for b in (0..nblocks).rev() {
-            let mut live: BTreeSet<VReg> = BTreeSet::new();
-            if let Some(term) = func.blocks[b].insts.last() {
-                for s in term.successors() {
-                    live.extend(live_in[s.0 as usize].iter().copied());
-                }
-            }
-            for inst in func.blocks[b].insts.iter().rev() {
-                work_units += 1;
-                if let Some(d) = inst.def() {
-                    live.remove(&d);
-                }
-                live.extend(inst.uses());
-            }
-            if live != live_in[b] {
-                live_in[b] = live;
-                changed = true;
-            }
-        }
-    }
+    let liveness = func.liveness();
+    work_units += liveness.visits;
 
     // Intervals: min/max positions where each register matters —
     // its defs/uses, plus whole blocks where it is live-through.
@@ -103,18 +80,11 @@ pub fn allocate(func: &NFunc, k: usize) -> Allocation {
         touch(VReg(a), 0, &mut first, &mut last);
     }
     for (b, block) in func.blocks.iter().enumerate() {
-        // live-out = union of successors' live-in.
-        let mut live_out: BTreeSet<VReg> = BTreeSet::new();
-        if let Some(term) = block.insts.last() {
-            for s in term.successors() {
-                live_out.extend(live_in[s.0 as usize].iter().copied());
-            }
-        }
-        for &r in &live_in[b] {
+        for &r in &liveness.live_in[b] {
             touch(r, block_start[b], &mut first, &mut last);
             work_units += 1;
         }
-        for &r in &live_out {
+        for &r in &liveness.live_out(func, b) {
             touch(r, block_end[b].saturating_sub(1), &mut first, &mut last);
             work_units += 1;
         }

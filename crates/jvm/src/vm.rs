@@ -79,10 +79,11 @@ pub enum MethodCode {
         /// immutable program's vtables — never serialized; a fresh
         /// (cold) vector after resume is observationally identical.
         ics: Rc<Vec<Cell<u64>>>,
-        /// The pre-decoded executable plan: flat [`crate::runplan::XOp`]
-        /// stream plus one merged charge plan per segment, compiled
-        /// for this machine's energy table and I-cache geometry at
-        /// install time. A derived artifact — never serialized.
+        /// The pre-decoded executable plan: each segment's
+        /// [`crate::runplan::XOp`] stream plus its merged charge plan,
+        /// compiled for this machine's energy table and I-cache
+        /// geometry at install time. A derived artifact — never
+        /// serialized.
         plans: Rc<XCode>,
     },
 }

@@ -527,6 +527,8 @@ impl TimelineSink {
 
     fn begin_segment(&mut self) {
         self.sampler.reset();
+        // A segment is one run, whose sim time starts at 0 again.
+        self.last_flush_t = 0.0;
         self.prev_vals = [0.0; N_SERIES];
         self.cur_flushed = Some(0);
         self.write(&[R_SEGMENT]);
@@ -1591,6 +1593,38 @@ mod tests {
             );
         }
         validate_jts(&bytes).unwrap();
+        std::fs::remove_file(path).ok();
+    }
+
+    /// Two runs streamed through one sink, the second restarting `seq`
+    /// and sim time at 0: the `--flush-every` clock restarts with it,
+    /// so both runs' blocks are cut alike.
+    #[test]
+    fn flush_clock_restarts_with_each_run() {
+        let dir = crate::fsio::scratch_dir();
+        let path = dir.join("t.jts");
+        let path = path.to_str().unwrap();
+        // An invocation is 100 sim-ns: a flush every tenth one.
+        let events = synthetic_events(40);
+        let mut sink = TimelineSink::create(path, 0.0).unwrap();
+        sink.set_flush_every(1_000.0);
+        drive(&mut sink, &events);
+        drive(&mut sink, &events); // seq restarts at 0
+        sink.finish().unwrap();
+        let bytes = std::fs::read(path).unwrap();
+        // Sample blocks per segment.
+        let (mut dec, mut pos, mut blocks) = (JtsDecoder::default(), 0, Vec::new());
+        loop {
+            let (record, used) = dec.step(&bytes[pos..], pos as u64).unwrap();
+            pos += used;
+            match record {
+                JtsRecord::Header => {}
+                JtsRecord::Segment => blocks.push(0),
+                JtsRecord::Samples { .. } => *blocks.last_mut().unwrap() += 1,
+                JtsRecord::Footer(_) => break,
+            }
+        }
+        assert_eq!(blocks, [4, 4]);
         std::fs::remove_file(path).ok();
     }
 

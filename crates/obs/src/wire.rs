@@ -1118,13 +1118,19 @@ impl<W: Write> TraceSink for WriterSink<W> {
         }
         // Flush *before* pushing an invocation's first event, so the
         // flushed prefix ends exactly at the previous invocation's
-        // final event — followers never see a half-invocation.
+        // final event — followers never see a half-invocation. Each
+        // run of a sweep numbers its events and counts its sim time
+        // from 0, so its first event restarts the clock too.
         let due = match (self.flush_every_ns, self.writer.as_mut()) {
-            (Some(every), Some(w))
-                if event.ordinal == 0 && event.at.nanos() >= w.flushed_at + every =>
-            {
-                w.flushed_at = event.at.nanos();
-                true
+            (Some(every), Some(w)) => {
+                if event.seq == 0 {
+                    w.flushed_at = 0.0;
+                }
+                let due = event.ordinal == 0 && event.at.nanos() >= w.flushed_at + every;
+                if due {
+                    w.flushed_at = event.at.nanos();
+                }
+                due
             }
             _ => false,
         };
@@ -2244,6 +2250,30 @@ mod tests {
             }
         }
         events
+    }
+
+    /// Two runs streamed through one sink, the second restarting `seq`
+    /// and sim time at 0: the `--flush-every` clock restarts with it,
+    /// so both runs' blocks are cut alike.
+    #[test]
+    fn flush_clock_restarts_with_each_run() {
+        // An invocation is 300 sim-ns: a flush every fifth one.
+        let run = invocation_stream(20, 30);
+        let mut sink = WriterSink::new(Vec::new()).unwrap();
+        sink.set_flush_every(1_300.0);
+        for ev in run.iter().chain(&run) {
+            sink.record(ev.clone());
+        }
+        let bytes = sink.finish().unwrap();
+        // The invocation each block starts at; the first run's last
+        // block runs on into the second run.
+        let starts: Vec<u64> = JtbIndex::read(&bytes)
+            .unwrap()
+            .blocks
+            .iter()
+            .map(|b| b.first_invocation)
+            .collect();
+        assert_eq!(starts, [1, 6, 11, 16, 6, 11, 16]);
     }
 
     #[test]
