@@ -28,8 +28,10 @@
 //! `speedup` or `ablation`. The golden run is the bin's sweep on every
 //! core; the killed and resumed runs are its one-worker checkpointed
 //! sweep (`jem_bench::ckpt`), so a pass also shows the two drain the
-//! same bytes. Kills land at 5–85% of the wall time of one
-//! uninterrupted checkpointed run, timed before the first kill.
+//! same bytes. Kills land at 5–85% of the part of the run still
+//! ahead, measured in the wall time of one uninterrupted checkpointed
+//! run, timed before the first kill: a resumed run has only the rest
+//! of the run left, so each later kill point is drawn within it.
 
 use jem_obs::{load_trace_bytes, salvage_jtb};
 use rand::rngs::SmallRng;
@@ -217,10 +219,13 @@ fn main() -> ExitCode {
     wipe();
 
     // Kill/resume lineage: start fresh, kill at seeded fractions of
-    // the checkpointed wall time, resume, until the run survives with
-    // at least `kills` landed kills. A lineage that finishes too early
-    // is wiped and restarted with new kill points.
+    // the checkpointed wall time still ahead, resume, until the run
+    // survives with at least `kills` landed kills. A lineage that
+    // finishes too early is wiped and restarted with new kill points.
     let mut landed = 0usize;
+    // The share of the checkpointed wall time ahead of the lineage: a
+    // resumed run has only the rest of the run left to do.
+    let mut ahead = 1.0f64;
     let mut resumes = 0usize;
     let mut attempts = 0usize;
     let mut lineage_started = false;
@@ -237,7 +242,7 @@ fn main() -> ExitCode {
             // Earlier fractions hit the sweep's first units; later
             // ones land mid-trace with checkpoints behind them.
             let frac = rng.gen_range(0.05..0.85);
-            std::thread::sleep(wall.mul_f64(frac));
+            std::thread::sleep(wall.mul_f64(ahead * frac));
             match child.try_wait() {
                 Ok(None) => {
                     child.kill().unwrap_or_else(|e| fail(&format!("kill: {e}")));
@@ -246,8 +251,9 @@ fn main() -> ExitCode {
                     println!(
                         "kill {landed}/{} landed at ~{:.0}% of checkpointed wall time",
                         opts.kills,
-                        frac * 100.0
+                        (1.0 - ahead * (1.0 - frac)) * 100.0
                     );
+                    ahead *= 1.0 - frac;
                     let torn = dir.join("chaos.jtb");
                     if torn.exists() {
                         check_salvage(&read(&torn), &format!("kill {landed}"));
@@ -264,6 +270,7 @@ fn main() -> ExitCode {
                     wipe();
                     landed = 0;
                     resumes = 0;
+                    ahead = 1.0;
                     lineage_started = false;
                     continue;
                 }

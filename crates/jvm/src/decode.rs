@@ -30,7 +30,14 @@
 //! The engine runs a segment's body semantics first, recording each
 //! heap op's address; then charges the whole segment with one
 //! [`Machine::step_seq`](jem_energy::Machine::step_seq) replay and one
-//! step-budget bump; then runs its tail.
+//! step-budget bump; then runs its tail in the segment loop. A branch,
+//! goto or return picks the next segment or the return value in line.
+//! A call whose callee is bytecode (and not routed to the reference
+//! interpreter by [`VmOptions::slow_interp`](crate::vm::VmOptions))
+//! enters the callee's frame directly, filling its locals straight
+//! from the top of the operand stack, after [`Vm::invoke`]'s checks
+//! through the same `Vm::enter`; calls into native code go through
+//! [`Vm::invoke`].
 //!
 //! # Bit-exactness
 //!
@@ -701,7 +708,9 @@ pub(crate) struct InterpCode {
     pub(crate) segs: Vec<Segment>,
 }
 
-/// Execute `method` on the decoded fast path with the given arguments.
+/// Execute `method` on the decoded fast path with the given arguments,
+/// in a frame one call level below the caller ([`Vm::depth`] already
+/// counts it).
 ///
 /// Observationally identical to [`crate::interp::run`] — same results,
 /// same energy/cycle/step accounting bit-for-bit, same errors.
@@ -709,19 +718,32 @@ pub(crate) struct InterpCode {
 /// # Errors
 /// Any [`VmError`] raised by the executed code.
 pub fn run(vm: &mut Vm<'_>, method: MethodId, args: Vec<Value>) -> Result<Option<Value>, VmError> {
-    let code = vm.interp_code(method);
     let cc = vm.cost_cache();
+    let out = enter(vm, &cc, method, args.len(), |locals| {
+        locals.copy_from_slice(&args);
+    });
+    vm.put_buf(args);
+    out
+}
 
-    // Locals and operand stack are pooled; the wrapper keeps the
-    // recycling off the hot path and covers every exit (returns and
-    // errors alike).
+/// The one frame entry: pooled locals whose first `nargs` slots `fill`
+/// writes and a pooled operand stack, the argument copy charged, then
+/// `method` run. Both buffers go back to the pool on every exit.
+fn enter(
+    vm: &mut Vm<'_>,
+    cc: &CostCache,
+    method: MethodId,
+    nargs: usize,
+    fill: impl FnOnce(&mut [Value]),
+) -> Result<Option<Value>, VmError> {
+    let code = vm.interp_code(method);
     let mut locals = vm.take_buf();
     let mut stack = vm.take_buf();
-    let frame = Frame {
-        code: &code,
-        cc: &cc,
-    };
-    let out = frame.run(vm, args, &mut locals, &mut stack);
+    locals.resize(code.dm.nlocals as usize, Value::Int(0));
+    fill(&mut locals[..nargs]);
+    vm.machine.charge_mix(&costs::arg_copy_mix(nargs));
+    let frame = Frame { code: &code, cc };
+    let out = frame.run(vm, &mut locals, &mut stack);
     vm.put_buf(locals);
     vm.put_buf(stack);
     out
@@ -729,10 +751,8 @@ pub fn run(vm: &mut Vm<'_>, method: MethodId, args: Vec<Value>) -> Result<Option
 
 /// Where control goes after a segment.
 enum Ctl {
-    /// Fall through to the next segment.
-    Next,
-    /// Take the tail's branch.
-    Jump,
+    /// On to this segment.
+    Seg(usize),
     /// Method return.
     Ret(Option<Value>),
 }
@@ -749,22 +769,16 @@ impl Frame<'_> {
     fn run(
         &self,
         vm: &mut Vm<'_>,
-        args: Vec<Value>,
-        locals: &mut Vec<Value>,
+        locals: &mut [Value],
         stack: &mut Vec<Value>,
     ) -> Result<Option<Value>, VmError> {
         let ops = &self.code.dm.ops;
-        locals.resize(self.code.dm.nlocals as usize, Value::Int(0));
-        locals[..args.len()].copy_from_slice(&args);
-        vm.machine.charge_mix(&costs::arg_copy_mix(args.len()));
-        vm.put_buf(args);
-
         // Heap addresses of the current segment's touches, in order.
         let mut addrs = [None; SEG_ADDRS];
         let mut si = 0usize;
         loop {
             let seg = self.code.segs.get(si).ok_or(VmError::FellOffEnd)?;
-            let ctl = if vm.options.step_budget.saturating_sub(vm.steps) < seg.steps {
+            let pc = if vm.options.step_budget.saturating_sub(vm.steps) < seg.steps {
                 self.step_each(vm, seg, locals, stack)?
             } else {
                 // Body semantics first, recording heap addresses...
@@ -783,25 +797,155 @@ impl Frame<'_> {
                     }
                     pc += ops[pc].len as usize;
                 }
-                // ...then one replay for the whole segment, and the tail.
+                // ...then one replay for the whole segment.
                 vm.machine.step_seq(&seg.plan, 0, 0, &addrs[..n]);
                 vm.bump_steps(seg.steps)?;
-                if seg.tail {
-                    tail(vm, &ops[pc].op, locals, stack)?
-                } else {
-                    Ctl::Next
-                }
+                pc
             };
-            si = match ctl {
-                Ctl::Next => si + 1,
-                Ctl::Jump => seg.jump as usize,
-                Ctl::Ret(v) => return Ok(v),
+            si = if seg.tail {
+                match self.tail(vm, &ops[pc].op, locals, stack, seg, si)? {
+                    Ctl::Seg(s) => s,
+                    Ctl::Ret(v) => return Ok(v),
+                }
+            } else {
+                si + 1
             };
         }
     }
 
-    /// Run `seg` in reference order, one op at a time: the step budget
-    /// runs out inside it.
+    /// The semantics of segment `seg`'s (the `si`th) tail `op`, once
+    /// the segment is charged, and where control goes next. Branches
+    /// and returns touch neither the heap nor the machine; calls and
+    /// allocations fall through to the next segment.
+    #[inline(always)]
+    fn tail(
+        &self,
+        vm: &mut Vm<'_>,
+        op: &DOp,
+        locals: &[Value],
+        stack: &mut Vec<Value>,
+        seg: &Segment,
+        si: usize,
+    ) -> Result<Ctl, VmError> {
+        macro_rules! pop {
+            () => {
+                stack.pop().ok_or(VmError::StackUnderflow)?
+            };
+        }
+        let taken = match *op {
+            DOp::Goto(_) => true,
+            DOp::ICmpBr(cond, _) => {
+                let b = pop!().as_int()?;
+                let a = pop!().as_int()?;
+                cond.eval(a, b)
+            }
+            DOp::BrZ(cond, _) => {
+                let a = pop!().as_int()?;
+                cond.eval(a, 0)
+            }
+            DOp::LoadLoadICmpBr(a, b, cond, _) => {
+                let vb = locals[b as usize].as_int()?;
+                let va = locals[a as usize].as_int()?;
+                cond.eval(va, vb)
+            }
+            DOp::LoadIConstICmpBr(a, k, cond, _) => {
+                let va = locals[a as usize].as_int()?;
+                cond.eval(va, k)
+            }
+            DOp::Ret => return Ok(Ctl::Ret(None)),
+            DOp::RetVal => return Ok(Ctl::Ret(Some(pop!()))),
+            _ => {
+                self.call_or_alloc(vm, op, stack)?;
+                false
+            }
+        };
+        Ok(Ctl::Seg(if taken { seg.jump as usize } else { si + 1 }))
+    }
+
+    /// The semantics of a calling or allocating tail. An allocation
+    /// charges its zeroing. A call pops its arguments (the receiver
+    /// first for a virtual call) and pushes the callee's return value,
+    /// if it returns one.
+    #[inline(never)]
+    fn call_or_alloc(
+        &self,
+        vm: &mut Vm<'_>,
+        op: &DOp,
+        stack: &mut Vec<Value>,
+    ) -> Result<(), VmError> {
+        let (target, split) = match op {
+            DOp::NewArr(ty) => {
+                let len = stack.pop().ok_or(VmError::StackUnderflow)?.as_int()?;
+                if len < 0 {
+                    return Err(VmError::NegativeArrayLength(len));
+                }
+                let bytes = match ty {
+                    Type::Float => 8,
+                    _ => 4,
+                } * len as u64;
+                vm.machine.charge_mix(&costs::alloc_zero_mix(bytes));
+                stack.push(Value::Ref(vm.heap.alloc_array(*ty, len as usize)));
+                return Ok(());
+            }
+            DOp::New(cid) => {
+                let class = vm.program.class(*cid);
+                vm.machine
+                    .charge_mix(&costs::alloc_zero_mix(8 * class.field_types.len() as u64));
+                stack.push(Value::Ref(vm.heap.alloc_object(cid.0, &class.field_types)));
+                return Ok(());
+            }
+            DOp::Call { target, nargs } => {
+                let split = stack
+                    .len()
+                    .checked_sub(*nargs as usize)
+                    .ok_or(VmError::StackUnderflow)?;
+                (*target, split)
+            }
+            DOp::CallVirt { slot, argc, ic } => {
+                let split = stack
+                    .len()
+                    .checked_sub(*argc as usize + 1)
+                    .ok_or(VmError::StackUnderflow)?;
+                let recv = stack[split].as_ref()?;
+                let class = vm.heap.class_of(recv)?;
+                let (cached_class, cached_target) = ic.get();
+                let target = if cached_class == class {
+                    cached_target
+                } else {
+                    let vtable = &vm.program.class(ClassId(class)).vtable;
+                    let t = *vtable.get(*slot as usize).ok_or(VmError::BadVSlot(*slot))?;
+                    ic.set((class, t));
+                    t
+                };
+                (target, split)
+            }
+            _ => unreachable!("body ops run through `plain`"),
+        };
+        let args = &stack[split..];
+        let ret = if vm.options.slow_interp || vm.is_native(target) {
+            let mut argv = vm.take_buf();
+            argv.extend_from_slice(args);
+            vm.invoke(target, argv)
+        } else {
+            // A bytecode callee on this engine: its frame is filled
+            // straight from the operand stack.
+            vm.enter(target, args.len(), |vm| {
+                enter(vm, self.cc, target, args.len(), |locals| {
+                    locals.copy_from_slice(args);
+                })
+            })
+        }?;
+        stack.truncate(split);
+        if let Some(v) = ret {
+            stack.push(v);
+        }
+        Ok(())
+    }
+
+    /// Charge and run `seg` in reference order, one op at a time, up to
+    /// its tail's semantics, which [`Frame::tail`] then runs: the step
+    /// budget runs out inside it. Returns the tail's slot (the end of
+    /// the body when there is no tail).
     #[cold]
     fn step_each(
         &self,
@@ -809,7 +953,7 @@ impl Frame<'_> {
         seg: &Segment,
         locals: &mut [Value],
         stack: &mut Vec<Value>,
-    ) -> Result<Ctl, VmError> {
+    ) -> Result<usize, VmError> {
         let ops = &self.code.dm.ops;
         let mut pc = seg.start as usize;
         while pc < seg.body_end as usize {
@@ -820,11 +964,10 @@ impl Frame<'_> {
             }
             pc += ops[pc].len as usize;
         }
-        if !seg.tail {
-            return Ok(Ctl::Next);
+        if seg.tail {
+            self.dispatch(vm, &ops[pc].op)?;
         }
-        self.dispatch(vm, &ops[pc].op)?;
-        tail(vm, &ops[pc].op, locals, stack)
+        Ok(pc)
     }
 
     /// Charge `seg`'s ops up to and including the body op at `failed`
@@ -1039,106 +1182,7 @@ fn plain(
         | DOp::Call { .. }
         | DOp::CallVirt { .. }
         | DOp::Ret
-        | DOp::RetVal => unreachable!("tail ops run through `tail`"),
+        | DOp::RetVal => unreachable!("tail ops run through `Frame::tail`"),
     }
     Ok(None)
-}
-
-/// The semantics of a tail op: a branch, an allocation (which charges
-/// its zeroing mix), a call or a return.
-fn tail(
-    vm: &mut Vm<'_>,
-    op: &DOp,
-    locals: &[Value],
-    stack: &mut Vec<Value>,
-) -> Result<Ctl, VmError> {
-    macro_rules! pop {
-        () => {
-            stack.pop().ok_or(VmError::StackUnderflow)?
-        };
-    }
-    let taken = match op {
-        DOp::Goto(_) => true,
-        DOp::ICmpBr(cond, _) => {
-            let b = pop!().as_int()?;
-            let a = pop!().as_int()?;
-            cond.eval(a, b)
-        }
-        DOp::BrZ(cond, _) => {
-            let a = pop!().as_int()?;
-            cond.eval(a, 0)
-        }
-        DOp::LoadLoadICmpBr(a, b, cond, _) => {
-            let vb = locals[*b as usize].as_int()?;
-            let va = locals[*a as usize].as_int()?;
-            cond.eval(va, vb)
-        }
-        DOp::LoadIConstICmpBr(a, k, cond, _) => {
-            let va = locals[*a as usize].as_int()?;
-            cond.eval(va, *k)
-        }
-        DOp::NewArr(ty) => {
-            let len = pop!().as_int()?;
-            if len < 0 {
-                return Err(VmError::NegativeArrayLength(len));
-            }
-            let bytes = match ty {
-                Type::Float => 8,
-                _ => 4,
-            } * len as u64;
-            vm.machine.charge_mix(&costs::alloc_zero_mix(bytes));
-            stack.push(Value::Ref(vm.heap.alloc_array(*ty, len as usize)));
-            false
-        }
-        DOp::New(cid) => {
-            let class = vm.program.class(*cid);
-            vm.machine
-                .charge_mix(&costs::alloc_zero_mix(8 * class.field_types.len() as u64));
-            stack.push(Value::Ref(vm.heap.alloc_object(cid.0, &class.field_types)));
-            false
-        }
-        DOp::Call { target, nargs } => {
-            let nargs = *nargs as usize;
-            if stack.len() < nargs {
-                return Err(VmError::StackUnderflow);
-            }
-            let split = stack.len() - nargs;
-            let mut cargs = vm.take_buf();
-            cargs.extend_from_slice(&stack[split..]);
-            stack.truncate(split);
-            if let Some(v) = vm.invoke(*target, cargs)? {
-                stack.push(v);
-            }
-            false
-        }
-        DOp::CallVirt { slot, argc, ic } => {
-            let nargs = *argc as usize;
-            if stack.len() < nargs + 1 {
-                return Err(VmError::StackUnderflow);
-            }
-            let split = stack.len() - nargs - 1;
-            let mut cargs = vm.take_buf();
-            cargs.extend_from_slice(&stack[split..]);
-            stack.truncate(split);
-            let recv = cargs[0].as_ref()?;
-            let class = vm.heap.class_of(recv)?;
-            let (cached_class, cached_target) = ic.get();
-            let target = if cached_class == class {
-                cached_target
-            } else {
-                let vtable = &vm.program.class(ClassId(class)).vtable;
-                let t = *vtable.get(*slot as usize).ok_or(VmError::BadVSlot(*slot))?;
-                ic.set((class, t));
-                t
-            };
-            if let Some(v) = vm.invoke(target, cargs)? {
-                stack.push(v);
-            }
-            false
-        }
-        DOp::Ret => return Ok(Ctl::Ret(None)),
-        DOp::RetVal => return Ok(Ctl::Ret(Some(pop!()))),
-        _ => unreachable!("body ops run through `plain`"),
-    };
-    Ok(if taken { Ctl::Jump } else { Ctl::Next })
 }

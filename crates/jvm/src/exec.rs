@@ -21,6 +21,16 @@
 //! why both are bit-exact with charging each instruction before its
 //! semantics).
 //!
+//! The segment loop takes each tail itself: a branch, jump or return
+//! picks the next segment or the return value in line, and a call
+//! whose callee is native enters the callee's frame directly, filling
+//! its register file straight from the caller's argument registers.
+//! Such a call makes [`Vm::invoke`]'s checks through the same
+//! `Vm::enter` (arity, then depth, before any charge) and charges
+//! the same argument copy in the one frame entry every native
+//! invocation goes through. Calls into bytecode go through
+//! [`Vm::invoke`].
+//!
 //! Results are bit-identical to the interpreter's: both engines share
 //! [`crate::arith`] and the same heap.
 
@@ -30,25 +40,25 @@ use crate::costs::{self, NATIVE_INSTR_BYTES};
 use crate::emit::{MicroMem, NativeCode};
 use crate::heap::Heap;
 use crate::runplan::{Segment, XCode, XOp, NONE, SEG_ADDRS};
-use crate::value::{Type, Value};
-use crate::vm::Vm;
+use crate::value::{Handle, Type, Value};
+use crate::vm::{MethodCode, Vm};
 use crate::VmError;
 use jem_energy::{InstrClass, MemOp};
 use std::cell::Cell;
 use std::ops::Range;
+use std::rc::Rc;
 
-/// Where control goes after one instruction's semantics.
+/// Where control goes after a segment's tail.
 enum Ctl {
-    /// Fall through to the next instruction.
-    Next,
-    /// Jump to a block.
-    Jump(u32),
+    /// On to this segment.
+    Seg(u32),
     /// Return from the method.
     Ret(Option<Value>),
 }
 
 /// Execute `code` through its pre-decoded plan `x` (installed at
-/// simulated address `base`) with `args`.
+/// simulated address `base`) with `args`, in a frame one call level
+/// below the caller ([`Vm::depth`] already counts it).
 ///
 /// `ics` holds the method's monomorphic inline caches, indexed by the
 /// virtual call's emitted instruction offset: `(class << 32) | target`
@@ -72,19 +82,53 @@ pub fn run(
     ics: &[Cell<u64>],
     args: Vec<Value>,
 ) -> Result<Option<Value>, VmError> {
-    // The register file is pooled; the wrapper keeps recycling off the
-    // hot path and covers every exit (returns and errors alike).
-    let mut regs = vm.take_buf();
-    let frame = Frame {
-        code,
-        x,
-        ics,
-        base,
-        frame_base: costs::FRAME_BASE + u64::from(vm.depth()) * 8192,
-    };
-    let out = frame.run(vm, args, &mut regs);
-    vm.put_buf(regs);
+    let frame = Frame::new(vm, code, x, base, ics);
+    let out = frame.enter(vm, args.len(), |regs| regs.copy_from_slice(&args));
+    vm.put_buf(args);
     out
+}
+
+/// Call `m` from native code with `nargs` arguments, the receiver
+/// `recv` (for a virtual call) then registers `args` of `regs`. A
+/// native callee's frame is filled straight from `regs`; any other
+/// callee goes through [`Vm::invoke`] with an argument vector. Both
+/// check arity, then depth, before charging anything.
+fn call_method(
+    vm: &mut Vm<'_>,
+    m: MethodId,
+    recv: Option<Value>,
+    args: &[u16],
+    regs: &[Value],
+) -> Result<Option<Value>, VmError> {
+    let nargs = usize::from(recv.is_some()) + args.len();
+    let MethodCode::Native {
+        code,
+        base,
+        ics,
+        plans,
+    } = vm.code_of(m)
+    else {
+        let mut argv = vm.take_buf();
+        argv.extend(recv);
+        argv.extend(args.iter().map(|&r| regs[r as usize]));
+        return vm.invoke(m, argv);
+    };
+    let (code, x, ics, base) = (Rc::clone(code), Rc::clone(plans), Rc::clone(ics), *base);
+    vm.enter(m, nargs, |vm| {
+        let frame = Frame::new(vm, &code, &x, base, &ics);
+        frame.enter(vm, nargs, |dst| {
+            let dst = match recv {
+                Some(h) => {
+                    dst[0] = h;
+                    &mut dst[1..]
+                }
+                None => dst,
+            };
+            for (d, &r) in dst.iter_mut().zip(args) {
+                *d = regs[r as usize];
+            }
+        })
+    })
 }
 
 /// One native invocation: its code, plan and inline caches, and where
@@ -98,19 +142,46 @@ struct Frame<'c> {
     frame_base: u64,
 }
 
-impl Frame<'_> {
-    /// Run the invocation from block 0's entry, one segment at a time.
-    fn run(
+impl<'c> Frame<'c> {
+    /// The frame of an invocation at the VM's current call depth.
+    fn new(
+        vm: &Vm<'_>,
+        code: &'c NativeCode,
+        x: &'c XCode,
+        base: u64,
+        ics: &'c [Cell<u64>],
+    ) -> Self {
+        Frame {
+            code,
+            x,
+            ics,
+            base,
+            frame_base: costs::FRAME_BASE + u64::from(vm.depth()) * 8192,
+        }
+    }
+
+    /// The one frame entry: a pooled register file whose first `nargs`
+    /// registers `fill` writes, the argument copy charged, then the
+    /// invocation run. The register file goes back to the pool on
+    /// every exit.
+    #[inline]
+    fn enter(
         &self,
         vm: &mut Vm<'_>,
-        args: Vec<Value>,
-        regs: &mut Vec<Value>,
+        nargs: usize,
+        fill: impl FnOnce(&mut [Value]),
     ) -> Result<Option<Value>, VmError> {
+        let mut regs = vm.take_buf();
         regs.resize(self.code.func.nregs as usize, Value::Int(0));
-        regs[..args.len()].copy_from_slice(&args);
-        vm.machine.charge_mix(&costs::arg_copy_mix(args.len()));
-        vm.put_buf(args);
+        fill(&mut regs[..nargs]);
+        vm.machine.charge_mix(&costs::arg_copy_mix(nargs));
+        let out = self.run(vm, &mut regs);
+        vm.put_buf(regs);
+        out
+    }
 
+    /// Run the invocation from block 0's entry, one segment at a time.
+    fn run(&self, vm: &mut Vm<'_>, regs: &mut [Value]) -> Result<Option<Value>, VmError> {
         let ops = &self.x.ops;
         // Heap addresses of the current segment's heap micros, in issue
         // order.
@@ -119,8 +190,9 @@ impl Frame<'_> {
         loop {
             let seg = &self.x.segs[si];
             let (start, end) = (seg.start as usize, seg.end as usize);
-            let ctl = if vm.options.step_budget.saturating_sub(vm.steps) < seg.steps {
-                self.step_each(vm, regs, seg)?
+            let tail = &ops[end - 1];
+            if vm.options.step_budget.saturating_sub(vm.steps) < seg.steps {
+                self.step_each(vm, regs, seg)?;
             } else {
                 // Body semantics first, recording heap addresses...
                 let mut n = 0;
@@ -137,9 +209,8 @@ impl Frame<'_> {
                         }
                     }
                 }
-                // ...then the tail's address, one replay for the
-                // whole segment, and the tail.
-                let tail = &ops[end - 1];
+                // ...then the tail's address and one replay for the
+                // whole segment.
                 if tail.touches_heap() {
                     addrs[n] = heap_addr(&vm.heap, regs, tail);
                     n += 1;
@@ -147,37 +218,108 @@ impl Frame<'_> {
                 vm.machine
                     .step_seq(&seg.plan, self.base, self.frame_base, &addrs[..n]);
                 vm.bump_steps(seg.steps)?;
-                semantics(vm, regs, tail, self.ics, &self.x.args_pool)?
-            };
-            si = match ctl {
-                Ctl::Next => seg.next as usize,
-                Ctl::Jump(b) => self.x.entry[b as usize] as usize,
+            }
+            si = match self.tail(vm, regs, tail, seg)? {
+                Ctl::Seg(s) => s as usize,
                 Ctl::Ret(v) => return Ok(v),
             };
         }
     }
 
-    /// Run segment `seg` in reference order, one flat position at a
-    /// time: the step budget runs out inside it. Each position is
-    /// charged, then the stream op at it, if there is one, runs; only
-    /// the tail's control transfer is taken.
-    #[cold]
-    fn step_each(
+    /// The semantics of segment `seg`'s tail `op`, once the segment is
+    /// charged, and where control goes next. Branches, jumps and
+    /// returns touch neither the heap nor the machine; calls,
+    /// allocations and a tail cut by the heap cap fall through to
+    /// `seg.next`.
+    #[inline(always)]
+    fn tail(
         &self,
         vm: &mut Vm<'_>,
         regs: &mut [Value],
+        op: &XOp,
         seg: &Segment,
     ) -> Result<Ctl, VmError> {
-        let mut ctl = Ctl::Next;
+        let block = match *op {
+            XOp::Br { cond, a, b, t, e } => {
+                let (x, y) = (regs[a as usize].as_int()?, regs[b as usize].as_int()?);
+                if cond.eval(x, y) {
+                    t
+                } else {
+                    e
+                }
+            }
+            XOp::Jmp { t } => t,
+            XOp::Ret { v } => return Ok(Ctl::Ret((v != NONE).then(|| regs[v as usize]))),
+            XOp::Call {
+                d,
+                argc,
+                target,
+                argi,
+            } => {
+                let args = &self.x.args_pool[argi as usize..argi as usize + argc as usize];
+                let ret = call_method(vm, MethodId(target), None, args, regs)?;
+                set_result(regs, d, ret);
+                return Ok(Ctl::Seg(seg.next));
+            }
+            XOp::CallVirt {
+                d,
+                slot,
+                recv,
+                argc,
+                ic,
+                argi,
+            } => {
+                let h = regs[recv as usize].as_ref()?;
+                let target = self.resolve(vm, h, slot, ic)?;
+                let args = &self.x.args_pool[argi as usize..argi as usize + argc as usize];
+                let ret = call_method(vm, target, Some(Value::Ref(h)), args, regs)?;
+                set_result(regs, d, ret);
+                return Ok(Ctl::Seg(seg.next));
+            }
+            _ => {
+                other_tail(vm, regs, op)?;
+                return Ok(Ctl::Seg(seg.next));
+            }
+        };
+        Ok(Ctl::Seg(self.x.entry[block as usize]))
+    }
+
+    /// The target of a virtual call on `h` through vtable slot `slot`,
+    /// from inline cache `ic` when it holds `h`'s class.
+    fn resolve(&self, vm: &Vm<'_>, h: Handle, slot: u16, ic: u32) -> Result<MethodId, VmError> {
+        let class = vm.heap.class_of(h)?;
+        let ic = self.ics.get(ic as usize);
+        let cached = ic.map_or(u64::MAX, Cell::get);
+        if (cached >> 32) as u32 == class {
+            return Ok(MethodId(cached as u32));
+        }
+        let vtable = &vm.program.class(ClassId(class)).vtable;
+        let t = *vtable.get(slot as usize).ok_or(VmError::BadVSlot(slot))?;
+        if let Some(c) = ic {
+            c.set((u64::from(class) << 32) | u64::from(t.0));
+        }
+        Ok(t)
+    }
+
+    /// Charge and run segment `seg` in reference order, one flat
+    /// position at a time, up to its tail's semantics, which
+    /// [`Frame::tail`] then runs: the step budget runs out inside it.
+    /// Each position is charged, then the body op at it, if there is
+    /// one, runs.
+    #[cold]
+    fn step_each(&self, vm: &mut Vm<'_>, regs: &mut [Value], seg: &Segment) -> Result<(), VmError> {
         let mut i = seg.flat as usize;
-        for k in seg.start as usize..seg.end as usize {
+        let last = seg.end as usize - 1;
+        for k in seg.start as usize..=last {
             let (op, at) = (&self.x.ops[k], self.x.at[k] as usize);
             self.charge_dropped(vm, i..at)?;
             self.charge(vm, at, heap_addr(&vm.heap, regs, op))?;
-            ctl = semantics(vm, regs, op, self.ics, &self.x.args_pool)?;
+            if k < last {
+                plain(&mut vm.heap, regs, op)?;
+            }
             i = at + 1;
         }
-        Ok(ctl)
+        Ok(())
     }
 
     /// Charge segment `seg`'s flat positions one at a time, up to and
@@ -277,20 +419,25 @@ fn heap_addr(heap: &Heap, regs: &[Value], op: &XOp) -> Option<u64> {
     }
 }
 
-/// One instruction's semantics — charging has already happened on the
-/// caller's side (for the whole segment, or per instruction on the
-/// cold paths).
+/// Write a call's returned value to its destination register, if the
+/// call has one and the callee returned a value.
 #[inline]
-fn semantics(
-    vm: &mut Vm<'_>,
-    regs: &mut [Value],
-    op: &XOp,
-    ics: &[Cell<u64>],
-    pool: &[u16],
-) -> Result<Ctl, VmError> {
-    match op {
+fn set_result(regs: &mut [Value], d: u16, ret: Option<Value>) {
+    if d != NONE {
+        if let Some(v) = ret {
+            regs[d as usize] = v;
+        }
+    }
+}
+
+/// The semantics of a tail that neither calls nor transfers control:
+/// an allocation, which charges its zeroing, or a body op that ends a
+/// segment at the heap cap.
+#[inline(never)]
+fn other_tail(vm: &mut Vm<'_>, regs: &mut [Value], op: &XOp) -> Result<(), VmError> {
+    match *op {
         XOp::NewArr { d, ty, len } => {
-            let n = regs[*len as usize].as_int()?;
+            let n = regs[len as usize].as_int()?;
             if n < 0 {
                 return Err(VmError::NegativeArrayLength(n));
             }
@@ -299,74 +446,19 @@ fn semantics(
                 _ => 4,
             } * n as u64;
             vm.machine.charge_mix(&costs::alloc_zero_mix(bytes));
-            regs[*d as usize] = Value::Ref(vm.heap.alloc_array(*ty, n as usize));
+            regs[d as usize] = Value::Ref(vm.heap.alloc_array(ty, n as usize));
         }
         XOp::NewObj { d, class } => {
-            let c = vm.program.class(ClassId(*class));
+            let c = vm.program.class(ClassId(class));
             vm.machine
                 .charge_mix(&costs::alloc_zero_mix(8 * c.field_types.len() as u64));
-            regs[*d as usize] = Value::Ref(vm.heap.alloc_object(*class, &c.field_types));
+            regs[d as usize] = Value::Ref(vm.heap.alloc_object(class, &c.field_types));
         }
-        XOp::Call {
-            d,
-            argc,
-            target,
-            argi,
-        } => {
-            let mut argv = vm.take_buf();
-            let args = &pool[*argi as usize..*argi as usize + *argc as usize];
-            argv.extend(args.iter().map(|&r| regs[r as usize]));
-            let ret = vm.invoke(MethodId(*target), argv)?;
-            if *d != NONE {
-                if let Some(v) = ret {
-                    regs[*d as usize] = v;
-                }
-            }
-        }
-        XOp::CallVirt {
-            d,
-            slot,
-            recv,
-            argc,
-            ic,
-            argi,
-        } => {
-            let h = regs[*recv as usize].as_ref()?;
-            let class = vm.heap.class_of(h)?;
-            let ic = ics.get(*ic as usize);
-            let cached = ic.map_or(u64::MAX, Cell::get);
-            let target = if (cached >> 32) as u32 == class {
-                MethodId(cached as u32)
-            } else {
-                let vtable = &vm.program.class(ClassId(class)).vtable;
-                let t = *vtable.get(*slot as usize).ok_or(VmError::BadVSlot(*slot))?;
-                if let Some(c) = ic {
-                    c.set((u64::from(class) << 32) | u64::from(t.0));
-                }
-                t
-            };
-            let mut argv = vm.take_buf();
-            argv.push(Value::Ref(h));
-            let args = &pool[*argi as usize..*argi as usize + *argc as usize];
-            argv.extend(args.iter().map(|&r| regs[r as usize]));
-            let ret = vm.invoke(target, argv)?;
-            if *d != NONE {
-                if let Some(v) = ret {
-                    regs[*d as usize] = v;
-                }
-            }
-        }
-        XOp::Jmp { t } => return Ok(Ctl::Jump(*t)),
-        XOp::Br { cond, a, b, t, e } => {
-            let (x, y) = (regs[*a as usize].as_int()?, regs[*b as usize].as_int()?);
-            return Ok(Ctl::Jump(if cond.eval(x, y) { *t } else { *e }));
-        }
-        XOp::Ret { v } => return Ok(Ctl::Ret((*v != NONE).then(|| regs[*v as usize]))),
         _ => {
             plain(&mut vm.heap, regs, op)?;
         }
     }
-    Ok(Ctl::Next)
+    Ok(())
 }
 
 /// The semantics of a body op: it touches registers and the heap only,
@@ -522,7 +614,7 @@ fn plain(heap: &mut Heap, regs: &mut [Value], op: &XOp) -> Result<Option<u64>, V
         | XOp::CallVirt { .. }
         | XOp::Jmp { .. }
         | XOp::Br { .. }
-        | XOp::Ret { .. } => unreachable!("segment-ending ops run through `semantics`"),
+        | XOp::Ret { .. } => unreachable!("segment-ending ops run through `Frame::tail`"),
     }
     Ok(None)
 }

@@ -16,7 +16,6 @@
 use crate::bytecode::{ClassId, Cond, FBin, IBin, MethodId};
 use crate::value::Type;
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeSet;
 use std::fmt;
 
 /// A virtual register.
@@ -278,6 +277,48 @@ impl NInst {
             | NInst::GetFieldOp { d, .. } => Some(*d),
             NInst::CallOp { d, .. } | NInst::CallVirtOp { d, .. } => *d,
             _ => None,
+        }
+    }
+
+    /// Call `f` on each register this instruction reads, in the order
+    /// [`NInst::uses`] lists them.
+    pub(crate) fn each_use(&self, mut f: impl FnMut(VReg)) {
+        match self {
+            NInst::IConst { .. }
+            | NInst::FConst { .. }
+            | NInst::NullConst { .. }
+            | NInst::NewObj { .. }
+            | NInst::Jmp { .. } => {}
+            NInst::Mov { s: a, .. }
+            | NInst::IShlImm { a, .. }
+            | NInst::INegOp { a, .. }
+            | NInst::FNegOp { a, .. }
+            | NInst::I2FOp { a, .. }
+            | NInst::F2IOp { a, .. }
+            | NInst::NewArr { len: a, .. }
+            | NInst::ArrLenOp { arr: a, .. }
+            | NInst::GetFieldOp { obj: a, .. } => f(*a),
+            NInst::IBinOp { a, b, .. }
+            | NInst::ICmpOp { a, b, .. }
+            | NInst::FBinOp { a, b, .. }
+            | NInst::FCmpOp { a, b, .. }
+            | NInst::BrCond { a, b, .. }
+            | NInst::ALoadOp { arr: a, idx: b, .. }
+            | NInst::PutFieldOp { obj: a, val: b, .. } => {
+                f(*a);
+                f(*b);
+            }
+            NInst::AStoreOp { arr, idx, val, .. } => {
+                f(*arr);
+                f(*idx);
+                f(*val);
+            }
+            NInst::CallOp { args, .. } => args.iter().copied().for_each(f),
+            NInst::CallVirtOp { recv, args, .. } => {
+                f(*recv);
+                args.iter().copied().for_each(f);
+            }
+            NInst::Ret { val } => val.iter().copied().for_each(f),
         }
     }
 
@@ -627,23 +668,21 @@ impl NFunc {
     /// its instructions, until no live-in set changes.
     pub fn liveness(&self) -> Liveness {
         let mut live = Liveness {
-            live_in: vec![BTreeSet::new(); self.blocks.len()],
+            live_in: vec![RegSet::new(self.nregs); self.blocks.len()],
             visits: 0,
         };
+        let mut set = RegSet::new(self.nregs);
         let mut changed = true;
         while changed {
             changed = false;
             for b in (0..self.blocks.len()).rev() {
-                let mut set = live.live_out(self, b);
+                live.live_out_into(self, b, &mut set);
                 for inst in self.blocks[b].insts.iter().rev() {
                     live.visits += 1;
-                    if let Some(d) = inst.def() {
-                        set.remove(&d);
-                    }
-                    set.extend(inst.uses());
+                    set.step_back(inst);
                 }
                 if set != live.live_in[b] {
-                    live.live_in[b] = set;
+                    std::mem::swap(&mut live.live_in[b], &mut set);
                     changed = true;
                 }
             }
@@ -652,12 +691,73 @@ impl NFunc {
     }
 }
 
+/// A set of the registers of one [`NFunc`], one bit per register.
+/// Iterates in ascending register order.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct RegSet {
+    words: Vec<u64>,
+}
+
+impl RegSet {
+    /// The empty set over registers `0..nregs`.
+    pub fn new(nregs: u32) -> Self {
+        RegSet {
+            words: vec![0; (nregs as usize).div_ceil(64)],
+        }
+    }
+
+    /// Whether `r` is in the set.
+    pub fn contains(&self, r: VReg) -> bool {
+        self.words[r.0 as usize / 64] >> (r.0 % 64) & 1 != 0
+    }
+
+    /// Add `r`.
+    fn insert(&mut self, r: VReg) {
+        self.words[r.0 as usize / 64] |= 1 << (r.0 % 64);
+    }
+
+    /// Remove `r`.
+    fn remove(&mut self, r: VReg) {
+        self.words[r.0 as usize / 64] &= !(1 << (r.0 % 64));
+    }
+
+    /// Add every register of `other`, a set over the same registers.
+    fn union_with(&mut self, other: &RegSet) {
+        for (w, o) in self.words.iter_mut().zip(&other.words) {
+            *w |= o;
+        }
+    }
+
+    /// Step a backward walk over `inst`: its definition leaves the set,
+    /// then its uses join it.
+    pub(crate) fn step_back(&mut self, inst: &NInst) {
+        if let Some(d) = inst.def() {
+            self.remove(d);
+        }
+        inst.each_use(|r| self.insert(r));
+    }
+
+    /// The registers in the set, in ascending order.
+    pub fn iter(&self) -> impl Iterator<Item = VReg> + '_ {
+        self.words.iter().enumerate().flat_map(|(i, &w)| {
+            let mut w = w;
+            std::iter::from_fn(move || {
+                (w != 0).then(|| {
+                    let bit = w.trailing_zeros();
+                    w &= w - 1;
+                    VReg(i as u32 * 64 + bit)
+                })
+            })
+        })
+    }
+}
+
 /// The registers live on entry to each block of an [`NFunc`] (see
 /// [`NFunc::liveness`]).
 #[derive(Debug)]
 pub struct Liveness {
     /// Live-in set per block.
-    pub live_in: Vec<BTreeSet<VReg>>,
+    pub live_in: Vec<RegSet>,
     /// Instructions the fixpoint visited: the passes that need
     /// liveness count them as JIT work units.
     pub visits: u64,
@@ -666,14 +766,21 @@ pub struct Liveness {
 impl Liveness {
     /// The registers live on exit from block `b` of `func`: the union
     /// of its successors' live-in sets.
-    pub fn live_out(&self, func: &NFunc, b: usize) -> BTreeSet<VReg> {
-        let mut live = BTreeSet::new();
+    pub fn live_out(&self, func: &NFunc, b: usize) -> RegSet {
+        let mut live = RegSet::new(func.nregs);
+        self.live_out_into(func, b, &mut live);
+        live
+    }
+
+    /// [`Liveness::live_out`] into `live`, a set over `func`'s
+    /// registers.
+    fn live_out_into(&self, func: &NFunc, b: usize, live: &mut RegSet) {
+        live.words.fill(0);
         if let Some(term) = func.blocks[b].insts.last() {
             for s in term.successors() {
-                live.extend(self.live_in[s.0 as usize].iter().copied());
+                live.union_with(&self.live_in[s.0 as usize]);
             }
         }
-        live
     }
 }
 

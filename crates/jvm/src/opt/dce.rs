@@ -45,9 +45,9 @@ fn sweep(func: &mut NFunc) -> (u64, bool) {
             let removable = if inst.is_terminator() {
                 false
             } else if let NInst::Mov { d, s } = inst {
-                *d == *s || !live.contains(d)
+                *d == *s || !live.contains(*d)
             } else if inst.is_pure() {
-                inst.def().is_some_and(|d| !live.contains(&d))
+                inst.def().is_some_and(|d| !live.contains(d))
             } else {
                 false
             };
@@ -58,10 +58,7 @@ fn sweep(func: &mut NFunc) -> (u64, bool) {
                 // uses to liveness above it.
                 continue;
             }
-            if let Some(d) = inst.def() {
-                live.remove(&d);
-            }
-            live.extend(inst.uses());
+            live.step_back(inst);
         }
         if keep.iter().any(|k| !k) {
             let mut it = keep.iter();

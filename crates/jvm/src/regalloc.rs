@@ -80,11 +80,11 @@ pub fn allocate(func: &NFunc, k: usize) -> Allocation {
         touch(VReg(a), 0, &mut first, &mut last);
     }
     for (b, block) in func.blocks.iter().enumerate() {
-        for &r in &liveness.live_in[b] {
+        for r in liveness.live_in[b].iter() {
             touch(r, block_start[b], &mut first, &mut last);
             work_units += 1;
         }
-        for &r in &liveness.live_out(func, b) {
+        for r in liveness.live_out(func, b).iter() {
             touch(r, block_end[b].saturating_sub(1), &mut first, &mut last);
             work_units += 1;
         }

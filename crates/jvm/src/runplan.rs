@@ -896,13 +896,10 @@ pub fn compile(config: &MachineConfig, code: &NativeCode) -> XCode {
             if p > first && pieces[p - 1].1.end == ii + 1 {
                 p -= 1;
                 let at = live_pool.len();
-                live_pool.extend(live.iter().map(|&v| r(v)));
+                live_pool.extend(live.iter().map(r));
                 tail_live[p] = at..live_pool.len();
             }
-            if let Some(d) = inst.def() {
-                live.remove(&d);
-            }
-            live.extend(inst.uses());
+            live.step_back(inst);
         }
     }
 

@@ -2,12 +2,20 @@
 //!
 //! A [`Vm`] ties a [`Program`] to a simulated [`Machine`] and a
 //! [`Heap`]. Each method is currently either in bytecode form
-//! (executed by [`crate::interp`]) or native form (a JIT-compiled
-//! [`NativeCode`] object executed by [`crate::exec`]); calls cross
-//! freely between the two, as in a real mixed-mode JVM. Installing
-//! native code assigns it a simulated address range so the I-cache
-//! model sees realistic code footprints — including the larger
+//! (executed by [`crate::decode`], or by the reference
+//! [`crate::interp`] under [`VmOptions::slow_interp`]) or native form
+//! (a JIT-compiled [`NativeCode`] object executed by [`crate::exec`]);
+//! calls cross freely between the two, as in a real mixed-mode JVM.
+//! Installing native code assigns it a simulated address range so the
+//! I-cache model sees realistic code footprints — including the larger
 //! footprints of aggressively inlined (Local3) code.
+//!
+//! [`Vm::invoke`] is the entry for every call from outside the engines
+//! and for every call that crosses from one engine to the other. A
+//! call that stays on its engine enters the callee's frame inside that
+//! engine. Both make the checks of `Vm::enter` — arity, then call
+//! depth, before anything is charged — and keep the call depth that
+//! addresses each native frame's spill slots.
 
 use crate::bytecode::MethodId;
 use crate::class::Program;
@@ -197,27 +205,21 @@ impl<'p> Vm<'p> {
     /// Invoke a method with the given argument values. For virtual
     /// methods the receiver is `args[0]`.
     ///
+    /// This is the entry for every call from outside the engines and
+    /// for every call that crosses between them; a call whose callee
+    /// runs on the caller's own engine enters the callee's frame
+    /// directly, through the same `Vm::enter` checks.
+    ///
     /// # Errors
     /// Any [`VmError`] raised during execution, including arity
     /// mismatches of this entry invocation.
     pub fn invoke(&mut self, m: MethodId, args: Vec<Value>) -> Result<Option<Value>, VmError> {
-        let method = self.program.method(m);
-        if args.len() != method.invoke_arity() {
-            return Err(VmError::ArityMismatch {
-                expected: method.invoke_arity(),
-                got: args.len(),
-            });
-        }
-        if self.depth >= self.options.max_call_depth {
-            return Err(VmError::CallDepthExceeded);
-        }
-        self.depth += 1;
-        let result = match &self.code[m.0 as usize] {
+        self.enter(m, args.len(), |vm| match &vm.code[m.0 as usize] {
             MethodCode::Bytecode => {
-                if self.options.slow_interp {
-                    crate::interp::run(self, m, args)
+                if vm.options.slow_interp {
+                    crate::interp::run(vm, m, args)
                 } else {
-                    crate::decode::run(self, m, args)
+                    crate::decode::run(vm, m, args)
                 }
             }
             MethodCode::Native {
@@ -230,9 +232,37 @@ impl<'p> Vm<'p> {
                 let code = Rc::clone(code);
                 let ics = Rc::clone(ics);
                 let plans = Rc::clone(plans);
-                crate::exec::run(self, &code, &plans, base, &ics, args)
+                crate::exec::run(vm, &code, &plans, base, &ics, args)
             }
-        };
+        })
+    }
+
+    /// Enter a call of `m` with `nargs` arguments: check the arity,
+    /// then the call depth, before anything is charged; then run `body`
+    /// one frame deeper and restore the depth on every exit.
+    ///
+    /// # Errors
+    /// [`VmError::ArityMismatch`], [`VmError::CallDepthExceeded`], or
+    /// whatever `body` returns.
+    #[inline]
+    pub(crate) fn enter<T>(
+        &mut self,
+        m: MethodId,
+        nargs: usize,
+        body: impl FnOnce(&mut Self) -> Result<T, VmError>,
+    ) -> Result<T, VmError> {
+        let expected = self.program.method(m).invoke_arity();
+        if nargs != expected {
+            return Err(VmError::ArityMismatch {
+                expected,
+                got: nargs,
+            });
+        }
+        if self.depth >= self.options.max_call_depth {
+            return Err(VmError::CallDepthExceeded);
+        }
+        self.depth += 1;
+        let result = body(self);
         self.depth -= 1;
         result
     }

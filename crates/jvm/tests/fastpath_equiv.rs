@@ -20,8 +20,12 @@
 //!    full length, both engines stop at the same instruction with the
 //!    same error and the same machine state — segment charging must
 //!    never over- or under-charge at the boundary. The programs cover
-//!    arithmetic, heap and field traffic, and errors raised inside a
-//!    straight-line stretch after earlier heap accesses.
+//!    arithmetic, heap and field traffic, errors raised inside a
+//!    straight-line stretch after earlier heap accesses, a recursion
+//!    past the call-depth limit, and — with callees installed as
+//!    native code at Local1–Local3 on both VMs — bytecode calling
+//!    native code that calls back into bytecode, and a recursion
+//!    alternating the two engines past the limit.
 //! 4. **Pre-charged machines**: obligations 1 and 3 again with the
 //!    client's Core accumulator already holding a realistic 1e6–1e10 nJ,
 //!    where segment replays fold into one exact add per replay instead
@@ -32,9 +36,11 @@ mod common;
 use common::{fingerprint, precharge, Fingerprint};
 use jem_jvm::class::{MethodAttrs, MethodSig, ProgramBuilder};
 use jem_jvm::dsl::*;
+use jem_jvm::nir::NInst;
 use jem_jvm::verify::verify_program;
-use jem_jvm::{MethodId, Op, Program, Type, Value, Vm, VmError};
+use jem_jvm::{compile, MethodId, NativeCode, Op, OptLevel, Program, Type, Value, Vm, VmError};
 use proptest::prelude::*;
+use std::rc::Rc;
 
 /// Run `id(args)` on a fresh client VM with the chosen engine and
 /// budget, returning the outcome plus the machine fingerprint.
@@ -45,13 +51,18 @@ fn run_engine(
     slow: bool,
     budget: u64,
 ) -> (Result<Option<Value>, VmError>, Fingerprint) {
-    run_engine_from(program, id, args, slow, budget, 0.0)
+    run_engine_from(program, &[], id, args, slow, budget, 0.0)
 }
 
-/// [`run_engine`] on a client whose Core accumulator starts at
-/// `core_nj`, restored through the checkpoint path.
+/// Methods installed as native code before a run, with their code.
+type Natives = [(MethodId, Rc<NativeCode>)];
+
+/// [`run_engine`] with `natives` installed, on a client whose Core
+/// accumulator starts at `core_nj`, restored through the checkpoint
+/// path.
 fn run_engine_from(
     program: &Program,
+    natives: &Natives,
     id: MethodId,
     args: &[Value],
     slow: bool,
@@ -59,6 +70,9 @@ fn run_engine_from(
     core_nj: f64,
 ) -> (Result<Option<Value>, VmError>, Fingerprint) {
     let mut vm = Vm::client(program);
+    for (m, code) in natives {
+        vm.install_native(*m, Rc::clone(code));
+    }
     precharge(&mut vm, core_nj);
     vm.options.slow_interp = slow;
     vm.options.step_budget = budget;
@@ -501,13 +515,14 @@ fn assert_cutoffs_match_reference(core_nj: f64) {
         let CutoffInput {
             name,
             program: p,
+            natives,
             id,
             args,
             fails_with,
         } = input;
 
         // Full length first, to know where "past the end" is.
-        let (full_res, full_fp) = run_engine_from(&p, id, &args, true, u64::MAX, core_nj);
+        let (full_res, full_fp) = run_engine_from(&p, &natives, id, &args, true, u64::MAX, core_nj);
         match &fails_with {
             None => assert!(
                 full_res.is_ok(),
@@ -522,8 +537,10 @@ fn assert_cutoffs_match_reference(core_nj: f64) {
         );
 
         for budget in 0..=total + 2 {
-            let (slow_res, slow_fp) = run_engine_from(&p, id, &args, true, budget, core_nj);
-            let (fast_res, fast_fp) = run_engine_from(&p, id, &args, false, budget, core_nj);
+            let (slow_res, slow_fp) =
+                run_engine_from(&p, &natives, id, &args, true, budget, core_nj);
+            let (fast_res, fast_fp) =
+                run_engine_from(&p, &natives, id, &args, false, budget, core_nj);
             assert_eq!(
                 fast_res, slow_res,
                 "{name}: result diverged at budget {budget}"
@@ -545,8 +562,10 @@ fn assert_cutoffs_match_reference(core_nj: f64) {
 
 /// A program the cutoff obligation runs at every step budget.
 struct CutoffInput {
-    name: &'static str,
+    name: String,
     program: Program,
+    /// Methods both engines run as native code.
+    natives: Vec<(MethodId, Rc<NativeCode>)>,
     id: MethodId,
     args: Vec<Value>,
     /// The error the full run ends with (`None`: it returns).
@@ -554,11 +573,159 @@ struct CutoffInput {
 }
 
 /// The cutoff obligation's programs: arithmetic with calls and floats,
-/// heap and field traffic, and one program per error raised inside a
-/// straight-line stretch after earlier heap accesses.
+/// heap and field traffic, one program per error raised inside a
+/// straight-line stretch after earlier heap accesses, a recursion past
+/// the call-depth limit, and calls between bytecode and native code.
 fn cutoff_inputs() -> Vec<CutoffInput> {
     let mut inputs = vec![arith_program(), heap_program()];
     inputs.extend(failing_programs());
+    inputs.push(recursion_program());
+    inputs.extend(mixed_programs());
+    inputs
+}
+
+/// `rec(n)` calls itself until `n` is 0, from `f(n)` at depth 1: at
+/// `n = 140` the call past the 128-frame call-depth limit fails before
+/// its argument copy is charged.
+fn recursion_program() -> CutoffInput {
+    let mut m = ModuleBuilder::new();
+    m.func(
+        "rec",
+        vec![("n", DType::Int)],
+        Some(DType::Int),
+        vec![
+            if_(var("n").le(iconst(0)), vec![ret(iconst(1))]),
+            ret(call("rec", vec![var("n").sub(iconst(1))]).add(var("n"))),
+        ],
+    );
+    m.func(
+        "f",
+        vec![("n", DType::Int)],
+        Some(DType::Int),
+        vec![ret(call("rec", vec![var("n")]))],
+    );
+    let p = m.compile().expect("compiles");
+    verify_program(&p).expect("verifies");
+    let id = p.find_method(MODULE_CLASS, "f").expect("f exists");
+    CutoffInput {
+        name: "recursion past the depth limit".into(),
+        program: p,
+        natives: Vec::new(),
+        id,
+        args: vec![Value::Int(140)],
+        fails_with: Some(VmError::CallDepthExceeded),
+    }
+}
+
+/// `e` through twelve multiply-xor steps: enough instructions that
+/// Local3 does not inline a callee built on it.
+fn churn(e: Expr) -> Expr {
+    (0..12).fold(e, |e, k| e.mul(iconst(k + 3)).bitxor(iconst(k)))
+}
+
+/// At Local1–Local3, bytecode calling native callees that call back
+/// into bytecode: `f` (bytecode) calls `g` (native), which calls `h`
+/// (bytecode), and the virtual `Cell.bump` (native), which calls `h`
+/// too; and a recursion alternating `up` (bytecode) and `down`
+/// (native) past the call-depth limit. `h` and `up` are too large for
+/// Local3 to inline.
+fn mixed_programs() -> Vec<CutoffInput> {
+    let mut m = ModuleBuilder::new();
+    m.class("Cell", None, &[("v", DType::Int)]);
+    m.func(
+        "h",
+        vec![("x", DType::Int)],
+        Some(DType::Int),
+        vec![ret(churn(var("x")))],
+    );
+    m.func(
+        "g",
+        vec![("x", DType::Int)],
+        Some(DType::Int),
+        vec![ret(call("h", vec![var("x").add(iconst(1))]).sub(var("x")))],
+    );
+    m.virtual_method(
+        "Cell",
+        "bump",
+        vec![("x", DType::Int)],
+        Some(DType::Int),
+        vec![
+            set_field(var("this"), "v", var("this").field("v").add(var("x"))),
+            ret(call("h", vec![var("this").field("v")])),
+        ],
+    );
+    m.func(
+        "f",
+        vec![("v0", DType::Int)],
+        Some(DType::Int),
+        vec![
+            let_("c", new_obj("Cell")),
+            let_("acc", iconst(0)),
+            for_(
+                "i",
+                iconst(0),
+                iconst(4),
+                vec![assign(
+                    "acc",
+                    var("acc")
+                        .mul(iconst(31))
+                        .add(call("g", vec![var("i").add(var("v0"))]))
+                        .bitxor(var("c").vcall("bump", vec![var("i")])),
+                )],
+            ),
+            ret(var("acc")),
+        ],
+    );
+    m.func(
+        "down",
+        vec![("n", DType::Int)],
+        Some(DType::Int),
+        vec![ret(call("up", vec![var("n").sub(iconst(1))]).mul(iconst(3)))],
+    );
+    m.func(
+        "up",
+        vec![("n", DType::Int)],
+        Some(DType::Int),
+        vec![
+            if_(var("n").le(iconst(0)), vec![ret(iconst(1))]),
+            ret(call("down", vec![var("n")]).add(churn(var("n")))),
+        ],
+    );
+    let p = m.compile().expect("compiles");
+    verify_program(&p).expect("verifies");
+    let find = |name| p.find_method(MODULE_CLASS, name).expect("method exists");
+    let bump = p.find_method("Cell", "bump").expect("Cell.bump exists");
+    let (f, g, down, up) = (find("f"), find("g"), find("down"), find("up"));
+    let mut inputs = Vec::new();
+    for level in OptLevel::ALL {
+        let natives: Vec<_> = [g, bump, down]
+            .into_iter()
+            .map(|m| (m, Rc::new(compile(&p, m, level).code)))
+            .collect();
+        for (m, code) in &natives {
+            let calls = code.func.blocks.iter().flat_map(|b| &b.insts);
+            assert!(
+                calls.into_iter().any(|i| matches!(i, NInst::CallOp { .. })),
+                "{level}: native {m:?} still calls back into bytecode"
+            );
+        }
+        inputs.push(CutoffInput {
+            name: format!("mixed calls, {level}"),
+            program: p.clone(),
+            natives: natives.clone(),
+            id: f,
+            args: vec![Value::Int(6)],
+            fails_with: None,
+        });
+        inputs.push(CutoffInput {
+            name: format!("mixed recursion past the depth limit, {level}"),
+            program: p.clone(),
+            natives,
+            id: up,
+            args: vec![Value::Int(70)],
+            fails_with: Some(VmError::CallDepthExceeded),
+        });
+    }
     inputs
 }
 
@@ -600,8 +767,9 @@ fn arith_program() -> CutoffInput {
     verify_program(&p).expect("verifies");
     let id = p.find_method(MODULE_CLASS, "f").expect("f exists");
     CutoffInput {
-        name: "arith",
+        name: "arith".into(),
         program: p,
+        natives: Vec::new(),
         id,
         args: vec![Value::Int(9)],
         fails_with: None,
@@ -673,8 +841,9 @@ fn heap_program() -> CutoffInput {
     verify_program(&p).expect("verifies");
     let id = p.find_method(MODULE_CLASS, "f").expect("f exists");
     CutoffInput {
-        name: "heap",
+        name: "heap".into(),
         program: p,
+        natives: Vec::new(),
         id,
         args: vec![Value::Int(5)],
         fails_with: None,
@@ -791,8 +960,9 @@ fn failing_programs() -> Vec<CutoffInput> {
                 attrs(),
             );
             CutoffInput {
-                name,
+                name: name.into(),
                 program: b.finish(),
+                natives: Vec::new(),
                 id: main,
                 args: vec![],
                 fails_with: Some(err),
@@ -822,8 +992,10 @@ proptest! {
         let args = vec![Value::Int(a), Value::Int(b), Value::Int(c)];
         let core_nj = 10f64.powf(log_nj);
 
-        let (slow_res, slow_fp) = run_engine_from(&program, id, &args, true, 50_000_000, core_nj);
-        let (fast_res, fast_fp) = run_engine_from(&program, id, &args, false, 50_000_000, core_nj);
+        let (slow_res, slow_fp) =
+            run_engine_from(&program, &[], id, &args, true, 50_000_000, core_nj);
+        let (fast_res, fast_fp) =
+            run_engine_from(&program, &[], id, &args, false, 50_000_000, core_nj);
         prop_assert_eq!(&fast_res, &slow_res, "result diverged (stmts: {:?})", stmts);
         prop_assert_eq!(&fast_fp, &slow_fp, "machine state diverged at {} nJ (stmts: {:?})", core_nj, stmts);
     }

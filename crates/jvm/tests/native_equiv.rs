@@ -24,7 +24,9 @@
 //!    jumps a segment runs on through: an if-arm with heap accesses
 //!    jumping into a join block that fails after more heap accesses,
 //!    and a join block that opens with enough heap accesses to stop
-//!    the arm's segment at the jump.
+//!    the arm's segment at the jump. A recursion through a static and
+//!    a virtual call that spills at every level runs below and past
+//!    the call-depth limit.
 //! 2. **Step-budget cutoffs**: for every budget value across the full
 //!    length of two fixed heap-and-call programs (one a loop nest with
 //!    an if/else in the inner body), both executors stop at the same
@@ -37,7 +39,10 @@
 //!    batched charges fold into one exact add per replay.
 //!
 //! Of the random runs, about 45% return normally, 20% divide by zero
-//! and 35% index out of bounds; they run 300–3,000 steps.
+//! and 35% index out of bounds; they run 300–3,000 steps. Where the
+//! reference runs without a step budget, the executor gets a few times
+//! the reference's step count, so an executor fault that never leaves
+//! a loop fails the test instead of hanging it.
 
 mod common;
 
@@ -410,6 +415,10 @@ fn machines() -> [MachineConfig; 2] {
 
 /// Assert both executors agree on result and machine state, and
 /// return the result and the step count.
+///
+/// An unbounded `budget` (`u64::MAX`) is the reference's alone: the
+/// executor gets [`bounded`] of the reference's step count, so an
+/// executor that never leaves a loop fails instead of hanging.
 fn assert_agree(
     c: &mut Compiled,
     id: MethodId,
@@ -419,10 +428,22 @@ fn assert_agree(
     ctx: &str,
 ) -> (Result<Option<Value>, VmError>, u64) {
     let (want, want_fp) = c.run(id, args, budget, core_nj, true);
+    let budget = if budget == u64::MAX {
+        bounded(want_fp.steps)
+    } else {
+        budget
+    };
     let (got, got_fp) = c.run(id, args, budget, core_nj, false);
     assert_eq!(got, want, "result diverged: {ctx}");
     assert_eq!(got_fp, want_fp, "machine state diverged: {ctx}");
     (want, want_fp.steps)
+}
+
+/// A step budget for the executor on a run the reference finished in
+/// `steps`: a few times that count, which a correct executor never
+/// reaches, and a failing one reaches within seconds.
+fn bounded(steps: u64) -> u64 {
+    steps.saturating_mul(4).saturating_add(1_000)
 }
 
 // ---------------------------------------------------------------
@@ -806,6 +827,99 @@ fn random_programs_cover_errors() {
     }
 }
 
+/// A recursion that alternates a static call `rec(n, x, node)` and a
+/// virtual call `node.down(n - 1, x')` until `n` reaches 0, holding
+/// [`LIVE`] values across each call so every level spills into its
+/// own frame. `f(n, x)` starts it at depth 1, so it needs `2n + 1`
+/// frames, or `n + 1` where Local3 inlines one of the two calls.
+fn recursion() -> (Program, MethodId) {
+    let mut m = ModuleBuilder::new();
+    m.class("Node", None, &[("hits", DType::Int)]);
+    let mut body: Vec<Stmt> = (0..LIVE)
+        .map(|i| {
+            let_(
+                &format!("w{i}"),
+                var("x").mul(iconst(i + 3)).bitxor(var("n").add(iconst(i))),
+            )
+        })
+        .collect();
+    body.push(if_(var("n").le(iconst(0)), vec![ret(var("x"))]));
+    let mut acc = var("node").vcall(
+        "down",
+        vec![var("n").sub(iconst(1)), var("x").bitxor(var("w0"))],
+    );
+    for i in 0..LIVE {
+        acc = acc.mul(iconst(31)).add(var(&format!("w{i}")));
+    }
+    body.push(ret(acc));
+    m.func(
+        "rec",
+        vec![
+            ("n", DType::Int),
+            ("x", DType::Int),
+            ("node", DType::obj("Node")),
+        ],
+        Some(DType::Int),
+        body,
+    );
+    m.virtual_method(
+        "Node",
+        "down",
+        vec![("n", DType::Int), ("x", DType::Int)],
+        Some(DType::Int),
+        vec![
+            set_field(
+                var("this"),
+                "hits",
+                var("this").field("hits").add(iconst(1)),
+            ),
+            ret(call(
+                "rec",
+                vec![
+                    var("n"),
+                    var("x").add(var("this").field("hits")),
+                    var("this"),
+                ],
+            )),
+        ],
+    );
+    m.func(
+        "f",
+        vec![("n", DType::Int), ("x", DType::Int)],
+        Some(DType::Int),
+        vec![ret(call("rec", vec![var("n"), var("x"), new_obj("Node")]))],
+    );
+    let p = m.compile().expect("the recursion compiles");
+    verify_program(&p).expect("the recursion verifies");
+    let id = p.find_method(MODULE_CLASS, "f").expect("f exists");
+    (p, id)
+}
+
+/// The recursion at every level on both machines, fresh and
+/// pre-charged: 31 to 61 frames return, and 151 or more run into the
+/// 128-frame call-depth limit, where the call past it fails before its
+/// argument copy is charged. Each frame's spills must land at its own
+/// depth's frame address.
+#[test]
+fn recursion_past_the_depth_limit_matches_reference() {
+    let (program, id) = recursion();
+    for level in OptLevel::ALL {
+        for config in machines() {
+            let mut compiled = Compiled::new(&program, level, &config);
+            for (n, core_nj) in [(30, 0.0), (150, 0.0), (30, 3.7e7), (150, 2.5e9)] {
+                let ctx = format!("{level}, {}, n {n}, core {core_nj:e} nJ", compiled.name());
+                let args = [Value::Int(n), Value::Int(7)];
+                let (res, _) = assert_agree(&mut compiled, id, &args, u64::MAX, core_nj, &ctx);
+                if n < 64 {
+                    assert!(res.is_ok(), "{ctx}: returns: {res:?}");
+                } else {
+                    assert_eq!(res, Err(VmError::CallDepthExceeded), "{ctx}");
+                }
+            }
+        }
+    }
+}
+
 // ---------------------------------------------------------------
 // 2. Step-budget cutoffs
 // ---------------------------------------------------------------
@@ -836,8 +950,8 @@ fn assert_cutoffs_agree(stmts: &[S], args: [i32; 3], core_nj: f64) {
             );
             assert!(total > 200, "{level}: long enough to slice ({total} steps)");
             assert_eq!(
-                compiled.run(id, &args, u64::MAX, core_nj, false),
-                compiled.fresh_run(id, &args, u64::MAX, core_nj),
+                compiled.run(id, &args, bounded(total), core_nj, false),
+                compiled.fresh_run(id, &args, bounded(total), core_nj),
                 "{level}, {name}: a reset VM runs as a fresh one"
             );
             for budget in 0..=total + 2 {
