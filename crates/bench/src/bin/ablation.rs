@@ -11,7 +11,7 @@
 //!
 //! Usage: `ablation [--runs N] [--trace out.jtb]
 //! [--timeline out.jts [--sample-every SIM_MS]]
-//! [--serve ADDR] [--flush-every SIM_MS]
+//! [--flush-every SIM_MS]
 //! [--json-out BENCH_ablation.json] [--ckpt out.jck] [--resume
 //! out.jck]` (default 120 runs). The nine variants are one sweep of
 //! variant units, on every core (one under `--ckpt`); `--trace`

@@ -19,7 +19,7 @@
 //! Usage: `faults [--runs N] [--seed N] [--trace out.jtb]
 //! [--timeline out.jts [--sample-every SIM_MS]]
 //! [--metrics-out out.prom] [--json-out BENCH_faults.json]
-//! [--serve ADDR] [--flush-every SIM_MS]
+//! [--flush-every SIM_MS]
 //! [--ckpt out.jck [--ckpt-every N]] [--resume out.jck] [--slow-interp]`
 //! (default 300 runs, seed 7). `--trace` records the resilient-AA runs
 //! across the whole severity sweep; `--timeline` streams the `.jts`

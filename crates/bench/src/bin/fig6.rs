@@ -16,7 +16,7 @@
 //!
 //! Usage: `fig6 [--full] [--trace out.jtb] [--metrics-out out.prom]
 //! [--timeline out.jts [--sample-every SIM_MS]]
-//! [--json-out BENCH_fig6.json] [--serve ADDR] [--flush-every SIM_MS]
+//! [--json-out BENCH_fig6.json] [--flush-every SIM_MS]
 //! [--ckpt out.jck] [--resume out.jck]
 //! [--slow-interp]`.
 //! Each grid cell is one sweep unit, run on every core (one under

@@ -16,7 +16,7 @@
 //! 10% and 22% savings vs the best static), and AA saves more than AL.
 //!
 //! Usage: `fig7 [--runs N] [--trace out.jtb] [--metrics-out out.prom]
-//! [--timeline out.jts [--sample-every SIM_MS]] [--serve ADDR]
+//! [--timeline out.jts [--sample-every SIM_MS]]
 //! [--flush-every SIM_MS] [--json-out BENCH_fig7.json]
 //! [--ckpt out.jck [--ckpt-every N]] [--resume out.jck]` (default 300
 //! runs, the paper's count). The grid is one sweep of 168 units, one

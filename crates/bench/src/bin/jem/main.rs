@@ -1,6 +1,8 @@
 //! `jem` — the one CLI over the artifacts the bench bins write: `.jtb`
-//! traces, `.jts` timelines, JSON results, the run archive and a live
-//! `--serve` endpoint.
+//! traces, `.jts` timelines, JSON results and the run archive. Runs in
+//! flight are watched through the same files: `check`, `query` and
+//! `timeline` have a `--follow` mode, and `top` tails a run's `.jts`
+//! and `.jtb`.
 //!
 //! `jem --help` prints every subcommand with its flags (`USAGE`
 //! below); each subcommand's module documents what it does.
@@ -8,9 +10,10 @@
 //! Every subcommand reads argv through `jem_bench`'s helpers and
 //! accepts exactly the flags its mode reads: anything else, or a flag
 //! that needs a value and has none, exits 2 naming it before any input
-//! is read. Inputs are sniffed by magic, not by extension, and `-`
-//! reads stdin wherever a whole input is read. `--window a:b` is
-//! always in sim-ms; `query`'s `--since`/`--until` are in sim-ns.
+//! is read. Inputs are sniffed by magic, not by extension (only `top`
+//! tells its two files apart by extension), and `-` reads stdin
+//! wherever a whole input is read. `--window a:b` is always in sim-ms;
+//! `query`'s `--since`/`--until` are in sim-ns.
 //!
 //! Exit status: 0 on success, 1 on a failure (for `diff`: the inputs
 //! differ), 2 on a usage error.
@@ -52,8 +55,7 @@ usage: jem <command> [args]
   lab      query <archive> (--series <name> | --column <path>) [--window a:b]
            [--group-by fingerprint|bin|args] [--json]
   lab      report <archive> --out <report.html>
-  top      <http://HOST:PORT | HOST:PORT | run.jts> [--refresh <ms>] [--once] [--frames <n>]
-           [--window a:b] [--timeout <ms>]
+  top      <run.jts> [<run.jtb>] [--refresh <ms>] [--once] [--frames <n>] [--window a:b]
 ";
 
 fn main() -> ExitCode {

@@ -28,16 +28,20 @@
 //! `speedup` or `ablation`. The golden run is the bin's sweep on every
 //! core; the killed and resumed runs are its one-worker checkpointed
 //! sweep (`jem_bench::ckpt`), so a pass also shows the two drain the
-//! same bytes. Kills land at 5–85% of the part of the run still
-//! ahead, measured in the wall time of one uninterrupted checkpointed
-//! run, timed before the first kill: a resumed run has only the rest
-//! of the run left, so each later kill point is drawn within it.
+//! same bytes. Kill k of K lands 5–85% of the way through the k-th
+//! K-th of the run, measured in the wall time of one uninterrupted
+//! checkpointed run, timed before the first kill, so the kills spread
+//! over the whole run. A resumed run first redoes the work since its
+//! last checkpoint, so a later kill's clock starts only once the
+//! resumed run has saved a checkpoint the killed run never wrote (the
+//! `.jck` bytes change): every kill lands past the one before.
 
+use jem_core::ckpt::{CkptFile, RunSnapshot};
 use jem_obs::{load_trace_bytes, salvage_jtb};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::path::{Path, PathBuf};
-use std::process::{Command, ExitCode, Stdio};
+use std::process::{Child, Command, ExitCode, Stdio};
 use std::time::{Duration, Instant};
 
 struct Opts {
@@ -111,6 +115,37 @@ fn check_salvage(bytes: &[u8], label: &str) {
             }
         }
     }
+}
+
+/// Wait until the checkpoint at `jck` differs from `left`, the one the
+/// killed run left behind (`None`: it left none); `false` when `child`
+/// exits first.
+fn past_checkpoint(child: &mut Child, jck: &Path, left: Option<&[u8]>) -> bool {
+    loop {
+        if std::fs::read(jck).ok().as_deref() != left {
+            return true;
+        }
+        match child.try_wait() {
+            Ok(None) => std::thread::sleep(Duration::from_millis(2)),
+            Ok(Some(_)) => return false,
+            Err(e) => fail(&format!("try_wait: {e}")),
+        }
+    }
+}
+
+/// How far the checkpoint `jck` had taken the sweep.
+fn progress(jck: Option<&[u8]>) -> String {
+    let Some(file) = jck.and_then(|b| CkptFile::decode(b).ok()) else {
+        return "no checkpoint".into();
+    };
+    let mut out = format!("{} unit(s) done", file.completed.len());
+    if let Some(inflight) = &file.inflight {
+        if let Ok(snap) = RunSnapshot::decode(&inflight.snapshot) {
+            let (unit, n) = (&inflight.unit, snap.invocation);
+            out.push_str(&format!(", `{unit}` at invocation {n}"));
+        }
+    }
+    out
 }
 
 fn read(path: &Path) -> Vec<u8> {
@@ -218,14 +253,17 @@ fn main() -> ExitCode {
     println!("checkpointed: uninterrupted in {wall:.2?}");
     wipe();
 
-    // Kill/resume lineage: start fresh, kill at seeded fractions of
-    // the checkpointed wall time still ahead, resume, until the run
-    // survives with at least `kills` landed kills. A lineage that
-    // finishes too early is wiped and restarted with new kill points.
+    // Kill/resume lineage: start fresh, kill at seeded points of the
+    // checkpointed wall time, resume, until the run survives with at
+    // least `kills` landed kills. A lineage that finishes too early is
+    // wiped and restarted with new kill points.
     let mut landed = 0usize;
-    // The share of the checkpointed wall time ahead of the lineage: a
-    // resumed run has only the rest of the run left to do.
-    let mut ahead = 1.0f64;
+    // Where the lineage's last kill landed, as a share of the
+    // checkpointed wall time: a resumed run has only the rest left.
+    let mut at = 0.0f64;
+    // The checkpoint the last killed run left behind.
+    let mut left: Option<Vec<u8>> = None;
+    let jck = dir.join("chaos.jck");
     let mut resumes = 0usize;
     let mut attempts = 0usize;
     let mut lineage_started = false;
@@ -234,26 +272,35 @@ fn main() -> ExitCode {
         if attempts > 40 * opts.kills.max(1) {
             fail("kill points keep missing the run — is the target bin too fast?");
         }
-        let mut child = command(&opts, &bin, &dir, &chaos_flags(lineage_started))
+        let resumed = lineage_started;
+        let mut child = command(&opts, &bin, &dir, &chaos_flags(resumed))
             .spawn()
             .unwrap_or_else(|e| fail(&format!("cannot spawn {}: {e}", bin.display())));
         lineage_started = true;
         if landed < opts.kills {
-            // Earlier fractions hit the sweep's first units; later
-            // ones land mid-trace with checkpoints behind them.
-            let frac = rng.gen_range(0.05..0.85);
-            std::thread::sleep(wall.mul_f64(ahead * frac));
+            // A resumed run redoes the work since the killed run's
+            // last checkpoint first: start the clock once it has saved
+            // a checkpoint of its own, past the last kill.
+            let running = !resumed || past_checkpoint(&mut child, &jck, left.as_deref());
+            // The first kill hits the sweep's first units; later ones
+            // land mid-trace with checkpoints behind them.
+            let point = (landed as f64 + rng.gen_range(0.05..0.85)) / opts.kills as f64;
+            if running {
+                std::thread::sleep(wall.mul_f64(point - at));
+            }
             match child.try_wait() {
                 Ok(None) => {
                     child.kill().unwrap_or_else(|e| fail(&format!("kill: {e}")));
                     let _ = child.wait();
                     landed += 1;
+                    left = std::fs::read(&jck).ok();
                     println!(
-                        "kill {landed}/{} landed at ~{:.0}% of checkpointed wall time",
+                        "kill {landed}/{} landed at ~{:.0}% of checkpointed wall time, past {}",
                         opts.kills,
-                        (1.0 - ahead * (1.0 - frac)) * 100.0
+                        point * 100.0,
+                        progress(left.as_deref())
                     );
-                    ahead *= 1.0 - frac;
+                    at = point;
                     let torn = dir.join("chaos.jtb");
                     if torn.exists() {
                         check_salvage(&read(&torn), &format!("kill {landed}"));
@@ -270,7 +317,7 @@ fn main() -> ExitCode {
                     wipe();
                     landed = 0;
                     resumes = 0;
-                    ahead = 1.0;
+                    at = 0.0;
                     lineage_started = false;
                     continue;
                 }

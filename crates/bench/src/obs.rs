@@ -8,7 +8,7 @@
 //! |---|---|---|
 //! | [`ObsArgs::RESULT_FLAGS`] | `--json-out` `--archive` | all |
 //! | [`ObsArgs::METRICS_FLAGS`] | `--metrics-out` | `fig6` `fig7` `faults` `estfit` |
-//! | [`ObsArgs::EVENT_FLAGS`] | `--trace` `--timeline` `--sample-every` `--serve` `--monitor` `--health-out` `--flush-every` | `fig6` `fig7` `faults` `speedup` `ablation` |
+//! | [`ObsArgs::EVENT_FLAGS`] | `--trace` `--timeline` `--sample-every` `--monitor` `--health-out` `--flush-every` | `fig6` `fig7` `faults` `speedup` `ablation` |
 //!
 //! The flags:
 //!
@@ -29,15 +29,11 @@
 //! * `--metrics-out out.prom` — write the run's metrics registry in
 //!   Prometheus text format;
 //! * `--json-out BENCH_x.json` — write machine-readable results;
-//! * `--serve ADDR` — expose the run live over an embedded HTTP
-//!   server (`/metrics`, `/health`, `/series`, `/events` SSE) while it
-//!   executes; the sim publishes copies into a shared snapshot, so the
-//!   run itself — and every file it writes — is byte-identical with or
-//!   without the flag;
 //! * `--flush-every SIM-MS` — flush `--trace`/`--timeline` streams to
 //!   disk on the first invocation boundary after every SIM-MS of
 //!   sim-time, so `--follow` readers and `jem top` can tail a run in
-//!   flight. Changes where `.jtb`/`.jts` blocks are cut (the decoded
+//!   flight (the one live channel: readers of the files the run writes
+//!   anyway). Changes where `.jtb`/`.jts` blocks are cut (the decoded
 //!   stream is identical); leave unset for byte-identical output;
 //! * `--archive DIR` — after all outputs are written, ingest them into
 //!   the experiment archive at DIR (`jem lab`) under the run's
@@ -55,13 +51,11 @@
 use crate::print_table;
 use jem_core::{accuracy_of, Profile, ScenarioResult};
 use jem_energy::EnergyBreakdown;
-use jem_obs::serve::DEFAULT_LIVE_CADENCE_NS;
 use jem_obs::wire::FileSink;
 use jem_obs::{
-    AccuracyTracker, HealthReport, Json, LiveServer, LiveState, MetricsRegistry, MonitorConfig,
-    MonitorTee, NullSink, TimelineSink, TraceEvent, TraceSink,
+    AccuracyTracker, HealthReport, Json, MetricsRegistry, MonitorConfig, MonitorTee, NullSink,
+    TimelineSink, TraceEvent, TraceSink,
 };
-use std::sync::Arc;
 
 /// Where a bin should write its optional observability outputs.
 #[derive(Debug, Clone, Default)]
@@ -81,14 +75,9 @@ pub struct ObsArgs {
     /// `--sample-every` cadence in sim-milliseconds (0 = invocation
     /// boundaries only).
     pub sample_every_ms: f64,
-    /// `--serve` bind address (live HTTP observability).
-    pub serve: Option<String>,
     /// `--flush-every` cadence in sim-milliseconds (invocation-aligned
     /// stream flushing for live followers).
     pub flush_every_ms: Option<f64>,
-    /// The live snapshot store behind `--serve`, shared with the
-    /// server's connection threads. `None` unless `--serve` was given.
-    pub live: Option<Arc<LiveState>>,
     /// `--archive` directory (the `jem lab` experiment archive to ingest
     /// this run's artifacts into after they are written).
     pub archive: Option<String>,
@@ -98,19 +87,14 @@ pub struct ObsArgs {
 /// optional monitor tee in front of it.
 pub struct BenchSink {
     /// The `--trace` stream (bounded memory regardless of trace
-    /// length); `None` when the events only feed the monitors, the
-    /// timeline or the live server.
+    /// length); `None` when the events only feed the monitors or the
+    /// timeline.
     file: Option<FileSink>,
     tee: Option<MonitorTee>,
     /// `.jts` sidecar writer. A side observer, not part of the sink
     /// chain: it sees the raw (pre-monitor) stream with the tracer's
     /// exact cumulative ledger.
     timeline: Option<TimelineSink>,
-    /// Live `--serve` snapshot store. Another side observer: events
-    /// are published (copied) into it before they enter the sink
-    /// chain, and server threads only ever read the copies — the run
-    /// stays byte-identical with or without it.
-    live: Option<Arc<LiveState>>,
 }
 
 impl BenchSink {
@@ -134,23 +118,17 @@ impl BenchSink {
 
 impl TraceSink for BenchSink {
     fn enabled(&self) -> bool {
-        // Monitoring, the timeline, and the live server need the event
-        // stream even when no trace is persisted.
-        self.tee.is_some() || self.timeline.is_some() || self.live.is_some() || self.file.is_some()
+        // Monitoring and the timeline need the event stream even when
+        // no trace is persisted.
+        self.tee.is_some() || self.timeline.is_some() || self.file.is_some()
     }
     fn record(&mut self, event: TraceEvent) {
-        if let Some(live) = self.live.as_deref() {
-            live.publish_event(&event, None);
-        }
         if let Some(tl) = self.timeline.as_mut() {
             tl.observe(&event, None);
         }
         self.forward(event);
     }
     fn record_with_ledger(&mut self, event: TraceEvent, ledger: &EnergyBreakdown) {
-        if let Some(live) = self.live.as_deref() {
-            live.publish_event(&event, Some(ledger));
-        }
         if let Some(tl) = self.timeline.as_mut() {
             tl.observe(&event, Some(ledger));
         }
@@ -252,7 +230,6 @@ impl ObsArgs {
         ("--trace", true),
         ("--timeline", true),
         ("--sample-every", true),
-        ("--serve", true),
         ("--monitor", false),
         ("--health-out", true),
         ("--flush-every", true),
@@ -288,39 +265,15 @@ impl ObsArgs {
                 }
             },
         };
-        let timeline = crate::arg_str(args, "--timeline");
-        let serve = crate::arg_str(args, "--serve");
-        let live = serve.as_ref().map(|addr| {
-            // The /series cadence follows the timeline's when one is
-            // being written, so the live view matches the .jts file.
-            let cadence = if timeline.is_some() {
-                sample_every_ms * 1e6
-            } else {
-                DEFAULT_LIVE_CADENCE_NS
-            };
-            let state = Arc::new(LiveState::new(cadence));
-            match LiveServer::start(addr, Arc::clone(&state)) {
-                Ok(server) => {
-                    eprintln!("serving live observability on http://{}", server.addr());
-                    state
-                }
-                Err(err) => {
-                    eprintln!("error: {err}");
-                    std::process::exit(1);
-                }
-            }
-        });
         ObsArgs {
             trace,
             monitor: crate::arg_flag(args, "--monitor"),
             health_out: crate::arg_str(args, "--health-out"),
             metrics_out: crate::arg_str(args, "--metrics-out"),
             json_out: crate::arg_str(args, "--json-out"),
-            timeline,
+            timeline: crate::arg_str(args, "--timeline"),
             sample_every_ms,
-            serve,
             flush_every_ms,
-            live,
             archive: crate::arg_str(args, "--archive"),
         }
     }
@@ -333,7 +286,7 @@ impl ObsArgs {
     /// Whether traced runs are wanted at all (`--trace`, a
     /// `--timeline` sidecar, or monitors that need the event stream).
     pub fn wants_events(&self) -> bool {
-        self.trace.is_some() || self.timeline.is_some() || self.monitoring() || self.live.is_some()
+        self.trace.is_some() || self.timeline.is_some() || self.monitoring()
     }
 
     /// The sampling cadence in sim-nanoseconds.
@@ -398,7 +351,6 @@ impl ObsArgs {
                 .monitoring()
                 .then(|| MonitorTee::new(MonitorConfig::default())),
             timeline,
-            live: self.live.clone(),
         })
     }
 
@@ -407,7 +359,6 @@ impl ObsArgs {
     /// `--health-out` was given).
     pub fn finish_trace(&self, sink: Option<BenchSink>) {
         let Some(sink) = sink else {
-            self.finish_serve();
             return;
         };
         if let Some(tee) = sink.tee {
@@ -433,17 +384,6 @@ impl ObsArgs {
                 }
             }
         }
-        self.finish_serve();
-    }
-
-    /// Mark the live `--serve` state complete (idempotent; no-op
-    /// without `--serve`): `/events` streams terminate after draining
-    /// and `/health` is final. The server keeps answering until the
-    /// process exits, so late scrapes still see the finished run.
-    fn finish_serve(&self) {
-        if let Some(live) = self.live.as_deref() {
-            live.publish_done();
-        }
     }
 
     fn emit_health(&self, report: &HealthReport) {
@@ -457,13 +397,8 @@ impl ObsArgs {
         }
     }
 
-    /// Write the metrics registry (no-op without `--metrics-out`) and
-    /// publish it to the live `/metrics` endpoint when one is being
-    /// served.
+    /// Write the metrics registry (no-op without `--metrics-out`).
     pub fn write_metrics(&self, registry: &MetricsRegistry) {
-        if let Some(live) = self.live.as_deref() {
-            live.publish_metrics(registry);
-        }
         if let Some(path) = &self.metrics_out {
             write_file(path, registry.render_prometheus().as_bytes());
         }

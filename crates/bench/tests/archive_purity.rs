@@ -20,9 +20,7 @@ fn obs_args(json: &str, jtb: &str, jts: &str, archive: Option<String>) -> ObsArg
         json_out: Some(json.to_string()),
         timeline: Some(jts.to_string()),
         sample_every_ms: 1.0,
-        serve: None,
         flush_every_ms: None,
-        live: None,
         archive,
     }
 }

@@ -7,8 +7,11 @@
 
 mod common;
 
+use jem_energy::EnergyBreakdown;
 use jem_obs::wire::jtb_bytes;
-use jem_obs::{scratch_dir, Archive, RunMeta, TimelineSink, TraceShard};
+use jem_obs::{
+    scratch_dir, Archive, RunMeta, TimelineSink, TraceEvent, TraceEventKind, TraceShard,
+};
 use std::process::{Command, Output};
 
 fn jem(args: &[&str]) -> Output {
@@ -175,6 +178,98 @@ fn flags_and_inputs_once_accepted_without_effect_exit_2() {
     let out = jem(&["top", jts, "--once"]);
     assert!(out.status.success());
     assert!(String::from_utf8_lossy(&out.stdout).contains("energy rate"));
+}
+
+/// `jem top` over a run in flight: the `.jts` has no footer yet, so
+/// alone it names the breaker state by its label id; the `.jtb` adds
+/// the state by name, the decision mix and the alerts.
+#[test]
+fn top_reads_a_timeline_and_its_trace() {
+    let dir = scratch_dir();
+    let path = |name: &str| dir.join(name).to_str().unwrap().to_string();
+    let (jtb, jts) = (path("run.jtb"), path("run.jts"));
+    // Three invocations; the second runs remotely, trips the breaker
+    // and draws an alert after its end, as a monitor tee writes it.
+    let mut events = common::events(3);
+    if let TraceEventKind::InvocationEnd { mode, .. } = &mut events[3].kind {
+        *mode = "remote".into();
+    }
+    let mark = |kind| TraceEvent {
+        seq: 0,
+        invocation: 2,
+        ordinal: 1,
+        at: events[3].at,
+        delta: EnergyBreakdown::new(),
+        kind,
+    };
+    let (open, alert) = (
+        mark(TraceEventKind::BreakerTransition {
+            from: "closed".into(),
+            to: "open".into(),
+        }),
+        mark(TraceEventKind::Alert {
+            monitor: "breaker-flap".into(),
+            severity: "warn".into(),
+            message: "remote failed".into(),
+        }),
+    );
+    events.insert(3, open);
+    events.insert(5, alert);
+    for (seq, ev) in events.iter_mut().enumerate() {
+        ev.seq = seq as u64;
+    }
+    std::fs::write(&jtb, jtb_bytes(&[TraceShard::new("a", events.clone())])).unwrap();
+    // Flushed at every invocation end and never finished.
+    let mut sink = TimelineSink::create(&jts, 1e3).unwrap();
+    sink.set_flush_every(1.0);
+    for ev in &events {
+        sink.observe(ev, None);
+    }
+    drop(sink);
+
+    let frame = |args: &[&str]| {
+        let out = jem(args);
+        let stdout = String::from_utf8_lossy(&out.stdout).into_owned();
+        assert!(out.status.success(), "jem {args:?}: {stdout}");
+        stdout
+    };
+    let both = frame(&["top", &jts, &jtb, "--once"]);
+    for needle in [
+        "events=8 invocations=3",
+        "(following)",
+        "breaker: open ",
+        "decisions:  interpret=2  remote=1",
+        "alerts: 1",
+        "breaker-flap=1",
+        "[warn] breaker-flap: remote failed",
+    ] {
+        assert!(both.contains(needle), "{needle:?} missing from\n{both}");
+    }
+    // The order of the two files does not matter.
+    assert_eq!(frame(&["top", &jtb, &jts, "--once"]), both);
+    let alone = frame(&["top", &jts, "--once"]);
+    assert!(alone.contains("breaker: #"), "{alone}");
+    assert!(!alone.contains("decisions:"), "{alone}");
+}
+
+#[test]
+fn top_refuses_addresses_and_the_timeout_flag() {
+    assert_exit(
+        &["top", "127.0.0.1:7777", "--once"],
+        2,
+        "'127.0.0.1:7777' is neither a .jts timeline nor a .jtb trace",
+    );
+    assert_exit(
+        &["top", "x.jts", "--timeout", "5"],
+        2,
+        "unknown flag --timeout ",
+    );
+    assert_exit(
+        &["top", "x.jtb", "--once"],
+        2,
+        "jem top needs a .jts timeline",
+    );
+    assert_exit(&["top", "a.jts", "b.jts"], 2, "unexpected argument 'b.jts'");
 }
 
 #[test]

@@ -1,23 +1,22 @@
-//! `--serve` is a pure observer: a run that publishes every event to a
-//! live HTTP server being hammered by concurrent readers produces
-//! byte-identical `.jtb` and `.jts` artifacts to a bare run of the
-//! same seed. Also checks the `--flush-every` cadence: it may cut
-//! stream blocks early (different bytes) but must decode to exactly
-//! the same events and samples.
+//! Following is a pure observer: a run whose `.jtb` and `.jts` a reader
+//! tails while they are written produces byte-identical files to an
+//! unfollowed run with the same `--flush-every` cadence, and the
+//! followed events and samples are exactly the finished files' decode.
+//! Also checks the `--flush-every` cadence: it may cut stream blocks
+//! early (different bytes) but must decode to exactly the same events
+//! and samples.
 
-use std::io::{Read as _, Write as _};
-use std::net::TcpStream;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 use jem_apps::workload_by_name;
 use jem_bench::obs::ObsArgs;
 use jem_core::{run_scenario_traced, Profile, ResilienceConfig, Strategy};
-use jem_obs::wire::load_jtb_bytes;
-use jem_obs::{scratch_path, LiveServer, LiveState, Timeline};
+use jem_obs::timeline::N_SERIES;
+use jem_obs::wire::{load_jtb_bytes, FollowStatus, JtbStream};
+use jem_obs::{scratch_path, JtsReader, JtsSample, Timeline, TraceEvent};
 use jem_sim::{Scenario, Situation};
 
-fn obs_args(jtb: &str, jts: &str, live: Option<Arc<LiveState>>) -> ObsArgs {
+fn obs_args(jtb: &str, jts: &str) -> ObsArgs {
     ObsArgs {
         trace: Some(jtb.to_string()),
         monitor: true,
@@ -26,23 +25,58 @@ fn obs_args(jtb: &str, jts: &str, live: Option<Arc<LiveState>>) -> ObsArgs {
         json_out: None,
         timeline: Some(jts.to_string()),
         sample_every_ms: 1.0,
-        serve: live.as_ref().map(|_| "test".to_string()),
         flush_every_ms: None,
-        live,
         archive: None,
     }
 }
 
+/// What a reader tailing both files of a run saw.
+#[derive(Default)]
+struct Followed {
+    events: Vec<(usize, TraceEvent)>,
+    samples: Vec<JtsSample>,
+}
+
+/// Tail the growing `jtb` and `jts` until both footers land.
+fn tail(jtb: &str, jts: &str, out: &mut Followed) {
+    let mut trace = JtbStream::follow(jtb).expect("the sink created the trace");
+    let mut timeline = JtsReader::follow(jts).expect("the sink created the timeline");
+    let (mut trace_done, mut timeline_done) = (false, false);
+    let deadline = Instant::now() + Duration::from_secs(300);
+    while !(trace_done && timeline_done) {
+        assert!(Instant::now() < deadline, "the footers never landed");
+        if !trace_done {
+            match trace.poll().expect("a growing trace is never corrupt") {
+                FollowStatus::Events(events) => out.events.extend(events),
+                FollowStatus::Idle => {}
+                FollowStatus::End => trace_done = true,
+            }
+        }
+        if !timeline_done {
+            match timeline
+                .poll()
+                .expect("a growing timeline is never corrupt")
+            {
+                FollowStatus::Events(samples) => out.samples.extend(samples),
+                FollowStatus::Idle => {}
+                FollowStatus::End => timeline_done = true,
+            }
+        }
+        std::thread::sleep(Duration::from_millis(1));
+    }
+}
+
 /// Run the faulty fe scenario through a full BenchSink stack and
-/// return the resulting (`.jtb`, `.jts`) bytes.
+/// return the resulting (`.jtb`, `.jts`) bytes. With `follow`, a
+/// reader thread tails both files while the run writes them.
 fn run_stack(
     tag: &str,
-    live: Option<Arc<LiveState>>,
+    follow: Option<&mut Followed>,
     flush_every_ms: Option<f64>,
 ) -> (Vec<u8>, Vec<u8>) {
     let jtb = scratch_path(&format!("{tag}.jtb"));
     let jts = scratch_path(&format!("{tag}.jts"));
-    let mut obs = obs_args(&jtb, &jts, live);
+    let mut obs = obs_args(&jtb, &jts);
     obs.flush_every_ms = flush_every_ms;
 
     let w = workload_by_name("fe").expect("known workload");
@@ -50,16 +84,24 @@ fn run_stack(
     let scenario =
         Scenario::paper_degraded(Situation::GoodDominant, &w.sizes(), 1234, 0.6).with_runs(40);
     let mut sink = obs.trace_sink(None).expect("sink configured");
-    run_scenario_traced(
-        w.as_ref(),
-        &profile,
-        &scenario,
-        Strategy::AdaptiveAdaptive,
-        &ResilienceConfig::default(),
-        &mut sink,
-    )
-    .expect("scenario run failed");
-    obs.finish_trace(Some(sink));
+    std::thread::scope(|scope| {
+        // The sink has created both files; the reader opens them now.
+        let (jtb, jts) = (&jtb, &jts);
+        let reader = follow.map(|out| scope.spawn(move || tail(jtb, jts, out)));
+        run_scenario_traced(
+            w.as_ref(),
+            &profile,
+            &scenario,
+            Strategy::AdaptiveAdaptive,
+            &ResilienceConfig::default(),
+            &mut sink,
+        )
+        .expect("scenario run failed");
+        obs.finish_trace(Some(sink));
+        if let Some(reader) = reader {
+            reader.join().expect("reader thread");
+        }
+    });
 
     let jtb_bytes = std::fs::read(&jtb).unwrap();
     let jts_bytes = std::fs::read(&jts).unwrap();
@@ -68,73 +110,52 @@ fn run_stack(
     (jtb_bytes, jts_bytes)
 }
 
-fn http_get(addr: &str, path: &str) -> String {
-    let mut conn = TcpStream::connect(addr).expect("connect live server");
-    write!(
-        conn,
-        "GET {path} HTTP/1.1\r\nHost: {addr}\r\nConnection: close\r\n\r\n"
-    )
-    .unwrap();
-    let mut raw = String::new();
-    conn.read_to_string(&mut raw).unwrap();
-    let (head, body) = raw.split_once("\r\n\r\n").expect("http response");
-    assert!(
-        head.contains(" 200 "),
-        "{path}: expected 200, got {}",
-        head.lines().next().unwrap_or("")
-    );
-    body.to_string()
-}
-
 #[test]
-fn serving_under_concurrent_readers_is_bit_identical() {
-    let (bare_jtb, bare_jts) = run_stack("bare", None, None);
+fn following_a_flushed_run_is_bit_identical() {
+    let (bare_jtb, bare_jts) = run_stack("unfollowed", None, Some(2.0));
+    let mut followed = Followed::default();
+    let (jtb, jts) = run_stack("followed", Some(&mut followed), Some(2.0));
 
-    let state = Arc::new(LiveState::new(1.0e6));
-    let server = LiveServer::start("127.0.0.1:0", Arc::clone(&state)).expect("bind");
-    let addr = server.addr().to_string();
+    assert_eq!(
+        bare_jtb, jtb,
+        ".jtb must be byte-identical under a follower"
+    );
+    assert_eq!(
+        bare_jts, jts,
+        ".jts must be byte-identical under a follower"
+    );
 
-    // Hammer the endpoints from another thread for the whole run, so
-    // any shared-state mutation by a reader would corrupt the stream.
-    let stop = Arc::new(AtomicBool::new(false));
-    let reader = {
-        let stop = Arc::clone(&stop);
-        let addr = addr.clone();
-        std::thread::spawn(move || {
-            let mut polls = 0u64;
-            while !stop.load(Ordering::Relaxed) {
-                http_get(&addr, "/metrics");
-                http_get(&addr, "/health");
-                http_get(&addr, "/series?name=energy.core.cum_nj");
-                polls += 1;
-            }
-            polls
+    let trace = load_jtb_bytes(&jtb).expect("decode");
+    let events: Vec<(usize, TraceEvent)> = trace
+        .shards
+        .iter()
+        .enumerate()
+        .flat_map(|(si, s)| s.events.iter().cloned().map(move |e| (si, e)))
+        .collect();
+    assert!(!events.is_empty());
+    assert_eq!(followed.events, events, "followed events = the decode");
+
+    let tl = Timeline::read(&jts).expect("decode");
+    let samples: Vec<(usize, f64, [f64; N_SERIES])> = tl
+        .segments
+        .iter()
+        .enumerate()
+        .flat_map(|(si, seg)| {
+            seg.times.iter().enumerate().map(move |(row, t)| {
+                let mut vals = [0.0; N_SERIES];
+                for (v, col) in vals.iter_mut().zip(&seg.cols) {
+                    *v = col[row];
+                }
+                (si, *t, vals)
+            })
         })
-    };
-
-    let (live_jtb, live_jts) = run_stack("live", Some(Arc::clone(&state)), None);
-    stop.store(true, Ordering::Relaxed);
-    let polls = reader.join().unwrap();
-    assert!(polls > 0, "reader thread must have exercised the server");
-
-    assert_eq!(
-        bare_jtb, live_jtb,
-        ".jtb must be byte-identical under --serve"
-    );
-    assert_eq!(
-        bare_jts, live_jts,
-        ".jts must be byte-identical under --serve"
-    );
-
-    // After finish_trace the snapshot is marked complete and reflects
-    // the whole run.
-    let metrics = http_get(&addr, "/metrics");
-    assert!(metrics.contains("jem_live_run_complete 1"));
-    assert!(metrics.contains("jem_live_events_total"));
-    let health = http_get(&addr, "/health");
-    assert!(health.contains("\"schema\": \"jem-health/v1\""));
-    let series = http_get(&addr, "/series?name=energy.core.cum_nj");
-    assert!(series.contains("\"complete\": true"));
+        .collect();
+    let seen: Vec<(usize, f64, [f64; N_SERIES])> = followed
+        .samples
+        .iter()
+        .map(|s| (s.segment, s.t, s.vals))
+        .collect();
+    assert_eq!(seen, samples, "followed samples = the decode");
 }
 
 #[test]

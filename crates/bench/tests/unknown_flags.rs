@@ -35,7 +35,6 @@ const UNREAD: &[(&str, &[&str], &[&str])] = &[
             "--trace",
             "--timeline",
             "--sample-every",
-            "--serve",
             "--monitor",
             "--health-out",
             "--metrics-out",
@@ -52,7 +51,6 @@ const UNREAD: &[(&str, &[&str], &[&str])] = &[
             "--trace",
             "--timeline",
             "--sample-every",
-            "--serve",
             "--monitor",
             "--health-out",
             "--metrics-out",
@@ -69,7 +67,6 @@ const UNREAD: &[(&str, &[&str], &[&str])] = &[
             "--trace",
             "--timeline",
             "--sample-every",
-            "--serve",
             "--monitor",
             "--health-out",
             "--flush-every",
@@ -120,6 +117,13 @@ fn unread_output_flags_exit_2_and_write_nothing() {
             assert_refused(bin, args, flag);
         }
     }
+}
+
+/// `--serve` and its HTTP server are gone: a bin that took it refuses
+/// it like any flag it does not read.
+#[test]
+fn removed_serve_flag_exits_2_and_writes_nothing() {
+    assert_refused(env!("CARGO_BIN_EXE_faults"), &["--runs", "1"], "--serve");
 }
 
 #[test]

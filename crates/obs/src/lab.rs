@@ -144,14 +144,13 @@ pub fn schema_versions() -> Vec<(&'static str, &'static str)> {
 /// *what the run computes*; stripped from the identity args so the
 /// same configuration archived under different file names lands on
 /// the same fingerprint line.
-const OUTPUT_FLAGS: [&str; 11] = [
+const OUTPUT_FLAGS: [&str; 10] = [
     "--trace",
     "--timeline",
     "--json-out",
     "--health-out",
     "--metrics-out",
     "--archive",
-    "--serve",
     "--ckpt",
     "--ckpt-every",
     "--resume",
@@ -160,9 +159,9 @@ const OUTPUT_FLAGS: [&str; 11] = [
 
 /// Reduce argv (without the program name) to the arguments that
 /// define the run's identity: output destinations, checkpointing and
-/// live-serving flags are dropped (all are observers or byte-framing
-/// knobs — the computed results are identical with or without them),
-/// everything else is kept in order.
+/// stream-flushing flags are dropped (all are observers or
+/// byte-framing knobs — the computed results are identical with or
+/// without them), everything else is kept in order.
 pub fn identity_args(args: &[String]) -> Vec<String> {
     let mut out = Vec::new();
     let mut i = 0;

@@ -37,11 +37,9 @@
 //!   cumulative/rates, predictor estimates, channel/breaker state,
 //!   counters) at a sim-time cadence into a compact columnar format
 //!   whose energy-rate integrals reconcile bit-exactly with the run's
-//!   final breakdown,
-//! * [`serve`] — the live-run exposition layer: a dependency-free
-//!   HTTP server over a published [`serve::LiveState`] snapshot
-//!   (`/metrics`, `/health`, `/series`, `/events` SSE). Data flows
-//!   strictly sim → server; serving a run never perturbs it,
+//!   final breakdown; [`JtsFollower`] and [`JtbFollower`] tail a
+//!   `.jts` and a `.jtb` while a run writes them, the one live channel
+//!   (`jem top` and the `--follow` modes),
 //! * [`tui`] — shared plain-ANSI rendering (unicode sparklines,
 //!   refresh-frame helpers) for `jem top` and `jem timeline
 //!   --sparkline`,
@@ -71,7 +69,6 @@ pub mod monitor;
 pub mod profile;
 pub mod query;
 pub mod schema;
-pub mod serve;
 pub mod timeline;
 pub mod trace;
 pub mod tui;
@@ -91,7 +88,6 @@ pub use profile::{
     CellStats, CollapseWeight, InvocationResolver, ProfileFolder, ResolvedEvent, TraceProfile,
 };
 pub use query::{GroupKey, Query, QueryEngine, QueryResult, QueryRow};
-pub use serve::{LiveServer, LiveState};
 pub use timeline::{
     is_jts, series_names, validate_jts, JtsFollower, JtsReader, JtsSample, JtsSummary, Timeline,
     TimelineSegment, TimelineSink,

@@ -528,12 +528,6 @@ impl Monitor {
     pub fn finish(self) -> HealthReport {
         self.report
     }
-
-    /// Snapshot the report so far without consuming the monitor — the
-    /// live `/health` endpoint polls this mid-run.
-    pub fn report(&self) -> HealthReport {
-        self.report.clone()
-    }
 }
 
 /// The sink-agnostic tee core: forwards events to any sink, injecting
@@ -599,11 +593,6 @@ impl MonitorTee {
     /// Finish monitoring and yield the health report.
     pub fn finish(self) -> HealthReport {
         self.monitor.finish()
-    }
-
-    /// Snapshot the report so far without consuming the tee.
-    pub fn report(&self) -> HealthReport {
-        self.monitor.report()
     }
 }
 

@@ -94,21 +94,21 @@ pub fn is_jts(bytes: &[u8]) -> bool {
 // Series catalogue
 // ---------------------------------------------------------------
 
-pub(crate) const COMPONENTS: usize = 5;
-pub(crate) const S_CUM: usize = 0; // + component index
-pub(crate) const S_TRACE: usize = S_CUM + COMPONENTS; // + component index
-pub(crate) const S_EI: usize = 10;
-pub(crate) const S_ER: usize = 11;
-pub(crate) const S_EL1: usize = 12;
-pub(crate) const S_ERR: usize = 15;
-pub(crate) const S_TRUE_CLASS: usize = 16;
-pub(crate) const S_CHOSEN_CLASS: usize = 17;
-pub(crate) const S_BREAKER: usize = 18;
-pub(crate) const S_RETRIES: usize = 19;
-pub(crate) const S_FALLBACKS: usize = 20;
-pub(crate) const S_DEGRADED: usize = 21;
-pub(crate) const S_INSTRUCTIONS: usize = 22;
-pub(crate) const S_INVOCATIONS: usize = 23;
+const COMPONENTS: usize = 5;
+const S_CUM: usize = 0; // + component index
+const S_TRACE: usize = S_CUM + COMPONENTS; // + component index
+const S_EI: usize = 10;
+const S_ER: usize = 11;
+const S_EL1: usize = 12;
+const S_ERR: usize = 15;
+const S_TRUE_CLASS: usize = 16;
+const S_CHOSEN_CLASS: usize = 17;
+const S_BREAKER: usize = 18;
+const S_RETRIES: usize = 19;
+const S_FALLBACKS: usize = 20;
+const S_DEGRADED: usize = 21;
+const S_INSTRUCTIONS: usize = 22;
+const S_INVOCATIONS: usize = 23;
 /// Number of series every `.jts` file carries (the catalogue is
 /// fixed: series identity is positional, names are self-describing).
 pub const N_SERIES: usize = 24;
@@ -218,29 +218,28 @@ fn get_f64_bits(cur: &mut Cur<'_>) -> Result<f64, String> {
 // ---------------------------------------------------------------
 
 /// Derived run state, updated per event and copied out per sample.
-#[derive(Clone)]
-pub(crate) struct Sampler {
+struct Sampler {
     /// Sample cadence in sim-ns (0 = invocation boundaries only).
-    pub(crate) every: f64,
+    every: f64,
     /// Current value of every series.
-    pub(crate) vals: [f64; N_SERIES],
+    vals: [f64; N_SERIES],
     /// Next scheduled sample time.
-    pub(crate) next_t: f64,
+    next_t: f64,
     /// Timestamp of the last applied event.
-    pub(crate) last_t: f64,
+    last_t: f64,
     /// State changed since the last emitted sample.
-    pub(crate) dirty: bool,
+    dirty: bool,
     /// Last event sequence number (restart detection).
-    pub(crate) prev_seq: Option<u64>,
+    prev_seq: Option<u64>,
     /// Chosen mode + predicted nJ of the pending decision, for the
     /// prediction-error series (same semantics as the regret monitor).
     pending: Option<(String, f64)>,
     /// Label table for the label-coded series; id 0 is "" (unknown).
-    pub(crate) labels: Vec<String>,
+    labels: Vec<String>,
 }
 
 impl Sampler {
-    pub(crate) fn new(every: f64) -> Sampler {
+    fn new(every: f64) -> Sampler {
         let mut s = Sampler {
             every,
             vals: [0.0; N_SERIES],
@@ -256,7 +255,7 @@ impl Sampler {
     }
 
     /// Reset per-segment state (the label table is file-global).
-    pub(crate) fn reset(&mut self) {
+    fn reset(&mut self) {
         self.vals = [0.0; N_SERIES];
         self.next_t = self.every;
         self.last_t = 0.0;
@@ -275,7 +274,7 @@ impl Sampler {
         (self.labels.len() - 1) as f64
     }
 
-    pub(crate) fn apply(&mut self, ev: &TraceEvent, ledger: Option<&EnergyBreakdown>) {
+    fn apply(&mut self, ev: &TraceEvent, ledger: Option<&EnergyBreakdown>) {
         self.dirty = true;
         self.last_t = ev.at.nanos();
         for c in Component::ALL {
